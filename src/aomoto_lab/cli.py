@@ -27,7 +27,7 @@ from .arrangement import (
     arrangement_from_json, arrangement_to_json, intersection_lattice,
     os_dimension,
 )
-from .errors import AomotoLabError, ConfigError
+from .errors import AomotoLabError, ConfigError, ExhaustedRetries
 from .exactfield import (
     DEFAULT_PRECISION_BITS, RatFuncKappa, format_rational, parse_rational,
 )
@@ -349,7 +349,7 @@ def _kz_flat_samples(points, seed, count=5):
     while len(samples) < count:
         tries += 1
         if tries > 200:
-            raise ConfigError("could not sample branch-safe points")
+            raise ExhaustedRetries("could not sample branch-safe points")
         z = [
             complex(
                 float(p) + rng.randint(-30, 30) / 100.0,
@@ -370,6 +370,8 @@ def _cmd_kz(config):
         _parse_points(config) if "points" in config
         else [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
     )
+    if len(points) != 4:
+        _fail("points", "the connection acts on exactly four points")
     kappa = _parse_kappa(config, default=Fraction(3))
     precision_bits = config.get("precision_bits", DEFAULT_PRECISION_BITS)
     if not isinstance(precision_bits, int) or isinstance(precision_bits, bool) \
@@ -377,6 +379,15 @@ def _cmd_kz(config):
         _fail("precision_bits", "expected an integer >= 64")
     seed = _seed(config)
     tol_raw = config.get("tol")
+    tol = None
+    if tol_raw is not None:
+        with mpmath.workprec(precision_bits + 64):
+            try:
+                tol = mpmath.mpf(tol_raw)
+            except (TypeError, ValueError):
+                _fail("tol", f"expected a positive number, got {tol_raw!r}")
+        if isinstance(tol_raw, bool) or not (mpmath.isfinite(tol) and tol > 0):
+            _fail("tol", f"expected a positive number, got {tol_raw!r}")
     loop = config.get("loop", [2, 4])
     if (not isinstance(loop, list) or len(loop) != 2
             or any(not isinstance(i, int) or isinstance(i, bool) for i in loop)
@@ -384,8 +395,8 @@ def _cmd_kz(config):
         _fail("loop", "expected two distinct 1-based point indices")
     base = _parse_rat(config["base"], "base") if "base" in config else points[0]
     sys_obj = KzSystem(points, kappa, precision_bits=precision_bits)
+    samples = _kz_flat_samples(points, seed)
     with mpmath.workprec(precision_bits + 64):
-        tol = mpmath.mpf(tol_raw) if tol_raw is not None else None
         matrix = pochhammer_monodromy(
             sys_obj, loop[0] - 1, loop[1] - 1, base=complex(base), tol=tol
         )
@@ -404,20 +415,18 @@ def _cmd_kz(config):
             "a21_abs": _fmt_mpf(abs(matrix[1][0])),
             "det_defect": _fmt_mpf(abs(det - 1)),
         }
-        flat = None
-        if sys_obj.n == 4 and sys_obj.d == 2:
-            worst_phi = mpmath.mpf(0)
-            worst_fv = mpmath.mpf(0)
-            for z in _kz_flat_samples(points, seed):
-                worst_phi = max(worst_phi, flat_section_residual(sys_obj, z))
-                worst_fv = max(
-                    worst_fv, flat_section_residual(sys_obj, z, section="fv")
-                )
-            flat = {
-                "phi_max_residual": _fmt_mpf(worst_phi),
-                "fv_max_residual": _fmt_mpf(worst_fv),
-                "samples": 5,
-            }
+        worst_phi = mpmath.mpf(0)
+        worst_fv = mpmath.mpf(0)
+        for z in samples:
+            worst_phi = max(worst_phi, flat_section_residual(sys_obj, z))
+            worst_fv = max(
+                worst_fv, flat_section_residual(sys_obj, z, section="fv")
+            )
+        flat = {
+            "phi_max_residual": _fmt_mpf(worst_phi),
+            "fv_max_residual": _fmt_mpf(worst_fv),
+            "samples": len(samples),
+        }
         h_args = (Fraction(1, 3), Fraction(-1, 3), Fraction(1, 3), Fraction(2))
         value = hyp2f1(*h_args, precision_bits=precision_bits)
         hyp = {
@@ -428,9 +437,7 @@ def _cmd_kz(config):
             "value": _fmt_complex(value),
             "abs": _fmt_mpf(abs(value)),
         }
-    report = {"pochhammer": pochhammer, "hyp2f1": hyp}
-    if flat is not None:
-        report["flat_sections"] = flat
+    report = {"pochhammer": pochhammer, "hyp2f1": hyp, "flat_sections": flat}
     echo = {
         "points": [format_rational(p) for p in points],
         "kappa": format_rational(kappa),

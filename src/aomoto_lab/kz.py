@@ -16,6 +16,7 @@ geometric tail.  All floating arithmetic runs through mpmath at the
 system's precision.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -39,7 +40,17 @@ def casimir_matrices(weights=(1, 1, 1, 1)):
     Omega_{jk} acts as e^(j) f^(k) + f^(j) e^(k) + (1/2) h^(j) h^(k) on
     the tensor product, then is projected to the coinvariant quotient
     basis.  Returns a dict keyed by (j, k) with j < k, entries rational.
+    The matrices are built once per weights tuple; every call gets its
+    own copy, so a caller may modify the result.
     """
+    return {
+        pair: [list(row) for row in mat]
+        for pair, mat in _casimir_matrices(tuple(weights)).items()
+    }
+
+
+@functools.lru_cache(maxsize=16)
+def _casimir_matrices(weights):
     space = TensorSpace(weights)
     chosen, projection = coinvariants_quotient(space)
     n = len(space.ms)
@@ -622,8 +633,11 @@ def hyp2f1(a, b, c, u, precision_bits=DEFAULT_PRECISION_BITS):
     Integrates t^(b-1) (1-t)^(c-b-1) (1-ut)^(-a) along a commutator
     contour around t = 0 and t = 1 with continuous branch tracking, then
     normalizes by gamma factors and the endpoint monodromy factors.
-    Needs b and c - b nonintegral.  Raises PrecisionLoss if the branch
-    bookkeeping fails to close up.
+    Every chord of the contour stays away from t = 0, 1 and 1/u, so the
+    integrand is analytic on it and each chord is integrated by
+    Gauss-Legendre quadrature.  Needs b and c - b nonintegral.  Raises
+    PrecisionLoss if a chord's quadrature error estimate exceeds
+    2^-precision_bits, or if the branch bookkeeping fails to close up.
     """
     for name, val in (("b", b), ("c-b", Fraction(c) - Fraction(b))):
         frac = Fraction(val)
@@ -641,9 +655,11 @@ def hyp2f1(a, b, c, u, precision_bits=DEFAULT_PRECISION_BITS):
         logs = [mpmath.log(w) for w in factors(start)]
         initial_logs = list(logs)
         total = mpmath.mpc(0)
+        max_error = mpmath.mpf(2) ** (-precision_bits)
         for seg_a, seg_b in path.segments():
             total, logs = _integrate_segment(
-                _to_mpc(seg_a), _to_mpc(seg_b), factors, exps, logs, total
+                _to_mpc(seg_a), _to_mpc(seg_b), factors, exps, logs, total,
+                max_error,
             )
         drift = max(abs(x - y) for x, y in zip(logs, initial_logs))
         if drift > mpmath.mpf(2) ** (-(precision_bits // 4)):
@@ -657,7 +673,8 @@ def hyp2f1(a, b, c, u, precision_bits=DEFAULT_PRECISION_BITS):
         return gamma_factor * total / denom
 
 
-def _integrate_segment(t0, t1, factors, exps, logs, total, depth=0):
+def _integrate_segment(t0, t1, factors, exps, logs, total, max_error,
+                       depth=0):
     w0 = factors(t0)
     w1 = factors(t1)
     if any(abs(w) == 0 for w in w0 + w1):
@@ -667,9 +684,11 @@ def _integrate_segment(t0, t1, factors, exps, logs, total, depth=0):
     if any(_arg_ratio(x, y) > 1.2 for x, y in zip(w1, w0)):
         mid = (t0 + t1) / 2
         total, logs = _integrate_segment(
-            t0, mid, factors, exps, logs, total, depth + 1
+            t0, mid, factors, exps, logs, total, max_error, depth + 1
         )
-        return _integrate_segment(mid, t1, factors, exps, logs, total, depth + 1)
+        return _integrate_segment(
+            mid, t1, factors, exps, logs, total, max_error, depth + 1
+        )
 
     def integrand(t):
         w = factors(t)
@@ -678,7 +697,12 @@ def _integrate_segment(t0, t1, factors, exps, logs, total, depth=0):
             acc += e * (li + mpmath.log(wi / w0i))
         return mpmath.exp(acc)
 
-    total = total + mpmath.quad(integrand, [t0, t1])
+    value, error = mpmath.quad(
+        integrand, [t0, t1], method="gauss-legendre", error=True
+    )
+    if error > max_error:
+        raise PrecisionLoss("contour quadrature did not converge on a chord")
+    total = total + value
     new_logs = [
         li + mpmath.log(wi / w0i) for li, wi, w0i in zip(logs, w1, w0)
     ]

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from aomoto_lab import cli
 from aomoto_lab.cli import main, run
-from aomoto_lab.errors import ConfigError
+from aomoto_lab.errors import BranchCut, ConfigError, ExhaustedRetries
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -184,6 +185,39 @@ def test_kz_flag_overrides(tmp_path, capsys):
     rc = main(["kz", "--config", str(cfg), "--loop", "2"])
     assert rc == 2
     assert "--loop" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tol", "abc"),
+    ("tol", "-1e-20"),
+    ("tol", [1]),
+    ("points", ["0/1", "1/4", "1/2", "3/4", "1/1"]),
+    ("points", ["0/1", "1/2", "1/1"]),
+])
+def test_kz_rejects_malformed_fields(tmp_path, capsys, field, value):
+    config = {"schema": "1", "precision_bits": 64, field: value}
+    with pytest.raises(ConfigError) as err:
+        run("kz", config)
+    assert f"config field '{field}'" in str(err.value)
+    path = tmp_path / "kz.json"
+    path.write_text(json.dumps(config))
+    assert main(["kz", "--config", str(path)]) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def test_kz_flat_sampling_exhaustion_is_a_domain_error(
+        tmp_path, capsys, monkeypatch):
+    def always_on_cut(zs):
+        raise BranchCut("forced")
+
+    monkeypatch.setattr(cli, "_check_branch", always_on_cut)
+    config = {"schema": "1", "precision_bits": 64}
+    with pytest.raises(ExhaustedRetries):
+        run("kz", config)
+    path = tmp_path / "kz.json"
+    path.write_text(json.dumps(config))
+    assert main(["kz", "--config", str(path)]) == 1
+    assert "ExhaustedRetries" in capsys.readouterr().err
 
 
 def test_golden_reports():

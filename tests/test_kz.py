@@ -8,6 +8,7 @@ import pytest
 from aomoto_lab.errors import (
     BranchCut,
     CollidingPoints,
+    PrecisionLoss,
     StepUnderflow,
     ZeroKappa,
 )
@@ -56,6 +57,15 @@ def _identity_dist(mat):
 def test_casimir_matrices_four_doublets():
     got = casimir_matrices()
     assert got == OMEGA_EXPECTED
+
+
+def test_casimir_matrices_are_fresh_copies():
+    got = casimir_matrices()
+    got[(0, 1)][0][0] = F(99)
+    got[(0, 2)].append([F(0), F(0)])
+    del got[(2, 3)]
+    assert casimir_matrices() == OMEGA_EXPECTED
+    assert casimir_matrices([1, 1, 1, 1]) == OMEGA_EXPECTED
 
 
 def test_casimir_sum_is_minus_total_quadratic():
@@ -224,16 +234,29 @@ def test_hypergeometric_contour_against_series():
             mpmath.mpf(1) / 3, mpmath.mpf(1) / 5, mpmath.mpf(7) / 10,
             mpmath.mpf(1) / 2,
         )
-    assert abs(got - ref) < mpmath.mpf("1e-8")
+    assert abs(got - ref) < mpmath.mpf("1e-30")
 
 
 def test_hypergeometric_outside_unit_disc_closed_form():
     # with c = a the function is (1 - u)^(-b); at u = 2 the principal
-    # branch gives (-1)^(1/3) = exp(i pi / 3)
-    got = hyp2f1(F(1, 3), F(-1, 3), F(1, 3), 2, precision_bits=128)
-    expected = mpmath.exp(1j * mpmath.pi / 3)
-    assert abs(got - expected) < mpmath.mpf("1e-8")
-    assert abs(abs(got) - 1) < mpmath.mpf("1e-8")
+    # branch gives (-1)^(1/3) = exp(i pi / 3), a value that does not come
+    # from quadrature
+    for bits, tol in ((128, "1e-36"), (256, "1e-70")):
+        got = hyp2f1(F(1, 3), F(-1, 3), F(1, 3), 2, precision_bits=bits)
+        with mpmath.workprec(bits + 64):
+            expected = mpmath.exp(1j * mpmath.pi / 3)
+            assert abs(got - expected) < mpmath.mpf(tol), bits
+            assert abs(abs(got) - 1) < mpmath.mpf(tol), bits
+
+
+def test_hypergeometric_quadrature_guard(monkeypatch):
+    # a chord whose error estimate exceeds 2^-precision_bits is refused
+    def unconverged(f, interval, **kwargs):
+        return mpmath.mpc(0), mpmath.mpf(2) ** -100
+
+    monkeypatch.setattr(mpmath, "quad", unconverged)
+    with pytest.raises(PrecisionLoss):
+        hyp2f1(F(1, 3), F(-1, 3), F(1, 3), 2, precision_bits=128)
 
 
 def test_hypergeometric_guards():
