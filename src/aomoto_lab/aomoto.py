@@ -37,28 +37,6 @@ def insertion_sign(subset, j):
     return -1 if k % 2 else 1
 
 
-@dataclass(frozen=True)
-class MonomialVector:
-    """Coefficients on the degree-p wedge monomials, lexicographic order."""
-
-    degree: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-
-    def __add__(self, other):
-        if self.degree != other.degree or len(self.coeffs) != len(other.coeffs):
-            raise BasisMismatch("cannot add monomial vectors of different shapes")
-        return MonomialVector(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, factor):
-        return MonomialVector(self.degree, tuple(factor * c for c in self.coeffs))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-
 def pairing_matrix(arrangement, lattice, p):
     """Matrix of duality functionals: rows = monomials, columns = raw flags.
 
@@ -250,60 +228,59 @@ class CohomologyClass:
         return all(c == 0 for c in self.rep)
 
 
-def dual_functional_space(arrangement, lattice, space=None):
+def dual_functional_space(arrangement, lattice, quotient=None):
     """Basis of functionals on top-degree classes annihilating the eta-image.
 
     Functionals are coefficient vectors tau over top monomials with
-    tau(relations) = 0 and tau(eta ^ anything) = 0.
+    tau(relations) = 0 and tau(eta ^ anything) = 0, that is the kernel of
+    the relations-plus-image matrix that TopQuotient row-reduces.  The
+    basis is read off the quotient's own reduced echelon form: one vector
+    per free monomial, with a 1 there, as linalg.nullspace would give.
     """
-    M = arrangement.dimension
-    if space is None:
-        space = AomotoSpace(arrangement, lattice, M)
-    below = monomials(arrangement.size, M - 1)
-    constraints = [list(r) for r in space.kernel_rref]
-    for k in range(len(below)):
-        vec = [_zero(arrangement)] * len(below)
-        vec[k] = vec[k] + 1
-        constraints.append(differential(arrangement, M - 1, vec))
-    return linalg.nullspace(constraints, len(space.monomials))
+    if quotient is None:
+        quotient = TopQuotient(arrangement, lattice)
+    zero = _zero(arrangement)
+    return linalg.rref_kernel(quotient.rref, quotient.pivots,
+                              len(quotient.space.monomials), zero, zero + 1)
 
 
 def shapovalov_image(arrangement, lattice, use_chi=False, quotient=None):
     """Rank and basis of the weight-diagonal image inside top cohomology.
 
-    Runs over a basis of admissible functionals tau, applies the diagonal
-    map tau |-> sum_I (prod weights over I) tau_I e_I, optionally pre- and
-    post-composes with the sign projector, and projects into the top
-    quotient.  Returns (rank, list of CohomologyClass).
+    Runs over the admissible functionals tau of dual_functional_space, in
+    order, applies the diagonal map tau |-> sum_I (prod weights over I)
+    tau_I e_I, optionally pre- and post-composes with the sign projector,
+    and reduces into the top quotient.  An image is kept when it is
+    independent of those kept before it, tested incrementally: its
+    remainder modulo a running echelon basis of the kept images is
+    nonzero, and that remainder, scaled to a leading 1, joins the basis.
+    Returns (rank, list of CohomologyClass).
     """
     M = arrangement.dimension
     if quotient is None:
         quotient = TopQuotient(arrangement, lattice)
-    taus = dual_functional_space(arrangement, lattice, space=quotient.space)
+    taus = dual_functional_space(arrangement, lattice, quotient=quotient)
     mons = monomials(arrangement.size, M)
     diag = [weight_product(arrangement, subset) for subset in mons]
     projector = chi_projector(arrangement, M) if use_chi else None
     if projector is not None:
         transposed = [list(row) for row in zip(*projector)]
-    reduced = []
+    basis = []
+    echelon, pivots = [], []
     for tau in taus:
         if projector is not None:
             tau = linalg.matvec(transposed, tau)
         s = [d * t for d, t in zip(diag, tau)]
         if projector is not None:
             s = linalg.matvec(projector, s)
-        reduced.append(quotient.reduce(s))
-    rank = 0
-    basis = []
-    kept_rows = []
-    for red in reduced:
-        candidate = kept_rows + [red]
-        new_rank = linalg.rank(candidate)
-        if new_rank > rank:
-            rank = new_rank
-            kept_rows = candidate
+        red = quotient.reduce(s)
+        rest = linalg.reduce_mod_rowspace(red, echelon, pivots)
+        lead = next((k for k, v in enumerate(rest) if v), None)
+        if lead is not None:
+            echelon.append([v / rest[lead] for v in rest])
+            pivots.append(lead)
             basis.append(CohomologyClass(M, tuple(red)))
-    return rank, basis
+    return len(basis), basis
 
 
 def chi_fixed_dim(arrangement, lattice):

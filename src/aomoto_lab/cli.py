@@ -394,6 +394,12 @@ def _cmd_kz(config):
             or not all(1 <= i <= len(points) for i in loop) or loop[0] == loop[1]):
         _fail("loop", "expected two distinct 1-based point indices")
     base = _parse_rat(config["base"], "base") if "base" in config else points[0]
+    # the flat samples and the loop base pass through complex floats
+    for field, value in [*(("points", p) for p in points), ("base", base)]:
+        try:
+            float(value)
+        except OverflowError:
+            _fail(field, "a value lies beyond the floating-point range")
     sys_obj = KzSystem(points, kappa, precision_bits=precision_bits)
     samples = _kz_flat_samples(points, seed)
     with mpmath.workprec(precision_bits + 64):

@@ -1,10 +1,17 @@
 """Exact dense linear algebra over an ordered-by-hand field.
 
 Entries are fractions.Fraction or any field-like scalar supporting
-+, -, *, / among themselves, multiplication by int, and == 0.  No
-floating point is used anywhere; ranks and kernels are therefore exact.
-Matrices are plain lists of row lists and are never mutated by callers'
-handles (every function copies what it returns).
++, -, *, / among themselves, multiplication by int, and truth testing
+(a scalar is falsy exactly when it is zero).  No floating point is used
+anywhere; ranks and kernels are therefore exact.  Matrices are plain
+lists of row lists and are never mutated by callers' handles (every
+function copies what it returns).
+
+Work that is provably zero is skipped: elimination leaves an entry alone
+where the pivot row is zero, and a dot product drops terms with a zero
+factor, tested by truth value (cheap for RatFuncKappa, where == builds a
+constant).  An all-zero dot product returns u[0] * v[0], a zero of the
+promoted type, because a RatFuncKappa zero serializes unlike a Fraction.
 """
 
 from fractions import Fraction
@@ -40,7 +47,7 @@ def rref(matrix):
         best = None
         best_key = None
         for i in range(r, len(rows)):
-            if rows[i][c] != 0:
+            if rows[i][c]:
                 key = _pivot_key(rows[i][c])
                 if best is None or key > best_key:
                     best, best_key = i, key
@@ -50,9 +57,10 @@ def rref(matrix):
         inv = rows[r][c]
         rows[r] = [v / inv for v in rows[r]]
         for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
+            if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - f * b if b else a
+                           for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return rows[:r], pivots
@@ -63,13 +71,17 @@ def rank(matrix):
 
 
 def nullspace(matrix, ncols):
-    """Basis of the right kernel of `matrix` (ncols columns), as row vectors.
-
-    The basis is the canonical one from the reduced echelon form: one
-    vector per free column, with a 1 at the free column.
-    """
+    """Basis of the right kernel of `matrix` (ncols columns), as row vectors."""
     rows, pivots = rref(matrix)
-    zero, one = _zero_one(matrix)
+    return rref_kernel(rows, pivots, ncols, *_zero_one(matrix))
+
+
+def rref_kernel(rows, pivots, ncols, zero, one):
+    """Right kernel of the matrix whose reduced echelon form is (rows, pivots).
+
+    The basis is the canonical one: one vector per free column, with a 1
+    at the free column.
+    """
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -122,20 +134,19 @@ def reduce_mod_rowspace(vec, rref_rows, pivots):
     out = list(vec)
     for row, pc in zip(rref_rows, pivots):
         f = out[pc]
-        if f != 0:
-            out = [a - f * b for a, b in zip(out, row)]
+        if f:
+            out = [a - f * b if b else a for a, b in zip(out, row)]
     return out
-
-
-def in_rowspace(vec, rref_rows, pivots):
-    return all(v == 0 for v in reduce_mod_rowspace(vec, rref_rows, pivots))
 
 
 def _dot(u, v):
     acc = None
     for a, b in zip(u, v):
-        acc = a * b if acc is None else acc + a * b
-    return Fraction(0) if acc is None else acc
+        if a and b:
+            acc = a * b if acc is None else acc + a * b
+    if acc is None:
+        return u[0] * v[0] if u and v else Fraction(0)
+    return acc
 
 
 def matvec(matrix, x):

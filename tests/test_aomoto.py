@@ -10,6 +10,8 @@ from aomoto_lab.aomoto import (
     monomials, pairing_matrix, shapovalov_image, weight_product,
 )
 from aomoto_lab.arrangement import intersection_lattice, os_dimension
+from aomoto_lab.liealg import sl2
+from aomoto_lab.svmap import build_arrangement
 from conftest import corpus, crossing_lines, sl2_four_point, two_points
 
 F = Fraction
@@ -159,6 +161,59 @@ def test_shapovalov_image_two_points():
     quotient = TopQuotient(arr, lattice)
     assert quotient.coords(raw) == quotient.coords(list(basis[0].rep))
     assert any(c != 0 for c in quotient.coords(raw))
+
+
+def image_arrangements():
+    """Rational and symbolic-kappa arrangements, each with and without chi."""
+    symbolic = build_arrangement(sl2(), [2, 1, 1], [F(-1, 2), F(0), F(1)])
+    for arr in (sl2_four_point(kappa=7), symbolic):
+        for use_chi in (False, True):
+            yield arr, use_chi
+
+
+def test_dual_functional_space_is_the_canonical_annihilator():
+    for arr, _ in image_arrangements():
+        lattice = intersection_lattice(arr)
+        quotient = TopQuotient(arr, lattice)
+        M = arr.dimension
+        below = monomials(arr.size, M - 1)
+        constraints = [list(r) for r in quotient.space.kernel_rref]
+        for k in range(len(below)):
+            unit = [F(0)] * len(below)
+            unit[k] = F(1)
+            constraints.append(differential(arr, M - 1, unit))
+        taus = dual_functional_space(arr, lattice, quotient=quotient)
+        assert len(taus) == quotient.dim
+        for fc, tau in zip(quotient.free, taus):
+            assert [tau[c] for c in quotient.free] == [F(c == fc) for c in quotient.free]
+            for row in constraints:
+                assert sum((a * b for a, b in zip(row, tau)), F(0)) == 0
+        assert taus == linalg.nullspace(constraints, len(quotient.space.monomials))
+
+
+def test_shapovalov_image_matches_greedy_rank_selection():
+    for arr, use_chi in image_arrangements():
+        lattice = intersection_lattice(arr)
+        quotient = TopQuotient(arr, lattice)
+        M = arr.dimension
+        mons = monomials(arr.size, M)
+        diag = [weight_product(arr, subset) for subset in mons]
+        P = chi_projector(arr, M) if use_chi else None
+        kept = []
+        for tau in dual_functional_space(arr, lattice, quotient=quotient):
+            if P is not None:
+                tau = [sum((P[r][c] * tau[r] for r in range(len(mons))), F(0))
+                       for c in range(len(mons))]
+            s = [d * t for d, t in zip(diag, tau)]
+            if P is not None:
+                s = [sum((a * b for a, b in zip(row, s)), F(0)) for row in P]
+            red = quotient.reduce(s)
+            if linalg.rank(kept + [red]) > len(kept):
+                kept.append(red)
+        rank, basis = shapovalov_image(arr, lattice, use_chi=use_chi,
+                                       quotient=quotient)
+        assert rank == len(kept) == len(basis)
+        assert [list(cls.rep) for cls in basis] == kept
 
 
 def test_shapovalov_image_chi_rank_two_for_both_kappas():

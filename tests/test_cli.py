@@ -1,6 +1,8 @@
 """Command-line interface: reports, config validation, exit codes."""
 
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,9 @@ import pytest
 from aomoto_lab import cli
 from aomoto_lab.cli import main, run
 from aomoto_lab.errors import BranchCut, ConfigError, ExhaustedRetries
+from aomoto_lab.exactfield import (
+    RatFuncKappa, format_rational, parse_rational, specialize_kappa,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -187,12 +192,19 @@ def test_kz_flag_overrides(tmp_path, capsys):
     assert "--loop" in capsys.readouterr().err
 
 
+BEYOND_FLOAT = str(10**400) + "/1"
+
+
 @pytest.mark.parametrize("field, value", [
     ("tol", "abc"),
     ("tol", "-1e-20"),
     ("tol", [1]),
     ("points", ["0/1", "1/4", "1/2", "3/4", "1/1"]),
     ("points", ["0/1", "1/2", "1/1"]),
+    ("points", ["-1/2", "0/1", "1/2", BEYOND_FLOAT]),
+    ("points", ["-" + BEYOND_FLOAT, "0/1", "1/2", "1/1"]),
+    ("base", BEYOND_FLOAT),
+    ("base", "-" + BEYOND_FLOAT),
 ])
 def test_kz_rejects_malformed_fields(tmp_path, capsys, field, value):
     config = {"schema": "1", "precision_bits": 64, field: value}
@@ -225,8 +237,37 @@ def test_golden_reports():
         ("lattice", "lattice_two_points.json"),
         ("invariants", "invariants_level1.json"),
         ("egregium", "egregium_kappa3.json"),
+        ("aomoto", "aomoto_symbolic.json"),
+        ("image", "image_chi_symbolic.json"),
     ]
     for command, name in cases:
         report = run(command, _load(name))
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         assert text == (GOLDEN / name).read_text(), name
+
+
+def _specialize_entry(entry, kappa):
+    value = RatFuncKappa([parse_rational(c) for c in entry["num"]],
+                         [parse_rational(c) for c in entry["den"]])
+    return format_rational(specialize_kappa(value, kappa))
+
+
+@pytest.mark.parametrize("weights", [[2, 2], [2, 1, 1]])
+def test_symbolic_image_specializes_to_rational_image(weights):
+    rng = random.Random(sum(weights) * 100 + len(weights))
+    points = sorted({Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+                     for _ in range(len(weights))})
+    while len(points) < len(weights):
+        points.append(points[-1] + 1)
+    base = {"schema": "1", "weights": weights,
+            "points": [format_rational(p) for p in points]}
+    for chi in (False, True):
+        symbolic = run("image", {**base, "chi": chi})
+        for kappa in ("7/1", "-5/3"):
+            rational = run("image", {**base, "chi": chi, "kappa": kappa})
+            assert symbolic["rank"] == rational["rank"]
+            specialized = [
+                [_specialize_entry(e, parse_rational(kappa)) for e in vec]
+                for vec in symbolic["basis"]
+            ]
+            assert specialized == rational["basis"], (weights, chi, kappa)
