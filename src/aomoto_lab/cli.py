@@ -73,11 +73,14 @@ def _parse_rat(value, field):
     _fail(field, f"expected an integer or 'p/q' string, got {type(value).__name__}")
 
 
-def _parse_points(config, field="points"):
-    raw = config.get(field)
+def _parse_points(config, count):
+    """The marked points, which must number one per marked weight."""
+    raw = config.get("points")
     if not isinstance(raw, list) or not raw:
-        _fail(field, "expected a nonempty list of rationals")
-    return [_parse_rat(v, f"{field}[{i}]") for i, v in enumerate(raw)]
+        _fail("points", "expected a nonempty list of rationals")
+    if len(raw) != count:
+        _fail("points", f"expected {count} marked points, got {len(raw)}")
+    return [_parse_rat(v, f"points[{i}]") for i, v in enumerate(raw)]
 
 
 def _parse_weights(config):
@@ -102,7 +105,8 @@ def _parse_algebra(config):
         _fail("algebra", "expected an object with 'type' and 'rank'")
     letter = data.get("type", "A")
     rank = data.get("rank", 1)
-    if not isinstance(letter, str) or not isinstance(rank, int):
+    if (not isinstance(letter, str) or not isinstance(rank, int)
+            or isinstance(rank, bool)):
         _fail("algebra", "'type' must be a letter and 'rank' an integer")
     try:
         root = RootData(letter, rank)
@@ -134,12 +138,12 @@ def _resolve_arrangement(config):
     if "arrangement" in config:
         try:
             arr = arrangement_from_json(config["arrangement"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             _fail("arrangement", str(exc))
         return arr, {"arrangement": arrangement_to_json(arr)}
     root, algebra_echo = _parse_algebra(config)
     weights = _parse_weights(config)
-    points = _parse_points(config)
+    points = _parse_points(config, len(weights))
     kappa = _parse_kappa(config, required=False)
     arr = build_arrangement(root, weights, points, kappa=kappa)
     if "beta" in config:
@@ -250,7 +254,7 @@ def _cmd_invariants(config):
             _fail("level", "expected an integer")
         levels = [level]
     if levels is not None:
-        points = _parse_points(config)
+        points = _parse_points(config, len(weights))
         dims = {
             str(level): conformal_block_dim(root, weights, level, points)
             for level in levels
@@ -266,7 +270,7 @@ def _cmd_invariants(config):
 def _cmd_sv(config):
     root, algebra_echo = _parse_algebra(config)
     weights = _parse_weights(config)
-    points = _parse_points(config)
+    points = _parse_points(config, len(weights))
     kappa = _parse_kappa(config)
     seed = _seed(config)
     space = TensorSpace(weights)
@@ -302,7 +306,7 @@ def _cmd_sv(config):
 def _cmd_egregium(config):
     root, algebra_echo = _parse_algebra(config)
     weights = _parse_weights(config)
-    points = _parse_points(config)
+    points = _parse_points(config, len(weights))
     kappa = _parse_kappa(config)
     seed = _seed(config)
     report = egregium_check(root, weights, points, kappa, seed=seed)
@@ -366,12 +370,11 @@ def _kz_flat_samples(points, seed, count=5):
 
 
 def _cmd_kz(config):
+    # the connection acts on four doublets
     points = (
-        _parse_points(config) if "points" in config
+        _parse_points(config, 4) if "points" in config
         else [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
     )
-    if len(points) != 4:
-        _fail("points", "the connection acts on exactly four points")
     kappa = _parse_kappa(config, default=Fraction(3))
     precision_bits = config.get("precision_bits", DEFAULT_PRECISION_BITS)
     if not isinstance(precision_bits, int) or isinstance(precision_bits, bool) \

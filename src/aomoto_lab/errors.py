@@ -65,6 +65,10 @@ class StepUnderflow(AomotoLabError):
     """Path transport would need steps below the keep-out radius near a puncture."""
 
 
+class LoopEnclosesPuncture(AomotoLabError):
+    """A loop meant to circle one puncture would also enclose or touch another."""
+
+
 class BranchCut(AomotoLabError):
     """A sample point lies on the branch cut of a chosen principal power."""
 

@@ -1,13 +1,13 @@
-"""Exact scalars: rationals, rational functions in kappa, big complex floats.
+"""Exact scalars: rationals and rational functions in kappa.
 
-Three scalar kinds cover every computation in the package:
+Two scalar kinds cover every exact computation in the package:
 
 * plain `fractions.Fraction` for all arrangement-side linear algebra,
 * `RatFuncKappa`, a reduced quotient of polynomials in the deformation
-  parameter kappa with Fraction coefficients, for symbolic weights,
-* `BigComplex`, a fixed-precision binary complex float (>= 128 bits,
-  default 256) backed by mpmath, for monodromy and flat-section numerics.
+  parameter kappa with Fraction coefficients, for symbolic weights.
 
+The connection numerics in `kz` run on mpmath directly, at
+DEFAULT_PRECISION_BITS unless a caller asks for another precision.
 Rationals serialize as strings "p/q"; rational functions as coefficient
 lists, lowest degree first.
 """
@@ -15,12 +15,9 @@ lists, lowest degree first.
 import random
 from fractions import Fraction
 
-import mpmath
-
 from .errors import ExhaustedRetries, PoleAtKappa, ZeroKappa
 
 DEFAULT_PRECISION_BITS = 256
-MIN_PRECISION_BITS = 128
 
 
 def parse_rational(text):
@@ -257,140 +254,6 @@ def specialize_kappa(value, kappa):
     if den == 0:
         raise PoleAtKappa(f"denominator vanishes at kappa = {kappa}")
     return _peval(value.num, kappa) / den
-
-
-# ---------------------------------------------------------------------------
-# fixed-precision complex floats
-
-
-class BigComplex:
-    """Complex number with recorded binary precision (>= 128 bits).
-
-    Wraps an mpmath mpc; every operation runs at the larger precision of
-    its operands and rounds to nearest.  Mixed arithmetic with int and
-    Fraction converts the exact operand at the result precision.
-    """
-
-    __slots__ = ("value", "prec")
-
-    def __init__(self, real=0, imag=0, prec=DEFAULT_PRECISION_BITS):
-        if prec < MIN_PRECISION_BITS:
-            raise ValueError(f"precision must be >= {MIN_PRECISION_BITS} bits")
-        self.prec = int(prec)
-        with mpmath.workprec(self.prec):
-            if isinstance(real, (mpmath.mpc, complex)):
-                self.value = mpmath.mpc(real) + mpmath.mpc(0, _to_mpf(imag))
-            else:
-                self.value = mpmath.mpc(_to_mpf(real), _to_mpf(imag))
-
-    @classmethod
-    def from_rational(cls, value, prec=DEFAULT_PRECISION_BITS):
-        f = Fraction(value)
-        with mpmath.workprec(prec):
-            re = mpmath.mpf(f.numerator) / f.denominator
-        return cls(re, 0, prec)
-
-    @property
-    def real(self):
-        return self.value.real
-
-    @property
-    def imag(self):
-        return self.value.imag
-
-    def _coerce(self, other):
-        if isinstance(other, BigComplex):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return BigComplex.from_rational(other, self.prec)
-        if isinstance(other, (float, complex, mpmath.mpf, mpmath.mpc)):
-            return BigComplex(mpmath.mpc(other), 0, self.prec)
-        return None
-
-    def _binary(self, other, op):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        prec = max(self.prec, o.prec)
-        with mpmath.workprec(prec):
-            return BigComplex(op(self.value, o.value), 0, prec)
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binary(other, lambda a, b: b / a)
-
-    def __neg__(self):
-        return BigComplex(-self.value, 0, self.prec)
-
-    def __abs__(self):
-        with mpmath.workprec(self.prec):
-            return abs(self.value)
-
-    def conjugate(self):
-        with mpmath.workprec(self.prec):
-            return BigComplex(mpmath.conj(self.value), 0, self.prec)
-
-    def exp(self):
-        with mpmath.workprec(self.prec):
-            return BigComplex(mpmath.exp(self.value), 0, self.prec)
-
-    def log(self):
-        """Principal branch, cut along the negative real axis."""
-        with mpmath.workprec(self.prec):
-            return BigComplex(mpmath.log(self.value), 0, self.prec)
-
-    def power(self, exponent):
-        """Principal power exp(exponent * log self)."""
-        e = self._coerce(exponent)
-        prec = max(self.prec, e.prec)
-        with mpmath.workprec(prec):
-            return BigComplex(mpmath.exp(e.value * mpmath.log(self.value)), 0, prec)
-
-    def is_zero(self):
-        return self.value == 0
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.value == o.value
-
-    def __hash__(self):
-        return hash(complex(self.value))
-
-    def __complex__(self):
-        return complex(self.value)
-
-    def __repr__(self):
-        return f"BigComplex({self.value}, prec={self.prec})"
-
-
-def _to_mpf(x):
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / x.denominator
-    return mpmath.mpf(x)
-
-
-def big_abs(x):
-    return abs(x) if isinstance(x, BigComplex) else abs(mpmath.mpf(x))
 
 
 # ---------------------------------------------------------------------------

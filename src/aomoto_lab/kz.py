@@ -13,7 +13,13 @@ others stay put, integrating with Taylor series recentered at each step:
 the series radius equals the distance to the nearest puncture and the
 step stays well inside it, so the truncation error is controlled by a
 geometric tail.  All floating arithmetic runs through mpmath at the
-system's precision.
+system's precision.  The Taylor recurrence and the step products run on
+raw libmp (re, im) tuples: each operation is the libmp call an mpc
+operator makes, at the same precision and rounding, and only additions
+of an exact zero are left out, so every rounded value is bit-identical
+to the same recurrence on mpc objects.  hyp2f1 integrates each contour
+chord at GUARD bits above the requested precision, the precision its
+2^-precision_bits error guard asks for.
 """
 
 import functools
@@ -21,10 +27,15 @@ import math
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import (
+    fone, fzero, mpc_abs, mpc_add, mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_neg,
+    mpf_lt,
+)
 
 from . import linalg
 from .errors import (
-    BranchCut, CollidingPoints, PrecisionLoss, StepUnderflow, ZeroKappa,
+    BranchCut, CollidingPoints, LoopEnclosesPuncture, PrecisionLoss,
+    StepUnderflow, ZeroKappa,
 )
 from .exactfield import DEFAULT_PRECISION_BITS
 from .liealg import TensorSpace, coinvariants_quotient
@@ -32,6 +43,8 @@ from .liealg import TensorSpace, coinvariants_quotient
 KEEP_OUT_RADIUS = 0.01
 STEP_RATIO = 0.38
 MAX_SERIES_TERMS = 400
+# bits above the requested precision at which hyp2f1 integrates a chord
+GUARD = 16
 
 
 def casimir_matrices(weights=(1, 1, 1, 1)):
@@ -89,7 +102,7 @@ class KzSystem:
             raise ZeroKappa("kappa must be nonzero")
         self.kappa = Fraction(kappa)
         self.points = list(points)
-        if len(set(map(complex, self.points))) != len(self.points):
+        if len(set(self.points)) != len(self.points):
             raise CollidingPoints("marked points must be pairwise distinct")
         self.matrices = matrices if matrices is not None else casimir_matrices()
         self.n = len(self.points)
@@ -321,53 +334,47 @@ def transport(sys, path, tol=None, moving=0):
     The other coordinates stay at their system values.  Steps are Taylor
     expansions of the solution recentered along each segment; each step
     length is at most STEP_RATIO times the distance to the nearest
-    puncture, and raises StepUnderflow inside the keep-out radius.
+    puncture, and raises StepUnderflow inside the keep-out radius.  The
+    step matrices and their products are raw libmp tuples (see
+    _taylor_step); the result becomes mpc once, here.
     """
     punctures = [
         _to_mpc(sys.points[k]) for k in range(sys.n) if k != moving
     ]
     omegas = [
-        _frac_matrix(sys.omega(moving, k))
+        [[x._mpc_ for x in row] for row in _frac_matrix(sys.omega(moving, k))]
         for k in range(sys.n) if k != moving
     ]
     with mpmath.workprec(sys.precision_bits + 64):
+        prec = mpmath.mp.prec
         if tol is None:
             tol = mpmath.mpf(2) ** (-(sys.precision_bits // 2))
         else:
             tol = mpmath.mpf(tol)
-        inv_kappa = _to_mpc(Fraction(-1, 1) / sys.kappa)
-        total = _mat_identity(sys.d)
+        quarter_tol = (tol / 4)._mpf_
+        minus_inv_kappa = _to_mpc(Fraction(-1, 1) / sys.kappa)._mpc_
+        total = _raw_identity(sys.d)
         for a, b in path.segments():
-            total = _mat_mul(
+            total = _raw_mat_mul(
                 _segment_transport(
-                    _to_mpc(a), _to_mpc(b), punctures, omegas, inv_kappa,
-                    sys.d, tol,
+                    _to_mpc(a), _to_mpc(b), punctures, omegas,
+                    minus_inv_kappa, quarter_tol, prec,
                 ),
-                total,
+                total, prec,
             )
-        return total
+        return [[mpmath.mp.make_mpc(x) for x in row] for row in total]
 
 
-def _poly_from_roots(shifts):
-    """Coefficients of prod (w + shift) in increasing powers of w."""
-    coeffs = [mpmath.mpc(1)]
-    for s in shifts:
-        nxt = [mpmath.mpc(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] += c * s
-            nxt[i + 1] += c
-        coeffs = nxt
-    return coeffs
-
-
-def _segment_transport(a, b, punctures, omegas, minus_inv_kappa, d, tol):
+def _segment_transport(a, b, punctures, omegas, minus_inv_kappa, quarter_tol,
+                       prec):
     pos = a
-    result = _mat_identity(d)
+    result = _raw_identity(len(omegas[0]))
     while True:
         remaining = b - pos
         if abs(remaining) == 0:
             return result
-        rho = min(abs(pos - p) for p in punctures)
+        shifts = [pos - p for p in punctures]
+        rho = min(abs(s) for s in shifts)
         if rho <= KEEP_OUT_RADIUS:
             raise StepUnderflow(
                 f"path point {complex(pos)} is inside the keep-out radius"
@@ -377,41 +384,116 @@ def _segment_transport(a, b, punctures, omegas, minus_inv_kappa, d, tol):
             h = remaining
         else:
             h = remaining / abs(remaining) * hmax
-        step = _taylor_step(pos, h, punctures, omegas, minus_inv_kappa, d, tol)
-        result = _mat_mul(step, result)
+        step = _taylor_step([s._mpc_ for s in shifts], h._mpc_, omegas,
+                            minus_inv_kappa, quarter_tol, prec)
+        result = _raw_mat_mul(step, result, prec)
         pos = b if abs(remaining) <= hmax else pos + h
 
 
-def _taylor_step(pos, h, punctures, omegas, minus_inv_kappa, d, tol):
-    shifts = [pos - p for p in punctures]
-    q = _poly_from_roots(shifts)
-    c_coeffs = [_mat_zero(d) for _ in range(len(punctures))]
-    for k, omega in enumerate(omegas):
-        partial = _poly_from_roots(shifts[:k] + shifts[k + 1:])
-        for i, coeff in enumerate(partial):
-            c_coeffs[i] = _mat_add(
-                c_coeffs[i], _mat_scale(omega, coeff * minus_inv_kappa)
-            )
-    terms = [_mat_identity(d)]
-    value = _mat_identity(d)
-    h_power = mpmath.mpc(1)
+# Raw libmp arithmetic for the transport kernel: every value is an (re, im)
+# pair of mpf tuples, and every operation rounds to nearest at prec, as the
+# mpc operators do (see the module docstring).  An exact zero is never
+# added: that addition would return a value already rounded to prec as is.
+
+_ONE = (fone, fzero)
+_ZERO = (fzero, fzero)
+
+
+def _raw_identity(d):
+    return [[_ONE if r == c else _ZERO for c in range(d)] for r in range(d)]
+
+
+def _raw_sum(values, prec):
+    acc = values[0]
+    for v in values[1:]:
+        acc = mpc_add(acc, v, prec, "n")
+    return acc
+
+
+def _raw_mat_add(a, b, prec):
+    return [[mpc_add(x, y, prec, "n") for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
+
+
+def _raw_mat_scale(a, s, prec):
+    return [[mpc_mul(s, x, prec, "n") for x in row] for row in a]
+
+
+def _raw_mat_mul(a, b, prec):
+    cols = list(zip(*b))
+    return [
+        [_raw_sum([mpc_mul(x, y, prec, "n") for x, y in zip(row, col)], prec)
+         for col in cols]
+        for row in a
+    ]
+
+
+def _raw_poly_from_roots(shifts, prec):
+    """Coefficients of prod (w + shift) in increasing powers of w."""
+    coeffs = [_ONE]
+    for s in shifts:
+        coeffs = (
+            [mpc_mul(coeffs[0], s, prec, "n")]
+            + [mpc_add(low, mpc_mul(c, s, prec, "n"), prec, "n")
+               for low, c in zip(coeffs, coeffs[1:])]
+            + [coeffs[-1]]
+        )
+    return coeffs
+
+
+def _taylor_step(shifts, h, omegas, minus_inv_kappa, quarter_tol, prec):
+    """Transport matrix over one step of length h, as raw libmp tuples.
+
+    With w the displacement from the step's start, the evolution matrix
+    is C(w) / q(w), where q(w) = prod_k (w + shift_k) and
+    C(w) = -(1/kappa) sum_k Omega_k prod_{l != k} (w + shift_l).  The
+    Taylor coefficients U_s of the solution obey
+
+        (s + 1) q_0 U_{s+1} = sum_i C_i U_{s-i}
+                              - sum_{i>=1} (s + 1 - i) q_i U_{s+1-i},
+
+    and the sum stops after three terms in a row below quarter_tol.
+    """
+    d = len(omegas[0])
+    q = _raw_poly_from_roots(shifts, prec)
+    minus_q = [mpc_neg(x, prec, "n") for x in q]
+    scales = [
+        [mpc_mul(c, minus_inv_kappa, prec, "n")
+         for c in _raw_poly_from_roots(shifts[:k] + shifts[k + 1:], prec)]
+        for k in range(len(shifts))
+    ]
+    c_coeffs = [
+        [[_raw_sum([mpc_mul(scale[i], omega[r][c], prec, "n")
+                    for scale, omega in zip(scales, omegas)], prec)
+          for c in range(d)]
+         for r in range(d)]
+        for i in range(len(shifts))
+    ]
+    terms = [_raw_identity(d)]
+    value = _raw_identity(d)
+    h_power = _ONE
     quiet = 0
     for s in range(MAX_SERIES_TERMS):
-        acc = _mat_zero(d)
-        for i, c_i in enumerate(c_coeffs):
-            if i <= s:
-                acc = _mat_add(acc, _mat_mul(c_i, terms[s - i]))
-        for i in range(1, len(q)):
-            if 0 <= s - i + 1 <= s:
-                acc = _mat_add(
-                    acc, _mat_scale(terms[s - i + 1], -q[i] * (s - i + 1))
-                )
-        nxt = _mat_scale(acc, 1 / (q[0] * (s + 1)))
+        acc = _raw_mat_mul(c_coeffs[0], terms[s], prec)
+        for i in range(1, min(s, len(c_coeffs) - 1) + 1):
+            acc = _raw_mat_add(
+                acc, _raw_mat_mul(c_coeffs[i], terms[s - i], prec), prec
+            )
+        # the i = s + 1 term has the factor 0 and is left out
+        for i in range(1, min(s, len(q) - 1) + 1):
+            factor = mpc_mul_int(minus_q[i], s - i + 1, prec, "n")
+            acc = _raw_mat_add(
+                acc, _raw_mat_scale(terms[s - i + 1], factor, prec), prec
+            )
+        inv = mpc_mpf_div(fone, mpc_mul_int(q[0], s + 1, prec, "n"),
+                          prec, "n")
+        nxt = _raw_mat_scale(acc, inv, prec)
         terms.append(nxt)
-        h_power *= h
-        contribution = _mat_scale(nxt, h_power)
-        value = _mat_add(value, contribution)
-        if _mat_norm(contribution) < tol / 4:
+        h_power = mpc_mul(h_power, h, prec, "n")
+        contribution = _raw_mat_scale(nxt, h_power, prec)
+        value = _raw_mat_add(value, contribution, prec)
+        if all(mpf_lt(mpc_abs(x, prec, "n"), quarter_tol)
+               for row in contribution for x in row):
             quiet += 1
             if quiet >= 3:
                 return value
@@ -421,10 +503,23 @@ def _taylor_step(pos, h, punctures, omegas, minus_inv_kappa, d, tol):
 
 
 def simple_loop(sys, around, base=None, radius=0.15, depth=0.6, moving=0):
-    """A based loop encircling one puncture counterclockwise."""
+    """A based loop encircling one puncture counterclockwise.
+
+    Raises LoopEnclosesPuncture when another puncture lies within
+    radius + KEEP_OUT_RADIUS of the circled one, where the circle would
+    enclose it too or pass inside its keep-out radius.
+    """
     if base is None:
         base = complex(sys.points[moving])
     center = complex(sys.points[around])
+    for k, point in enumerate(sys.points):
+        if k not in (moving, around) and \
+                abs(complex(point) - center) <= radius + KEEP_OUT_RADIUS:
+            raise LoopEnclosesPuncture(
+                f"the radius-{radius} loop around point {around + 1} "
+                f"({sys.points[around]}) would also enclose point {k + 1} "
+                f"({point})"
+            )
     return ContourPath.loop_around(base, center, radius=radius, depth=depth)
 
 
@@ -635,9 +730,11 @@ def hyp2f1(a, b, c, u, precision_bits=DEFAULT_PRECISION_BITS):
     normalizes by gamma factors and the endpoint monodromy factors.
     Every chord of the contour stays away from t = 0, 1 and 1/u, so the
     integrand is analytic on it and each chord is integrated by
-    Gauss-Legendre quadrature.  Needs b and c - b nonintegral.  Raises
-    PrecisionLoss if a chord's quadrature error estimate exceeds
-    2^-precision_bits, or if the branch bookkeeping fails to close up.
+    Gauss-Legendre quadrature at precision_bits + GUARD bits; the branch
+    logs, the running sum and the normalization keep precision_bits + 64.
+    Needs b and c - b nonintegral.  Raises PrecisionLoss if a chord's
+    quadrature error estimate exceeds 2^-precision_bits, or if the branch
+    bookkeeping fails to close up.
     """
     for name, val in (("b", b), ("c-b", Fraction(c) - Fraction(b))):
         frac = Fraction(val)
@@ -655,11 +752,10 @@ def hyp2f1(a, b, c, u, precision_bits=DEFAULT_PRECISION_BITS):
         logs = [mpmath.log(w) for w in factors(start)]
         initial_logs = list(logs)
         total = mpmath.mpc(0)
-        max_error = mpmath.mpf(2) ** (-precision_bits)
         for seg_a, seg_b in path.segments():
             total, logs = _integrate_segment(
                 _to_mpc(seg_a), _to_mpc(seg_b), factors, exps, logs, total,
-                max_error,
+                precision_bits,
             )
         drift = max(abs(x - y) for x, y in zip(logs, initial_logs))
         if drift > mpmath.mpf(2) ** (-(precision_bits // 4)):
@@ -673,7 +769,7 @@ def hyp2f1(a, b, c, u, precision_bits=DEFAULT_PRECISION_BITS):
         return gamma_factor * total / denom
 
 
-def _integrate_segment(t0, t1, factors, exps, logs, total, max_error,
+def _integrate_segment(t0, t1, factors, exps, logs, total, precision_bits,
                        depth=0):
     w0 = factors(t0)
     w1 = factors(t1)
@@ -684,10 +780,10 @@ def _integrate_segment(t0, t1, factors, exps, logs, total, max_error,
     if any(_arg_ratio(x, y) > 1.2 for x, y in zip(w1, w0)):
         mid = (t0 + t1) / 2
         total, logs = _integrate_segment(
-            t0, mid, factors, exps, logs, total, max_error, depth + 1
+            t0, mid, factors, exps, logs, total, precision_bits, depth + 1
         )
         return _integrate_segment(
-            mid, t1, factors, exps, logs, total, max_error, depth + 1
+            mid, t1, factors, exps, logs, total, precision_bits, depth + 1
         )
 
     def integrand(t):
@@ -697,10 +793,11 @@ def _integrate_segment(t0, t1, factors, exps, logs, total, max_error,
             acc += e * (li + mpmath.log(wi / w0i))
         return mpmath.exp(acc)
 
-    value, error = mpmath.quad(
-        integrand, [t0, t1], method="gauss-legendre", error=True
-    )
-    if error > max_error:
+    with mpmath.workprec(precision_bits + GUARD):
+        value, error = mpmath.quad(
+            integrand, [t0, t1], method="gauss-legendre", error=True
+        )
+    if error > mpmath.mpf(2) ** (-precision_bits):
         raise PrecisionLoss("contour quadrature did not converge on a chord")
     total = total + value
     new_logs = [

@@ -58,6 +58,8 @@ def _cartan_matrix(letter, n):
         A[j][i] = aji
 
     if letter == "A":
+        if n < 1:
+            raise ValueError("type A needs rank >= 1")
         for i in range(n - 1):
             bond(i, i + 1)
     elif letter == "B":

@@ -9,7 +9,10 @@ import pytest
 
 from aomoto_lab import cli
 from aomoto_lab.cli import main, run
-from aomoto_lab.errors import BranchCut, ConfigError, ExhaustedRetries
+from aomoto_lab.errors import (
+    AomotoLabError, BranchCut, ConfigError, ExhaustedRetries,
+    LoopEnclosesPuncture,
+)
 from aomoto_lab.exactfield import (
     RatFuncKappa, format_rational, parse_rational, specialize_kappa,
 )
@@ -129,6 +132,11 @@ def test_run_rejects_bad_inputs():
     with pytest.raises(ConfigError) as err:
         run("invariants", {"schema": "1", "weights": "nope"})
     assert "config field 'weights'" in str(err.value)
+    for rank in (True, 0):
+        with pytest.raises(ConfigError) as err:
+            run("invariants", {"schema": "1", "weights": [1, 1],
+                               "algebra": {"type": "A", "rank": rank}})
+        assert "config field 'algebra'" in str(err.value)
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -217,6 +225,100 @@ def test_kz_rejects_malformed_fields(tmp_path, capsys, field, value):
     assert f"config field '{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("third", ["1/10", "1/" + str(10**400)])
+def test_kz_loop_enclosing_two_punctures_is_a_domain_error(
+        tmp_path, capsys, third):
+    # the radius-0.15 circle around point 2 (at 0) also encloses point 3,
+    # which would make the commutator trivial; the second value rounds to
+    # the same float as point 2 although it is distinct from it
+    config = {"schema": "1", "precision_bits": 64, "loop": [2, 3],
+              "points": ["-1/2", "0/1", third, "1/1"]}
+    with pytest.raises(LoopEnclosesPuncture) as err:
+        run("kz", config)
+    assert "point 2 (0)" in str(err.value)
+    assert f"point 3 ({third})" in str(err.value)
+    path = tmp_path / "kz.json"
+    path.write_text(json.dumps(config))
+    assert main(["kz", "--config", str(path)]) == 1
+    assert "LoopEnclosesPuncture" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name", [
+    ("lattice", "egregium_kappa3.json"),
+    ("aomoto", "egregium_kappa3.json"),
+    ("image", "image_chi_kappa7.json"),
+    ("invariants", "invariants_level1.json"),
+    ("sv", "sv_kappa7.json"),
+    ("egregium", "egregium_kappa3.json"),
+    ("verify-forms", "verify_forms_sl2.json"),
+])
+def test_marked_point_count_must_match_weights(
+        tmp_path, capsys, command, name):
+    base = _load(name)
+    for points in (base["points"][:-1], base["points"] + ["7/1"]):
+        config = {**base, "points": points}
+        with pytest.raises(ConfigError) as err:
+            run(command, config)
+        assert "config field 'points'" in str(err.value)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path)]) == 2
+        assert "config field 'points'" in capsys.readouterr().err
+
+
+FUZZ_BASES = {
+    "lattice": "lattice_two_points.json",
+    "aomoto": "aomoto_symbolic.json",
+    "image": "image_chi_kappa7.json",
+    "invariants": "invariants_level1.json",
+    "sv": "sv_kappa7.json",
+    "egregium": "egregium_kappa3.json",
+    "verify-forms": "verify_forms_sl2.json",
+    "kz": "kz_kappa3.json",
+}
+
+FUZZ_VALUES = (
+    None, True, False, 0, -1, 2, 1.5, "", "abc", "1/0", "1/2", "x/y",
+    [], [True], ["1/0"], ["abc"], [None], [[]], [1.5], {}, {"a": 1},
+)
+
+
+def _fuzz_values(value):
+    values = list(FUZZ_VALUES)
+    if isinstance(value, list) and value:
+        values += [value[:-1], value + value[-1:]]
+    return values
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_BASES))
+def test_malformed_configs_raise_only_domain_errors(command):
+    # every top-level field, and every field of a nested object, is set in
+    # turn to each malformed value; run may refuse the config or compute a
+    # report, but nothing other than an AomotoLabError may escape it
+    base = _load(FUZZ_BASES[command])
+    if command == "kz":
+        base["precision_bits"] = 64
+    cases = []
+    for field, value in base.items():
+        cases += [((field,), v) for v in _fuzz_values(value)]
+        if isinstance(value, dict):
+            cases += [((field, sub), v) for sub, inner in value.items()
+                      for v in _fuzz_values(inner)]
+    for path, value in cases:
+        config = json.loads(json.dumps(base))
+        target = config
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        try:
+            run(command, config)
+        except AomotoLabError:
+            pass
+        except Exception as exc:
+            pytest.fail(f"{command} {'.'.join(path)}={value!r} raised "
+                        f"{type(exc).__name__}: {exc}")
+
+
 def test_kz_flat_sampling_exhaustion_is_a_domain_error(
         tmp_path, capsys, monkeypatch):
     def always_on_cut(zs):
@@ -239,6 +341,8 @@ def test_golden_reports():
         ("egregium", "egregium_kappa3.json"),
         ("aomoto", "aomoto_symbolic.json"),
         ("image", "image_chi_symbolic.json"),
+        ("kz", "kz_kappa3.json"),
+        ("kz", "kz_kappa_m7_3.json"),
     ]
     for command, name in cases:
         report = run(command, _load(name))

@@ -1,12 +1,11 @@
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from aomoto_lab.errors import ExhaustedRetries, PoleAtKappa, ZeroKappa
 from aomoto_lab.exactfield import (
-    BigComplex, RatFuncKappa, format_rational, parse_rational,
+    RatFuncKappa, format_rational, parse_rational,
     random_point_avoiding, specialize_kappa,
 )
 from conftest import two_points
@@ -82,31 +81,6 @@ def test_ratfunc_normalization_is_canonical():
     assert not RatFuncKappa.constant(0)
     assert (kappa - kappa).is_constant()
     assert (5 * kappa / kappa).as_fraction() == F(5)
-
-
-def test_bigcomplex_arithmetic_and_precision():
-    a = BigComplex(F(1, 3), 0, prec=256)
-    b = BigComplex(0, 1, prec=192)
-    s = a + b
-    assert s.prec == 256
-    with mpmath.workprec(300):
-        third = mpmath.mpf(1) / 3
-        assert abs(s.value - mpmath.mpc(third, 1)) < mpmath.mpf(2) ** -250
-    assert complex(BigComplex(2, -3) * BigComplex(0, 1)) == complex(3, 2)
-    assert (a - a).is_zero()
-    assert abs(BigComplex(3, 4)) == 5
-    with pytest.raises(ValueError):
-        BigComplex(1, 0, prec=16)
-
-
-def test_bigcomplex_log_exp_power_principal_branch():
-    z = BigComplex(-1, 0, prec=256)
-    with mpmath.workprec(256):
-        assert abs(z.log().value - mpmath.mpc(0, mpmath.pi)) < mpmath.mpf(2) ** -240
-        cube_root = z.power(F(1, 3))
-        expected = mpmath.exp(mpmath.mpc(0, mpmath.pi / 3))
-        assert abs(cube_root.value - expected) < mpmath.mpf(2) ** -240
-        assert abs(z.exp().value - mpmath.exp(-1)) < mpmath.mpf(2) ** -240
 
 
 def test_random_point_avoiding_is_deterministic_and_admissible():
