@@ -8,6 +8,13 @@ so ranks never rely on floating point.  The differential is left wedge
 with eta = sum_i a_i dlog f_i, and the top cohomology is the cokernel
 of the differential in top degree.
 
+An AomotoComplex owns one TopQuotient, the top monomials modulo the
+relations and the image of eta-wedge.  It is built in quotient
+coordinates: the image is the column space of the degree M-1 quotient
+differential, an a_{M-1} x a_M matrix, so the reduction never runs over
+all C(n, M - 1) monomials, and the rank it finds serves the cohomology
+dimensions too.
+
 The weight-diagonal map sends a functional tau on top-degree classes to
 the class of sum_I (prod_{i in I} a_i) tau(e_I) e_I.  Restricted to
 functionals annihilating the image of the differential (and composed
@@ -19,16 +26,34 @@ of the package compares against tensor invariants.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from . import linalg
 from .arrangement import color_group, perm_sign
-from .errors import BasisMismatch
+from .errors import BasisMismatch, TooManyMonomials
 from .flags import enumerate_flags, phi
+
+# Cost budget on the top-degree monomial count C(size, M).  Six sl2
+# doublets (21 hyperplanes in 3 variables, 1330 monomials) fit; five
+# weight-2 points (35 hyperplanes in 5 variables, 324632) would run for
+# hours.
+MAX_TOP_MONOMIALS = 2000
 
 
 def monomials(size, p):
     """Increasing p-subsets of hyperplane indices, in lexicographic order."""
     return list(combinations(range(size), p))
+
+
+def check_top_size(arrangement):
+    """Refuse an arrangement with more than MAX_TOP_MONOMIALS top monomials."""
+    count = comb(arrangement.size, arrangement.dimension)
+    if count > MAX_TOP_MONOMIALS:
+        raise TooManyMonomials(
+            f"{arrangement.size} hyperplanes in {arrangement.dimension} variables "
+            f"give {count} top-degree monomials, above the budget of "
+            f"{MAX_TOP_MONOMIALS}"
+        )
 
 
 def insertion_sign(subset, j):
@@ -121,13 +146,18 @@ class AomotoSpace:
 
 
 class AomotoComplex:
-    """Lazy bundle of all degrees of the complex with induced differentials."""
+    """Lazy bundle of all degrees of the complex with induced differentials.
+
+    The complex owns its top quotient (top_quotient), and the rank of the
+    last differential is read off that quotient's reduction.
+    """
 
     def __init__(self, arrangement, lattice):
         self.arrangement = arrangement
         self.lattice = lattice
         self._spaces = {}
         self._diffs = {}
+        self._top = None
 
     def space(self, p):
         if p not in self._spaces:
@@ -146,19 +176,25 @@ class AomotoComplex:
             self._diffs[p] = [list(row) for row in zip(*cols)] if cols else []
         return self._diffs[p]
 
+    def top_quotient(self):
+        """The top cohomology of this complex, built once and shared."""
+        if self._top is None:
+            self._top = TopQuotient(self)
+        return self._top
+
+    def _rank(self, p):
+        if p == self.arrangement.dimension - 1:
+            return len(self.top_quotient().image_pivots)
+        return linalg.rank(self.differential_matrix(p))
+
     def cohomology_dim(self, p):
         M = self.arrangement.dimension
         if p < 0 or p > M:
             raise ValueError("degree outside the complex")
-        rank_in = 0
-        if p > 0:
-            d_prev = self.differential_matrix(p - 1)
-            rank_in = linalg.rank(d_prev)
+        rank_in = self._rank(p - 1) if p > 0 else 0
         if p == M:
             return self.space(M).dim - rank_in
-        d_here = self.differential_matrix(p)
-        dim_ker = self.space(p).dim - linalg.rank(d_here)
-        return dim_ker - rank_in
+        return self.space(p).dim - self._rank(p) - rank_in
 
 
 def cohomology_dim(arrangement, lattice, p):
@@ -166,17 +202,19 @@ def cohomology_dim(arrangement, lattice, p):
     return AomotoComplex(arrangement, lattice).cohomology_dim(p)
 
 
-def chi_projector(arrangement, p):
-    """Matrix of the sign-isotypic projector on degree-p monomials.
+def _chi_columns(arrangement, p):
+    """The sign-isotypic projector on degree-p monomials, column by column.
 
-    Averages sign(sigma) times the signed permutation action of the
-    coloring-preserving coordinate permutations.  Requires a coloring.
+    Column k lists the (row, coefficient) pairs of its nonzero entries in
+    increasing row order: the average of sign(sigma) times the signed
+    permutation action over the coloring-preserving coordinate
+    permutations, so a column has at most |G| entries.  Requires a
+    coloring.
     """
     group = color_group(arrangement)
     mons = monomials(arrangement.size, p)
     index = {m: k for k, m in enumerate(mons)}
-    n = len(mons)
-    P = [[Fraction(0)] * n for _ in range(n)]
+    columns = [{} for _ in mons]
     scale = Fraction(1, len(group))
     for g in group:
         for col, subset in enumerate(mons):
@@ -186,31 +224,81 @@ def chi_projector(arrangement, p):
             if len(set(target)) != len(target):
                 raise AssertionError("group element collapsed a monomial")
             row = index[target]
-            P[row][col] += scale * g.sign * perm_sign(order)
+            entry = columns[col].get(row, Fraction(0))
+            columns[col][row] = entry + scale * g.sign * perm_sign(order)
+    return [sorted((r, c) for r, c in column.items() if c) for column in columns]
+
+
+def chi_projector(arrangement, p):
+    """Dense matrix of the sign-isotypic projector on degree-p monomials."""
+    columns = _chi_columns(arrangement, p)
+    P = [[Fraction(0)] * len(columns) for _ in columns]
+    for col, entries in enumerate(columns):
+        for row, c in entries:
+            P[row][col] = c
     return P
 
 
-class TopQuotient:
-    """Top cohomology as monomial space modulo (relations + image of eta-wedge)."""
+def _chi_apply(columns, vector):
+    """The projector applied to a coefficient vector, from its sparse columns.
 
-    def __init__(self, arrangement, lattice, space=None):
-        M = arrangement.dimension
-        self.space = space if space is not None else AomotoSpace(arrangement, lattice, M)
-        below = monomials(arrangement.size, M - 1)
-        image_rows = []
-        for k in range(len(below)):
-            vec = [_zero(arrangement)] * len(below)
-            vec[k] = vec[k] + 1
-            image_rows.append(differential(arrangement, M - 1, vec))
-        combined = [list(r) for r in self.space.kernel_rref] + image_rows
-        self.rref, self.pivots = linalg.rref(combined)
-        self.free = [
-            k for k in range(len(self.space.monomials)) if k not in set(self.pivots)
+    The projector is symmetric: each signed permutation matrix is
+    orthogonal and g, g^-1 carry the same sign, so this is also the
+    transpose applied to a functional.
+    """
+    out = [vector[0] * 0] * len(vector)
+    for col, v in enumerate(vector):
+        if v:
+            for row, c in columns[col]:
+                out[row] = out[row] + c * v
+    return out
+
+
+class TopQuotient:
+    """Top cohomology as monomial space modulo (relations + image of eta-wedge).
+
+    Built in quotient coordinates from a complex: modulo the relations,
+    the image of eta-wedge is the column space of differential_matrix(M-1),
+    an a_{M-1} x a_M matrix on the free top monomials.  Its transpose is
+    row-reduced and lifted to monomial columns through space.free; the
+    relation rows are reduced modulo the lifted rows, and the two sets,
+    merged by pivot, are the reduced echelon form (rref, pivots) of
+    relations plus image.  reduce() works in two stages: modulo the
+    relations, then modulo the lifted image rows.
+    """
+
+    def __init__(self, cx):
+        M = cx.arrangement.dimension
+        self.space = cx.space(M)
+        below = cx.differential_matrix(M - 1)
+        image, image_pivots = linalg.rref([list(col) for col in zip(*below)])
+        zero = _zero(cx.arrangement)
+        self.image_rows = []
+        for row in image:
+            lifted = [zero] * len(self.space.monomials)
+            for k, v in zip(self.space.free, row):
+                lifted[k] = v
+            self.image_rows.append(lifted)
+        self.image_pivots = [self.space.free[j] for j in image_pivots]
+        relations = [
+            linalg.reduce_mod_rowspace(row, self.image_rows, self.image_pivots)
+            for row in self.space.kernel_rref
         ]
+        merged = sorted(
+            zip(self.space.kernel_pivots + self.image_pivots,
+                relations + self.image_rows),
+            key=lambda pair: pair[0],
+        )
+        self.pivots = [pc for pc, _ in merged]
+        self.rref = [row for _, row in merged]
+        pivot_set = set(self.pivots)
+        self.free = [k for k in range(len(self.space.monomials)) if k not in pivot_set]
         self.dim = len(self.free)
 
     def reduce(self, vector):
-        return linalg.reduce_mod_rowspace(vector, self.rref, self.pivots)
+        return linalg.reduce_mod_rowspace(
+            self.space.reduce(vector), self.image_rows, self.image_pivots
+        )
 
     def coords(self, vector):
         red = self.reduce(vector)
@@ -228,51 +316,46 @@ class CohomologyClass:
         return all(c == 0 for c in self.rep)
 
 
-def dual_functional_space(arrangement, lattice, quotient=None):
+def dual_functional_space(quotient):
     """Basis of functionals on top-degree classes annihilating the eta-image.
 
     Functionals are coefficient vectors tau over top monomials with
     tau(relations) = 0 and tau(eta ^ anything) = 0, that is the kernel of
-    the relations-plus-image matrix that TopQuotient row-reduces.  The
-    basis is read off the quotient's own reduced echelon form: one vector
-    per free monomial, with a 1 there, as linalg.nullspace would give.
+    the relations-plus-image matrix whose reduced echelon form the
+    quotient holds.  The basis is read off that form: one vector per free
+    monomial, with a 1 there, as linalg.nullspace would give.
     """
-    if quotient is None:
-        quotient = TopQuotient(arrangement, lattice)
-    zero = _zero(arrangement)
+    zero = _zero(quotient.space.arrangement)
     return linalg.rref_kernel(quotient.rref, quotient.pivots,
                               len(quotient.space.monomials), zero, zero + 1)
 
 
-def shapovalov_image(arrangement, lattice, use_chi=False, quotient=None):
+def shapovalov_image(quotient, use_chi=False):
     """Rank and basis of the weight-diagonal image inside top cohomology.
 
     Runs over the admissible functionals tau of dual_functional_space, in
     order, applies the diagonal map tau |-> sum_I (prod weights over I)
-    tau_I e_I, optionally pre- and post-composes with the sign projector,
-    and reduces into the top quotient.  An image is kept when it is
-    independent of those kept before it, tested incrementally: its
-    remainder modulo a running echelon basis of the kept images is
-    nonzero, and that remainder, scaled to a leading 1, joins the basis.
-    Returns (rank, list of CohomologyClass).
+    tau_I e_I, optionally pre- and post-composes with the sign projector
+    P (applied once, from its sparse columns, since P D P = D P), and
+    reduces into the top quotient.
+    An image is kept when it is independent of those kept before it,
+    tested incrementally: its remainder modulo a running echelon basis of
+    the kept images is nonzero, and that remainder, scaled to a leading
+    1, joins the basis.  Returns (rank, list of CohomologyClass).
     """
+    arrangement = quotient.space.arrangement
     M = arrangement.dimension
-    if quotient is None:
-        quotient = TopQuotient(arrangement, lattice)
-    taus = dual_functional_space(arrangement, lattice, quotient=quotient)
-    mons = monomials(arrangement.size, M)
-    diag = [weight_product(arrangement, subset) for subset in mons]
-    projector = chi_projector(arrangement, M) if use_chi else None
-    if projector is not None:
-        transposed = [list(row) for row in zip(*projector)]
+    taus = dual_functional_space(quotient)
+    diag = [weight_product(arrangement, subset) for subset in quotient.space.monomials]
+    columns = _chi_columns(arrangement, M) if use_chi else None
     basis = []
     echelon, pivots = [], []
     for tau in taus:
-        if projector is not None:
-            tau = linalg.matvec(transposed, tau)
+        if columns is not None:
+            # P D P tau = D P tau: the diagonal map commutes with the
+            # signed permutations, and P is idempotent
+            tau = _chi_apply(columns, tau)
         s = [d * t for d, t in zip(diag, tau)]
-        if projector is not None:
-            s = linalg.matvec(projector, s)
         red = quotient.reduce(s)
         rest = linalg.reduce_mod_rowspace(red, echelon, pivots)
         lead = next((k for k, v in enumerate(rest) if v), None)
@@ -283,13 +366,14 @@ def shapovalov_image(arrangement, lattice, use_chi=False, quotient=None):
     return len(basis), basis
 
 
-def chi_fixed_dim(arrangement, lattice):
+def chi_fixed_dim(quotient):
     """Dimension of the sign-isotypic part of the top cohomology."""
-    quotient = TopQuotient(arrangement, lattice)
-    projector = chi_projector(arrangement, arrangement.dimension)
+    space = quotient.space
+    columns = _chi_columns(space.arrangement, space.p)
     cols = []
     for k in quotient.free:
-        vec = [Fraction(0)] * len(quotient.space.monomials)
-        vec[k] = Fraction(1)
-        cols.append(quotient.coords(linalg.matvec(projector, vec)))
+        vec = [Fraction(0)] * len(space.monomials)
+        for row, c in columns[k]:
+            vec[row] = c
+        cols.append(quotient.coords(vec))
     return linalg.rank(cols)

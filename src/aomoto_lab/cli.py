@@ -21,7 +21,7 @@ import mpmath
 
 from . import linalg
 from .aomoto import (
-    AomotoComplex, AomotoSpace, TopQuotient, chi_fixed_dim, shapovalov_image,
+    AomotoComplex, check_top_size, chi_fixed_dim, shapovalov_image,
 )
 from .arrangement import (
     arrangement_from_json, arrangement_to_json, intersection_lattice,
@@ -50,6 +50,9 @@ COMMANDS = (
 )
 
 DISPLAY_DIGITS = 30
+# Most verify-forms sample points: at this bound a four-doublet request
+# takes about 18 s on one core of a 2-vCPU x86-64 VM.
+MAX_NUM_POINTS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +213,14 @@ def _cmd_lattice(config):
 
 def _cmd_aomoto(config):
     arr, echo = _resolve_arrangement(config)
+    check_top_size(arr)
     lattice = intersection_lattice(arr)
     cx = AomotoComplex(arr, lattice)
     a_dims = {str(p): cx.space(p).dim for p in range(arr.dimension + 1)}
     h_dims = {str(p): cx.cohomology_dim(p) for p in range(arr.dimension + 1)}
     report = {"a_dims": a_dims, "h_dims": h_dims}
     if arr.coloring is not None:
-        report["chi_fixed_top_dim"] = chi_fixed_dim(arr, lattice)
+        report["chi_fixed_top_dim"] = chi_fixed_dim(cx.top_quotient())
     return report, echo
 
 
@@ -225,8 +229,10 @@ def _cmd_image(config):
     use_chi = config.get("chi", False)
     if not isinstance(use_chi, bool):
         _fail("chi", "expected true or false")
+    check_top_size(arr)
     lattice = intersection_lattice(arr)
-    rank, basis = shapovalov_image(arr, lattice, use_chi=use_chi)
+    quotient = AomotoComplex(arr, lattice).top_quotient()
+    rank, basis = shapovalov_image(quotient, use_chi=use_chi)
     report = {
         "rank": rank,
         "basis": [_fmt_vector(cls.rep) for cls in basis],
@@ -275,15 +281,15 @@ def _cmd_sv(config):
     seed = _seed(config)
     space = TensorSpace(weights)
     arr = build_arrangement(root, weights, points, kappa=kappa)
+    check_top_size(arr)
     lattice = intersection_lattice(arr)
-    top = AomotoSpace(arr, lattice, arr.dimension)
-    quotient = TopQuotient(arr, lattice, space=top)
+    quotient = AomotoComplex(arr, lattice).top_quotient()
     psis = invariant_functionals(space)
     classes = []
     rows = []
     for psi in psis:
         cls = omega_sv(arr, lattice, space, psi, points, seed=seed,
-                       aomoto_space=top)
+                       aomoto_space=quotient.space)
         classes.append(cls)
         rows.append(quotient.coords(list(cls.rep)))
     report = {
@@ -325,8 +331,9 @@ def _cmd_verify_forms(config):
     seed = _seed(config)
     num_points = config.get("num_points", 5)
     if not isinstance(num_points, int) or isinstance(num_points, bool) \
-            or num_points < 1:
-        _fail("num_points", "expected a positive integer")
+            or not 1 <= num_points <= MAX_NUM_POINTS:
+        _fail("num_points", f"expected an integer from 1 to {MAX_NUM_POINTS}")
+    check_top_size(arr)
     F_list = coordinate_functions(arr.dimension)
     results = {}
     for k in range(1, arr.dimension + 1):

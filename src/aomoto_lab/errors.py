@@ -73,6 +73,10 @@ class BranchCut(AomotoLabError):
     """A sample point lies on the branch cut of a chosen principal power."""
 
 
+class TooManyMonomials(AomotoLabError):
+    """An arrangement has more top-degree monomials than the cost budget admits."""
+
+
 class PrecisionLoss(AomotoLabError):
     """A numeric result lost too much precision to be trusted at the working tolerance."""
 

@@ -371,9 +371,13 @@ def conformal_block_dim(root, weights, level, points):
         for r in range(space.dim):
             for c in range(space.dim):
                 T[r][c] += z * block[r][c]
+    # T raises the weight, so it is nilpotent: once a power vanishes,
+    # every higher one does too
     power = linalg.identity(space.dim)
     for _ in range(level + 1):
         power = linalg.matmul(T, power)
+        if not any(any(row) for row in power):
+            break
     span = []
     for op in ("e", "f", "h"):
         mat = space.total_action(op)

@@ -28,7 +28,7 @@ from itertools import permutations, product
 
 from . import linalg
 from .aomoto import (
-    AomotoSpace, CohomologyClass, TopQuotient, shapovalov_image,
+    AomotoComplex, CohomologyClass, check_top_size, shapovalov_image,
 )
 from .arrangement import AffineForm, WeightedArrangement, intersection_lattice
 from .errors import DuplicatePoints, OnHyperplane, WeightMismatch
@@ -187,19 +187,18 @@ def egregium_check(root, weights, points, kappa, seed=0):
     space = TensorSpace([_sl2_weight_int(w) for w in weights])
     inv_dim = invariants_dim(root, weights)
     arr = build_arrangement(root, weights, points, kappa=kappa)
+    check_top_size(arr)
     lattice = intersection_lattice(arr)
-    top = AomotoSpace(arr, lattice, arr.dimension)
-    quotient = TopQuotient(arr, lattice, space=top)
+    quotient = AomotoComplex(arr, lattice).top_quotient()
     psis = invariant_functionals(space)
     sv_rows = []
     for psi in psis:
         cls = omega_sv(
-            arr, lattice, space, psi, points, seed=seed, aomoto_space=top
+            arr, lattice, space, psi, points, seed=seed,
+            aomoto_space=quotient.space,
         )
         sv_rows.append(quotient.coords(list(cls.rep)))
-    image_rank, image_classes = shapovalov_image(
-        arr, lattice, use_chi=True, quotient=quotient
-    )
+    image_rank, image_classes = shapovalov_image(quotient, use_chi=True)
     image_rows = [quotient.coords(list(cls.rep)) for cls in image_classes]
     sv_rank = linalg.rank(sv_rows) if sv_rows else 0
     same = _same_row_space(sv_rows, image_rows)

@@ -16,7 +16,6 @@ from aomoto_lab import linalg
 from aomoto_lab.aomoto import (
     AomotoComplex,
     AomotoSpace,
-    TopQuotient,
     monomials,
     pairing_matrix,
     shapovalov_image,
@@ -106,9 +105,8 @@ def test_criterion_1_invariants_match_both_realizations():
 
 
 def _image_span(arr):
-    lattice = intersection_lattice(arr)
-    quotient = TopQuotient(arr, lattice)
-    rank, basis = shapovalov_image(arr, lattice, use_chi=True, quotient=quotient)
+    quotient = AomotoComplex(arr, intersection_lattice(arr)).top_quotient()
+    rank, basis = shapovalov_image(quotient, use_chi=True)
     rows = [quotient.coords(list(cls.rep)) for cls in basis]
     rref_rows, _ = linalg.rref(rows)
     return rank, quotient.free, rref_rows

@@ -1,15 +1,21 @@
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from aomoto_lab import linalg
 from aomoto_lab.aomoto import (
-    AomotoComplex, AomotoSpace, TopQuotient, chi_fixed_dim, chi_projector,
-    cohomology_dim, differential, dual_functional_space, insertion_sign,
-    monomials, pairing_matrix, shapovalov_image, weight_product,
+    AomotoComplex, AomotoSpace, _chi_apply, _chi_columns, chi_fixed_dim, chi_projector, cohomology_dim, differential,
+    dual_functional_space, insertion_sign, monomials, pairing_matrix,
+    shapovalov_image, weight_product,
 )
-from aomoto_lab.arrangement import intersection_lattice, os_dimension
+from aomoto_lab.arrangement import (
+    color_group, intersection_lattice, os_dimension, perm_sign,
+)
+from aomoto_lab.exactfield import RatFuncKappa
 from aomoto_lab.liealg import sl2
 from aomoto_lab.svmap import build_arrangement
 from conftest import corpus, crossing_lines, sl2_four_point, two_points
@@ -147,18 +153,21 @@ def test_diagonal_map_commutes_with_signed_permutations():
         assert left == right
 
 
+def top_quotient(arr):
+    return AomotoComplex(arr, intersection_lattice(arr)).top_quotient()
+
+
 def test_shapovalov_image_two_points():
     arr = two_points(weights=(F(1, 7), F(1, 7)))
-    lattice = intersection_lattice(arr)
-    rank, basis = shapovalov_image(arr, lattice)
+    quotient = top_quotient(arr)
+    rank, basis = shapovalov_image(quotient)
     assert rank == 1 and len(basis) == 1
-    taus = dual_functional_space(arr, lattice)
+    taus = dual_functional_space(quotient)
     assert len(taus) == 1
     tau = taus[0]
     # the functional kills eta = (e1 + e2)/7, so tau is proportional to (1, -1)
     assert tau[0] == -tau[1] != 0
     raw = [F(1, 7) * tau[0], F(1, 7) * tau[1]]
-    quotient = TopQuotient(arr, lattice)
     assert quotient.coords(raw) == quotient.coords(list(basis[0].rep))
     assert any(c != 0 for c in quotient.coords(raw))
 
@@ -173,8 +182,7 @@ def image_arrangements():
 
 def test_dual_functional_space_is_the_canonical_annihilator():
     for arr, _ in image_arrangements():
-        lattice = intersection_lattice(arr)
-        quotient = TopQuotient(arr, lattice)
+        quotient = top_quotient(arr)
         M = arr.dimension
         below = monomials(arr.size, M - 1)
         constraints = [list(r) for r in quotient.space.kernel_rref]
@@ -182,7 +190,7 @@ def test_dual_functional_space_is_the_canonical_annihilator():
             unit = [F(0)] * len(below)
             unit[k] = F(1)
             constraints.append(differential(arr, M - 1, unit))
-        taus = dual_functional_space(arr, lattice, quotient=quotient)
+        taus = dual_functional_space(quotient)
         assert len(taus) == quotient.dim
         for fc, tau in zip(quotient.free, taus):
             assert [tau[c] for c in quotient.free] == [F(c == fc) for c in quotient.free]
@@ -193,14 +201,13 @@ def test_dual_functional_space_is_the_canonical_annihilator():
 
 def test_shapovalov_image_matches_greedy_rank_selection():
     for arr, use_chi in image_arrangements():
-        lattice = intersection_lattice(arr)
-        quotient = TopQuotient(arr, lattice)
+        quotient = top_quotient(arr)
         M = arr.dimension
         mons = monomials(arr.size, M)
         diag = [weight_product(arr, subset) for subset in mons]
         P = chi_projector(arr, M) if use_chi else None
         kept = []
-        for tau in dual_functional_space(arr, lattice, quotient=quotient):
+        for tau in dual_functional_space(quotient):
             if P is not None:
                 tau = [sum((P[r][c] * tau[r] for r in range(len(mons))), F(0))
                        for c in range(len(mons))]
@@ -210,8 +217,7 @@ def test_shapovalov_image_matches_greedy_rank_selection():
             red = quotient.reduce(s)
             if linalg.rank(kept + [red]) > len(kept):
                 kept.append(red)
-        rank, basis = shapovalov_image(arr, lattice, use_chi=use_chi,
-                                       quotient=quotient)
+        rank, basis = shapovalov_image(quotient, use_chi=use_chi)
         assert rank == len(kept) == len(basis)
         assert [list(cls.rep) for cls in basis] == kept
 
@@ -219,16 +225,14 @@ def test_shapovalov_image_matches_greedy_rank_selection():
 def test_shapovalov_image_chi_rank_two_for_both_kappas():
     for kappa in (3, 7):
         arr = sl2_four_point(kappa=kappa)
-        lattice = intersection_lattice(arr)
-        rank, _ = shapovalov_image(arr, lattice, use_chi=True)
+        rank, _ = shapovalov_image(top_quotient(arr), use_chi=True)
         assert rank == 2
 
 
 def test_image_classes_are_chi_isotypic():
     arr = sl2_four_point(kappa=7)
-    lattice = intersection_lattice(arr)
-    quotient = TopQuotient(arr, lattice)
-    _, basis = shapovalov_image(arr, lattice, use_chi=True, quotient=quotient)
+    quotient = top_quotient(arr)
+    _, basis = shapovalov_image(quotient, use_chi=True)
     P = chi_projector(arr, arr.dimension)
     for cls in basis:
         projected = linalg.matvec(P, list(cls.rep))
@@ -236,9 +240,8 @@ def test_image_classes_are_chi_isotypic():
 
 
 def image_span_in_quotient(arr):
-    lattice = intersection_lattice(arr)
-    quotient = TopQuotient(arr, lattice)
-    rank, basis = shapovalov_image(arr, lattice, use_chi=True, quotient=quotient)
+    quotient = top_quotient(arr)
+    rank, basis = shapovalov_image(quotient, use_chi=True)
     rows = [quotient.coords(list(cls.rep)) for cls in basis]
     rref_rows, _ = linalg.rref(rows)
     return rank, quotient.free, rref_rows
@@ -264,11 +267,133 @@ def test_image_invariant_under_weight_rescaling():
 def test_top_quotient_dim_matches_cohomology():
     for arr in corpus():
         lattice = intersection_lattice(arr)
-        quotient = TopQuotient(arr, lattice)
+        quotient = AomotoComplex(arr, lattice).top_quotient()
         assert quotient.dim == cohomology_dim(arr, lattice, arr.dimension)
 
 
 def test_chi_fixed_top_dimension():
-    arr = sl2_four_point(kappa=7)
+    assert chi_fixed_dim(top_quotient(sl2_four_point(kappa=7))) == 6
+
+
+# ---------------------------------------------------------------------------
+# the quotient-coordinate top quotient against references built without it
+
+
+def three_variable(kappa=7):
+    """Weights [2,1,1,2]: 15 hyperplanes in three variables."""
+    return build_arrangement(sl2(), [2, 1, 1, 2],
+                             [F(-1, 2), F(0), F(1, 2), F(1)], kappa=kappa)
+
+
+def symbolic_three_point():
+    return build_arrangement(sl2(), [2, 1, 1], [F(-1, 2), F(0), F(1)])
+
+
+def image_rows_of_every_monomial(arr):
+    """eta ^ e_J for every degree M-1 monomial J, on top monomials."""
+    below = monomials(arr.size, arr.dimension - 1)
+    rows = []
+    for k in range(len(below)):
+        unit = [F(0)] * len(below)
+        unit[k] = F(1)
+        rows.append(differential(arr, arr.dimension - 1, unit))
+    return rows
+
+
+def _qq(x):
+    return QQ(x.numerator, x.denominator)
+
+
+def reference_top_rref(arr):
+    """Reduced echelon form of relations plus image over all top monomials.
+
+    Rational weights: the relations are the left kernel of the flag
+    pairing and everything is reduced by sympy over QQ.  Symbolic weights:
+    the relation rows of AomotoSpace and the image rows are stacked into
+    one matrix for linalg.rref.
+    """
     lattice = intersection_lattice(arr)
-    assert chi_fixed_dim(arr, lattice) == 6
+    M = arr.dimension
+    image = image_rows_of_every_monomial(arr)
+    if any(isinstance(w, RatFuncKappa) for w in arr.weights):
+        relations = AomotoSpace(arr, lattice, M).kernel_rref
+        return linalg.rref([list(r) for r in relations] + image)
+    pairing = pairing_matrix(arr, lattice, M)
+    shape = (len(pairing), len(pairing[0]))
+    P = DomainMatrix([[_qq(v) for v in row] for row in pairing], shape, QQ)
+    relations = P.transpose().nullspace().to_list()
+    rows = relations + [[_qq(v) for v in row] for row in image]
+    R, pivots = DomainMatrix(rows, (len(rows), shape[0]), QQ).rref()
+    R = R.to_list()[:len(pivots)]
+    return ([[F(int(v.numerator), int(v.denominator)) for v in row] for row in R],
+            list(pivots))
+
+
+def quotient_arrangements():
+    return corpus() + [symbolic_three_point(), three_variable()]
+
+
+def test_top_quotient_matches_relations_plus_image_reference():
+    for arr in quotient_arrangements():
+        cx = AomotoComplex(arr, intersection_lattice(arr))
+        quotient = cx.top_quotient()
+        rows, pivots = reference_top_rref(arr)
+        n = len(quotient.space.monomials)
+        assert quotient.pivots == pivots, arr
+        assert quotient.rref == rows, arr
+        assert quotient.free == [k for k in range(n) if k not in set(pivots)]
+        assert quotient.dim == n - len(pivots)
+        assert cx.top_quotient() is quotient
+        below = cx.differential_matrix(arr.dimension - 1)
+        assert len(quotient.image_pivots) == linalg.rank(below)
+        # two-stage reduction equals reduction modulo the whole echelon form
+        rng = random.Random(arr.size)
+        for _ in range(3):
+            vec = [arr.weights[0] * rng.randint(-3, 3) for _ in range(n)]
+            assert quotient.reduce(vec) == linalg.reduce_mod_rowspace(vec, rows, pivots)
+
+
+def dense_chi_reference(arrangement, p):
+    """The sign-isotypic projector accumulated entry by entry, densely."""
+    group = color_group(arrangement)
+    mons = monomials(arrangement.size, p)
+    index = {m: k for k, m in enumerate(mons)}
+    P = [[F(0)] * len(mons) for _ in mons]
+    for g in group:
+        for col, subset in enumerate(mons):
+            moved = [g.form_perm[i] for i in subset]
+            order = tuple(sorted(range(len(moved)), key=lambda s: moved[s]))
+            P[index[tuple(sorted(moved))]][col] += (
+                F(g.sign * perm_sign(order), len(group))
+            )
+    return P
+
+
+def test_sparse_sign_action_matches_the_dense_projector():
+    for arr in (sl2_four_point(kappa=7), symbolic_three_point(),
+                three_variable()):
+        M = arr.dimension
+        P = dense_chi_reference(arr, M)
+        assert chi_projector(arr, M) == P
+        columns = _chi_columns(arr, M)
+        group_size = len(color_group(arr))
+        assert all(len(entries) <= group_size for entries in columns)
+        # symmetric, so the same sparse action serves tau and its image
+        assert [list(row) for row in zip(*P)] == P
+        n = len(P)
+        rng = random.Random(n)
+        vectors = [[arr.weights[0] * F(rng.randint(-4, 4), rng.randint(1, 3))
+                    for _ in range(n)] for _ in range(2)]
+        if n <= 40:
+            vectors += [[arr.weights[0] * (k == j) for j in range(n)]
+                        for k in range(n)]
+        for vec in vectors:
+            assert _chi_apply(columns, vec) == linalg.matvec(P, vec)
+
+
+def test_chi_fixed_dim_matches_the_dense_projector_rank():
+    for arr in (sl2_four_point(kappa=7), symbolic_three_point()):
+        quotient = top_quotient(arr)
+        P = dense_chi_reference(arr, arr.dimension)
+        cols = [quotient.coords([row[k] for row in P]) for k in quotient.free]
+        assert chi_fixed_dim(quotient) == linalg.rank(cols)

@@ -2,17 +2,21 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from aomoto_lab import cli
+from aomoto_lab.aomoto import MAX_TOP_MONOMIALS, check_top_size
 from aomoto_lab.cli import main, run
 from aomoto_lab.errors import (
     AomotoLabError, BranchCut, ConfigError, ExhaustedRetries,
-    LoopEnclosesPuncture,
+    LoopEnclosesPuncture, TooManyMonomials,
 )
+from aomoto_lab.liealg import sl2
+from aomoto_lab.svmap import build_arrangement
 from aomoto_lab.exactfield import (
     RatFuncKappa, format_rational, parse_rational, specialize_kappa,
 )
@@ -334,6 +338,56 @@ def test_kz_flat_sampling_exhaustion_is_a_domain_error(
     assert "ExhaustedRetries" in capsys.readouterr().err
 
 
+def test_invariants_level_far_above_the_weights_is_exact_and_fast():
+    # T = sum z_i e^(i) is nilpotent, so levels past the weight sum all
+    # give the dimension at the weight sum
+    base = _load("invariants_level1.json")
+    del base["level"]
+    at_sum = run("invariants", {**base, "levels": [4]})
+    started = time.monotonic()
+    far = run("invariants", {**base, "levels": [10**6]})
+    assert time.monotonic() - started < 5
+    assert far["conformal_block_dims"] == {"1000000": at_sum["conformal_block_dims"]["4"]}
+
+
+def test_verify_forms_refuses_too_many_points(tmp_path, capsys):
+    config = {**_load("verify_forms_sl2.json"), "num_points": cli.MAX_NUM_POINTS + 1}
+    with pytest.raises(ConfigError) as err:
+        run("verify-forms", config)
+    assert "config field 'num_points'" in str(err.value)
+    path = tmp_path / "config.json"
+    for value in (cli.MAX_NUM_POINTS + 1, 10**6):
+        path.write_text(json.dumps({**config, "num_points": value}))
+        assert main(["verify-forms", "--config", str(path)]) == 2
+        assert "config field 'num_points'" in capsys.readouterr().err
+
+
+def test_top_monomial_budget_admits_six_doublets():
+    six = build_arrangement(sl2(), [1] * 6, [Fraction(k) for k in range(6)],
+                            kappa=7)
+    assert (six.size, six.dimension) == (21, 3)
+    assert 1330 <= MAX_TOP_MONOMIALS
+    check_top_size(six)
+
+
+@pytest.mark.parametrize("command", ["aomoto", "image", "sv", "egregium",
+                                     "verify-forms"])
+def test_top_monomial_budget_refuses_five_weight_two_points(
+        tmp_path, capsys, command):
+    # 35 hyperplanes in five variables: C(35, 5) = 324632 top monomials
+    config = {"schema": "1", "weights": [2] * 5,
+              "points": ["0/1", "1/1", "2/1", "3/1", "4/1"], "kappa": "7/1"}
+    started = time.monotonic()
+    with pytest.raises(TooManyMonomials) as err:
+        run(command, config)
+    assert time.monotonic() - started < 5
+    assert "324632" in str(err.value)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path)]) == 1
+    assert "TooManyMonomials" in capsys.readouterr().err
+
+
 def test_golden_reports():
     cases = [
         ("lattice", "lattice_two_points.json"),
@@ -341,6 +395,8 @@ def test_golden_reports():
         ("egregium", "egregium_kappa3.json"),
         ("aomoto", "aomoto_symbolic.json"),
         ("image", "image_chi_symbolic.json"),
+        ("aomoto", "aomoto_three_variable.json"),
+        ("image", "image_chi_three_variable.json"),
         ("kz", "kz_kappa3.json"),
         ("kz", "kz_kappa_m7_3.json"),
     ]
@@ -375,3 +431,8 @@ def test_symbolic_image_specializes_to_rational_image(weights):
                 for vec in symbolic["basis"]
             ]
             assert specialized == rational["basis"], (weights, chi, kappa)
+    symbolic = run("aomoto", base)
+    for kappa in ("7/1", "-5/3"):
+        rational = run("aomoto", {**base, "kappa": kappa})
+        for field in ("a_dims", "h_dims", "chi_fixed_top_dim"):
+            assert symbolic[field] == rational[field], (weights, field, kappa)

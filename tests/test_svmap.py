@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from aomoto_lab import linalg
-from aomoto_lab.aomoto import AomotoSpace, TopQuotient, chi_projector
+from aomoto_lab.aomoto import AomotoComplex, AomotoSpace, chi_projector
 from aomoto_lab.arrangement import intersection_lattice
 from aomoto_lab.errors import DuplicatePoints, OnHyperplane, WeightMismatch
 from aomoto_lab.exactfield import RatFuncKappa, specialize_kappa
@@ -183,8 +183,8 @@ def test_omega_sv_linear_in_psi():
 def test_omega_sv_classes_are_sign_isotypic():
     arr = build_arrangement(sl2(), [1, 1, 1, 1], ACCEPTANCE_POINTS, kappa=7)
     lattice = intersection_lattice(arr)
-    aspace = AomotoSpace(arr, lattice, 2)
-    quotient = TopQuotient(arr, lattice, space=aspace)
+    quotient = AomotoComplex(arr, lattice).top_quotient()
+    aspace = quotient.space
     proj = chi_projector(arr, 2)
     space = TensorSpace((1, 1, 1, 1))
     for psi in invariant_functionals(space):
