@@ -196,6 +196,7 @@ def _fmt_cmatrix(mat):
 
 def _cmd_lattice(config):
     arr, echo = _resolve_arrangement(config)
+    check_top_size(arr)
     lattice = intersection_lattice(arr)
     counts = {}
     for codim in range(1, max(arr.dimension, 2) + 1):
@@ -288,7 +289,7 @@ def _cmd_sv(config):
     classes = []
     rows = []
     for psi in psis:
-        cls = omega_sv(arr, lattice, space, psi, points, seed=seed,
+        cls = omega_sv(arr, lattice, space, psi, points,
                        aomoto_space=quotient.space)
         classes.append(cls)
         rows.append(quotient.coords(list(cls.rep)))
@@ -315,7 +316,7 @@ def _cmd_egregium(config):
     points = _parse_points(config, len(weights))
     kappa = _parse_kappa(config)
     seed = _seed(config)
-    report = egregium_check(root, weights, points, kappa, seed=seed)
+    report = egregium_check(root, weights, points, kappa)
     echo = {
         "algebra": algebra_echo,
         "weights": list(config["weights"]),

@@ -19,6 +19,11 @@ satisfy the boundary identity
         = (eta(x) - eta(y)) ^ S_{q_1..q_k},     1 <= k <= M,
 
 which verify_grundlegend checks at sampled points.
+
+expand_top_form writes a top form given only by its values in the
+wedge-monomial basis, by exact interpolation.  The package builds its
+own classes without sampling; the tests use it as an independent oracle
+for them.
 """
 
 import random
@@ -307,6 +312,7 @@ def expand_top_form(arr, lattice, evaluator, seed=0, bound=10**6, extra_avoid=()
     sampled points, reduces the solution to the canonical representative
     modulo monomial relations, and re-verifies at certification fresh
     points.  Raises NotInSpan when no logarithmic expansion exists.
+    The tests use it as the oracle for svmap.omega_sv.
     """
     M = arr.dimension
     if space is None:

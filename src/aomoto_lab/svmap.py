@@ -18,9 +18,17 @@ The rational vector
 
 has weight mu, and pairing it with a functional psi on the weight space
 gives the coefficient of a logarithmic top form, psi(v) dt_1..dt_M.
-expand_top_form recovers its monomial coefficients exactly, which lets
-the span of these classes be compared with the weight-diagonal image
-inside top cohomology.
+
+That form is read off as wedge monomials, with no sampling (Schechtman
+& Varchenko, Invent. Math. 106, 1991).  Each chain of factors
+u_1-u_2, ..., u_{q-1}-u_q, u_q-z_i picks one hyperplane per factor, and
+in the variable order u_1..u_q their gradients are unitriangular.  So
+the product of the chains over all points is sign(variable order)
+times the wedge of their dlogs, and sorting the hyperplanes gives one
+more sign.  A factor that is a multiple of the stored form, such as
+t_b - t_a where the arrangement stores t_a - t_b, needs none, because
+dlog(c f) = dlog f.  This lets the span of the classes be compared with
+the weight-diagonal image inside top cohomology.
 """
 
 from fractions import Fraction
@@ -28,16 +36,18 @@ from itertools import permutations, product
 
 from . import linalg
 from .aomoto import (
-    AomotoComplex, CohomologyClass, check_top_size, shapovalov_image,
+    AomotoComplex, AomotoSpace, CohomologyClass, check_top_size, monomials,
+    shapovalov_image,
 )
-from .arrangement import AffineForm, WeightedArrangement, intersection_lattice
-from .errors import DuplicatePoints, OnHyperplane, WeightMismatch
+from .arrangement import (
+    AffineForm, WeightedArrangement, intersection_lattice, perm_sign,
+)
+from .errors import DuplicatePoints, NotInSpan, OnHyperplane, WeightMismatch
 from .exactfield import RatFuncKappa
 from .liealg import (
     TensorSpace, _require_sl2, _sl2_weight_int, invariant_functionals,
     invariants_dim,
 )
-from .logforms import expand_top_form
 
 
 def _as_fraction_points(points):
@@ -156,26 +166,71 @@ def sv_vector_eval(space, ts, zs):
     return coeffs
 
 
-def omega_sv(arr, lattice, space, psi, zs, seed=0, aomoto_space=None):
-    """Top-cohomology class of psi(v(t, z)) dt_1..dt_M.
+def _form_lookup(arr):
+    """Index of the hyperplane t_a - z (or t_a - t_b) in arr.forms.
+
+    Forms are matched up to a nonzero factor, which leaves dlog f alone.
+    """
+    index = {}
+    for k, f in enumerate(arr.forms):
+        lead = next(g for g in f.gradient if g)
+        index[tuple(g / lead for g in f.gradient), f.constant / lead] = k
+
+    def lookup(a, b=None, z=Fraction(0)):
+        grad = [Fraction(0)] * arr.dimension
+        grad[a] = Fraction(1)
+        if b is not None:
+            grad[b] = Fraction(-1)
+        key = (tuple(grad), -z)
+        if key not in index:
+            name = f"t_{a + 1} - t_{b + 1}" if b is not None else f"t_{a + 1} - {z}"
+            raise NotInSpan(f"the arrangement has no hyperplane {name}")
+        return index[key]
+
+    return lookup
+
+
+def omega_sv(arr, lattice, space, psi, zs, aomoto_space=None):
+    """Top-cohomology class of psi(v(t, z)) dt_1..dt_M, from dlog chains.
 
     psi is a coefficient vector on the zero-weight basis (the documented
-    lex ordering).  The result is the canonical monomial representative
-    modulo relations, wrapped as a CohomologyClass.
+    lex ordering).  Every chain term of v with a nonzero psi coefficient
+    adds that coefficient times its two signs (module docstring) to one
+    wedge monomial.  The result is the canonical monomial representative
+    modulo relations, wrapped as a CohomologyClass.  Raises NotInSpan
+    when a chain needs a hyperplane that arr lacks.
     """
-    zero = space.zero_weight_indices()
+    zs = _as_fraction_points(zs)
+    M = arr.dimension
+    lookup = _form_lookup(arr)
+    psi_at = {
+        space.basis[z]: p for p, z in zip(psi, space.zero_weight_indices()) if p
+    }
+    position = {m: k for k, m in enumerate(monomials(arr.size, M))}
+    vector = [Fraction(0)] * len(position)
+    for assignment in product(range(len(zs)), repeat=M):
+        groups = [[a for a in range(M) if assignment[a] == i]
+                  for i in range(len(zs))]
+        coeff = psi_at.get(tuple(len(g) for g in groups))
+        if coeff is None:
+            continue
+        for orders in product(*(permutations(g) for g in groups)):
+            variables = []
+            chain = []
+            for i, order in enumerate(orders):
+                variables += order
+                chain += [lookup(min(s, t), max(s, t))
+                          for s, t in zip(order, order[1:])]
+                if order:
+                    chain.append(lookup(order[-1], z=zs[i]))
+            sign = perm_sign(variables) * perm_sign(chain)
+            vector[position[tuple(sorted(chain))]] += sign * coeff
+    if aomoto_space is None:
+        aomoto_space = AomotoSpace(arr, lattice, M)
+    return CohomologyClass(M, tuple(aomoto_space.reduce(vector)))
 
-    def evaluator(point):
-        values = sv_vector_eval(space, point, zs)
-        return sum(p * values[z] for p, z in zip(psi, zero))
 
-    rep = expand_top_form(
-        arr, lattice, evaluator, seed=seed, space=aomoto_space
-    )
-    return CohomologyClass(arr.dimension, tuple(rep))
-
-
-def egregium_check(root, weights, points, kappa, seed=0):
+def egregium_check(root, weights, points, kappa):
     """Compare tensor invariants with both realizations in top cohomology.
 
     Returns a dict with the invariant dimension, the rank of the span of
@@ -194,8 +249,7 @@ def egregium_check(root, weights, points, kappa, seed=0):
     sv_rows = []
     for psi in psis:
         cls = omega_sv(
-            arr, lattice, space, psi, points, seed=seed,
-            aomoto_space=quotient.space,
+            arr, lattice, space, psi, points, aomoto_space=quotient.space
         )
         sv_rows.append(quotient.coords(list(cls.rep)))
     image_rank, image_classes = shapovalov_image(quotient, use_chi=True)

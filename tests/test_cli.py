@@ -71,6 +71,17 @@ def test_egregium_report():
     assert report["config"]["kappa"] == "3/1"
 
 
+def test_egregium_three_variable_report():
+    # [2,1,1,2] has two invariants by Clebsch-Gordan: 2 x 1 x 1 x 2
+    # contains the trivial module twice
+    report = run("egregium", _load("egregium_three_variable.json"))
+    assert report["invariants_dim"] == 2
+    assert report["sv_rank"] == 2
+    assert report["image_rank"] == 2
+    assert report["subspaces_equal"] is True
+    assert report["match"] is True
+
+
 def test_aomoto_report():
     config = {
         "schema": "1",
@@ -368,10 +379,14 @@ def test_top_monomial_budget_admits_six_doublets():
     assert (six.size, six.dimension) == (21, 3)
     assert 1330 <= MAX_TOP_MONOMIALS
     check_top_size(six)
+    report = run("lattice", {"schema": "1", "weights": [1] * 6,
+                             "points": [f"{k}/1" for k in range(6)],
+                             "kappa": "7/1"})
+    assert report["hyperplanes"] == 21
 
 
 @pytest.mark.parametrize("command", ["aomoto", "image", "sv", "egregium",
-                                     "verify-forms"])
+                                     "verify-forms", "lattice"])
 def test_top_monomial_budget_refuses_five_weight_two_points(
         tmp_path, capsys, command):
     # 35 hyperplanes in five variables: C(35, 5) = 324632 top monomials
@@ -393,6 +408,8 @@ def test_golden_reports():
         ("lattice", "lattice_two_points.json"),
         ("invariants", "invariants_level1.json"),
         ("egregium", "egregium_kappa3.json"),
+        ("sv", "sv_kappa7.json"),
+        ("sv", "sv_two_variable.json"),
         ("aomoto", "aomoto_symbolic.json"),
         ("image", "image_chi_symbolic.json"),
         ("aomoto", "aomoto_three_variable.json"),

@@ -7,10 +7,17 @@ import pytest
 
 from aomoto_lab import linalg
 from aomoto_lab.aomoto import AomotoComplex, AomotoSpace, chi_projector
-from aomoto_lab.arrangement import intersection_lattice
-from aomoto_lab.errors import DuplicatePoints, OnHyperplane, WeightMismatch
-from aomoto_lab.exactfield import RatFuncKappa, specialize_kappa
+from aomoto_lab.arrangement import (
+    AffineForm, WeightedArrangement, intersection_lattice,
+)
+from aomoto_lab.errors import (
+    DuplicatePoints, NotInSpan, OnHyperplane, WeightMismatch,
+)
+from aomoto_lab.exactfield import (
+    RatFuncKappa, random_point_avoiding, specialize_kappa,
+)
 from aomoto_lab.liealg import TensorSpace, invariant_functionals, sl2
+from aomoto_lab.logforms import expand_top_form, monomial_value
 from aomoto_lab.svmap import (
     _ordering_sum,
     build_arrangement,
@@ -221,3 +228,99 @@ def test_egregium_four_representations():
             "subspaces_equal": True,
             "match": True,
         }, kappa
+
+
+def _interpolated_class(arr, lattice, space, psi, zs, aomoto_space):
+    """The class of psi(v) dt by sampling and solving, as an oracle."""
+    zero = space.zero_weight_indices()
+
+    def evaluator(point):
+        values = sv_vector_eval(space, point, zs)
+        return sum(p * values[z] for p, z in zip(psi, zero))
+
+    return expand_top_form(arr, lattice, evaluator, seed=5, space=aomoto_space)
+
+
+CHAIN_CASES = [
+    ([1, 1], (F(0), F(1))),
+    ([1, 1, 1, 1], ACCEPTANCE_POINTS),
+    ([2, 1, 1], (F(-1, 3), F(1, 2), F(2))),
+    ([2, 2], (F(-3, 4), F(5, 2))),
+]
+
+
+@pytest.mark.parametrize("kappa", [F(7), F(-5, 3)])
+@pytest.mark.parametrize("weights, points", CHAIN_CASES)
+def test_chain_classes_match_interpolation(weights, points, kappa):
+    arr = build_arrangement(sl2(), weights, points, kappa=kappa)
+    lattice = intersection_lattice(arr)
+    aspace = AomotoSpace(arr, lattice, arr.dimension)
+    space = TensorSpace(weights)
+    psis = invariant_functionals(space)
+    assert psis
+    for psi in psis:
+        cls = omega_sv(arr, lattice, space, psi, points, aomoto_space=aspace)
+        expected = _interpolated_class(arr, lattice, space, psi, points, aspace)
+        assert cls.rep == tuple(expected)
+        assert any(c != 0 for c in cls.rep)
+
+
+def test_chain_classes_look_up_hyperplanes_by_form():
+    # the hyperplanes in reverse order, with the diagonal stored as
+    # t_2 - t_1 and one point form doubled: the chains must find them by
+    # form, and dlog(c f) = dlog f leaves every sign alone
+    weights, points = [2, 1, 1], (F(-1, 3), F(1, 2), F(2))
+    arr = build_arrangement(sl2(), weights, points, kappa=3)
+    forms = [
+        AffineForm(-f.constant, tuple(-g for g in f.gradient))
+        if f.constant == 0 else f for f in arr.forms
+    ]
+    forms[0] = AffineForm(2 * forms[0].constant,
+                          tuple(2 * g for g in forms[0].gradient))
+    moved = WeightedArrangement(arr.dimension, forms[::-1], arr.weights[::-1],
+                                coloring=arr.coloring)
+    lattice = intersection_lattice(moved)
+    aspace = AomotoSpace(moved, lattice, 2)
+    space = TensorSpace(weights)
+    for psi in invariant_functionals(space):
+        cls = omega_sv(moved, lattice, space, psi, points, aomoto_space=aspace)
+        expected = _interpolated_class(moved, lattice, space, psi, points, aspace)
+        assert cls.rep == tuple(expected)
+
+
+def test_chain_classes_refuse_a_missing_hyperplane():
+    # a weight-2 point takes two variables, so its chains need the diagonal
+    points = (F(-1, 3), F(1, 2), F(2))
+    arr = build_arrangement(sl2(), [2, 1, 1], points, kappa=3)
+    no_diagonal = WeightedArrangement(arr.dimension, arr.forms[:-1],
+                                      arr.weights[:-1], coloring=arr.coloring)
+    lattice = intersection_lattice(no_diagonal)
+    space = TensorSpace((2, 1, 1))
+    psi = invariant_functionals(space)[0]
+    with pytest.raises(NotInSpan, match="t_1 - t_2"):
+        omega_sv(no_diagonal, lattice, space, psi, points)
+
+
+def test_chain_classes_three_variables_pointwise():
+    # interpolation is far too slow an oracle at M=3, so the reduced
+    # class is evaluated against psi(v) itself at fresh points
+    weights = [2, 1, 1, 2]
+    arr = build_arrangement(sl2(), weights, ACCEPTANCE_POINTS, kappa=7)
+    assert arr.dimension == 3
+    lattice = intersection_lattice(arr)
+    aspace = AomotoSpace(arr, lattice, 3)
+    space = TensorSpace(weights)
+    zero = space.zero_weight_indices()
+    psis = invariant_functionals(space)
+    assert len(psis) == 2
+    for n, psi in enumerate(psis):
+        rep = omega_sv(arr, lattice, space, psi, ACCEPTANCE_POINTS,
+                       aomoto_space=aspace).rep
+        assert any(c != 0 for c in rep)
+        for k in range(3):
+            pt = random_point_avoiding(arr.forms, seed=100 * n + k, dimension=3)
+            values = sv_vector_eval(space, pt, ACCEPTANCE_POINTS)
+            expected = sum(p * values[z] for p, z in zip(psi, zero))
+            got = sum(c * monomial_value(arr, sub, pt)
+                      for c, sub in zip(rep, aspace.monomials) if c)
+            assert got == expected, (n, pt)
