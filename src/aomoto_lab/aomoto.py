@@ -21,6 +21,11 @@ functionals annihilating the image of the differential (and composed
 with the sign-character projector when the arrangement carries a
 coloring), its image inside the top cohomology is the object the rest
 of the package compares against tensor invariants.
+
+Weights w * r_i with rational r_i leave the relations, the image of
+eta-wedge and the admissible functionals as at w = 1, and scale the
+diagonal map by w^M.  So symbolic weights that rational_split splits
+run over Fraction on the r_i, and their classes are scaled afterwards.
 """
 
 from dataclasses import dataclass
@@ -31,6 +36,7 @@ from math import comb
 from . import linalg
 from .arrangement import color_group, perm_sign
 from .errors import BasisMismatch, TooManyMonomials
+from .exactfield import RatFuncKappa
 from .flags import enumerate_flags, phi
 
 # Cost budget on the top-degree monomial count C(size, M).  Six sl2
@@ -54,6 +60,26 @@ def check_top_size(arrangement):
             f"give {count} top-degree monomials, above the budget of "
             f"{MAX_TOP_MONOMIALS}"
         )
+
+
+def rational_split(arrangement):
+    """(w, the arrangement on weights w_i / w) when those are all rational.
+
+    w is the first nonzero weight.  None when every weight is zero, when
+    some w_i / w is not constant, or when the first weight is not a
+    RatFuncKappa: the complex takes its scalar type from the first
+    weight, and from a Fraction some classes keep Fraction entries.
+    """
+    weights = arrangement.weights
+    w = next((x for x in weights if x), None)
+    if w is None or not isinstance(weights[0], RatFuncKappa):
+        return None
+    ratios = [(weights[0] * 0 + x) / w for x in weights]
+    if not all(r.is_constant() for r in ratios):
+        return None
+    return w, type(arrangement)(arrangement.dimension, arrangement.forms,
+                                [r.as_fraction() for r in ratios],
+                                coloring=arrangement.coloring)
 
 
 def insertion_sign(subset, j):

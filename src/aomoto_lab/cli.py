@@ -16,12 +16,14 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import prod
 
 import mpmath
 
 from . import linalg
 from .aomoto import (
-    AomotoComplex, check_top_size, chi_fixed_dim, shapovalov_image,
+    AomotoComplex, check_top_size, chi_fixed_dim, rational_split,
+    shapovalov_image,
 )
 from .arrangement import (
     arrangement_from_json, arrangement_to_json, intersection_lattice,
@@ -212,11 +214,25 @@ def _cmd_lattice(config):
     return report, echo
 
 
-def _cmd_aomoto(config):
-    arr, echo = _resolve_arrangement(config)
+def _complex(arr):
+    """The Aomoto complex to compute on, and the factor w^M for its classes.
+
+    Symbolic weights w * r_i with rational r_i (rational_split) run on the
+    r_i; other weights run as given, with factor None.
+    """
     check_top_size(arr)
     lattice = intersection_lattice(arr)
-    cx = AomotoComplex(arr, lattice)
+    split = rational_split(arr)
+    if split is None:
+        return AomotoComplex(arr, lattice), None
+    w, rational = split
+    factor = prod([w] * arr.dimension, start=RatFuncKappa.constant(1))
+    return AomotoComplex(rational, lattice), factor
+
+
+def _cmd_aomoto(config):
+    arr, echo = _resolve_arrangement(config)
+    cx, _ = _complex(arr)
     a_dims = {str(p): cx.space(p).dim for p in range(arr.dimension + 1)}
     h_dims = {str(p): cx.cohomology_dim(p) for p in range(arr.dimension + 1)}
     report = {"a_dims": a_dims, "h_dims": h_dims}
@@ -230,13 +246,13 @@ def _cmd_image(config):
     use_chi = config.get("chi", False)
     if not isinstance(use_chi, bool):
         _fail("chi", "expected true or false")
-    check_top_size(arr)
-    lattice = intersection_lattice(arr)
-    quotient = AomotoComplex(arr, lattice).top_quotient()
-    rank, basis = shapovalov_image(quotient, use_chi=use_chi)
+    cx, factor = _complex(arr)
+    rank, basis = shapovalov_image(cx.top_quotient(), use_chi=use_chi)
+    reps = [cls.rep if factor is None else [factor * c for c in cls.rep]
+            for cls in basis]
     report = {
         "rank": rank,
-        "basis": [_fmt_vector(cls.rep) for cls in basis],
+        "basis": [_fmt_vector(rep) for rep in reps],
         "chi": use_chi,
     }
     echo = dict(echo)
@@ -412,7 +428,8 @@ def _cmd_kz(config):
         except OverflowError:
             _fail(field, "a value lies beyond the floating-point range")
     sys_obj = KzSystem(points, kappa, precision_bits=precision_bits)
-    samples = _kz_flat_samples(points, seed)
+    # the closed-form flat sections have kappa = 3 exponents
+    samples = _kz_flat_samples(points, seed) if kappa == 3 else None
     with mpmath.workprec(precision_bits + 64):
         matrix = pochhammer_monodromy(
             sys_obj, loop[0] - 1, loop[1] - 1, base=complex(base), tol=tol
@@ -432,18 +449,21 @@ def _cmd_kz(config):
             "a21_abs": _fmt_mpf(abs(matrix[1][0])),
             "det_defect": _fmt_mpf(abs(det - 1)),
         }
-        worst_phi = mpmath.mpf(0)
-        worst_fv = mpmath.mpf(0)
-        for z in samples:
-            worst_phi = max(worst_phi, flat_section_residual(sys_obj, z))
-            worst_fv = max(
-                worst_fv, flat_section_residual(sys_obj, z, section="fv")
-            )
-        flat = {
-            "phi_max_residual": _fmt_mpf(worst_phi),
-            "fv_max_residual": _fmt_mpf(worst_fv),
-            "samples": len(samples),
-        }
+        flat = {"applies": False,
+                "reason": "closed-form exponents hold at kappa 3/1 only"}
+        if samples is not None:
+            worst_phi = mpmath.mpf(0)
+            worst_fv = mpmath.mpf(0)
+            for z in samples:
+                worst_phi = max(worst_phi, flat_section_residual(sys_obj, z))
+                worst_fv = max(
+                    worst_fv, flat_section_residual(sys_obj, z, section="fv")
+                )
+            flat = {
+                "phi_max_residual": _fmt_mpf(worst_phi),
+                "fv_max_residual": _fmt_mpf(worst_fv),
+                "samples": len(samples),
+            }
         h_args = (Fraction(1, 3), Fraction(-1, 3), Fraction(1, 3), Fraction(2))
         value = hyp2f1(*h_args, precision_bits=precision_bits)
         hyp = {

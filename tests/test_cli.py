@@ -9,7 +9,14 @@ from pathlib import Path
 import pytest
 
 from aomoto_lab import cli
-from aomoto_lab.aomoto import MAX_TOP_MONOMIALS, check_top_size
+from aomoto_lab.aomoto import (
+    MAX_TOP_MONOMIALS, AomotoComplex, check_top_size, chi_fixed_dim,
+    rational_split, shapovalov_image,
+)
+from aomoto_lab.arrangement import (
+    AffineForm, WeightedArrangement, arrangement_to_json,
+    intersection_lattice,
+)
 from aomoto_lab.cli import main, run
 from aomoto_lab.errors import (
     AomotoLabError, BranchCut, ConfigError, ExhaustedRetries,
@@ -135,6 +142,23 @@ def test_kz_report_reduced_precision():
     assert abs(float(report["hyp2f1"]["abs"]) - 1) < 1e-8
     assert report["config"]["loop"] == [2, 4]
     assert report["config"]["points"] == ["-1/2", "0/1", "1/2", "1/1"]
+
+
+def test_kz_flat_sections_apply_at_kappa_3_only(monkeypatch):
+    config = {"schema": "1", "precision_bits": 64}
+    flat = run("kz", {**config, "kappa": "3/1"})["flat_sections"]
+    assert sorted(flat) == ["fv_max_residual", "phi_max_residual", "samples"]
+    assert flat["samples"] == 5
+
+    # away from kappa 3 nothing is sampled: a sampler that can never
+    # succeed goes unnoticed
+    def always_on_cut(zs):
+        raise BranchCut("forced")
+
+    monkeypatch.setattr(cli, "_check_branch", always_on_cut)
+    flat = run("kz", {**config, "kappa": "-7/3"})["flat_sections"]
+    assert flat == {"applies": False,
+                    "reason": "closed-form exponents hold at kappa 3/1 only"}
 
 
 def test_run_rejects_bad_inputs():
@@ -414,6 +438,7 @@ def test_golden_reports():
         ("image", "image_chi_symbolic.json"),
         ("aomoto", "aomoto_three_variable.json"),
         ("image", "image_chi_three_variable.json"),
+        ("image", "image_chi_symbolic_three_variable.json"),
         ("kz", "kz_kappa3.json"),
         ("kz", "kz_kappa_m7_3.json"),
     ]
@@ -453,3 +478,102 @@ def test_symbolic_image_specializes_to_rational_image(weights):
         rational = run("aomoto", {**base, "kappa": kappa})
         for field in ("a_dims", "h_dims", "chi_fixed_top_dim"):
             assert symbolic[field] == rational[field], (weights, field, kappa)
+
+
+def _general_reports(arr):
+    """image (chi false, true) and aomoto payloads from the general path.
+
+    The complex runs on arr exactly as given, weights unsplit, so this is
+    the reference for the scaled path that run takes on proportional
+    symbolic weights.  Images keep their scalars, types included.
+    """
+    cx = AomotoComplex(arr, intersection_lattice(arr))
+    quotient = cx.top_quotient()
+    images = {chi: shapovalov_image(quotient, use_chi=chi)
+              for chi in (False, True)}
+    degrees = range(arr.dimension + 1)
+    aomoto = {
+        "a_dims": {str(p): cx.space(p).dim for p in degrees},
+        "h_dims": {str(p): cx.cohomology_dim(p) for p in degrees},
+        "chi_fixed_top_dim": chi_fixed_dim(quotient),
+    }
+    return images, aomoto
+
+
+def _entry_json(c):
+    return c.to_json() if isinstance(c, RatFuncKappa) else format_rational(c)
+
+
+def _assert_run_matches_general(config, arr, all_symbolic=False):
+    images, aomoto = _general_reports(arr)
+    for chi, (rank, basis) in images.items():
+        if all_symbolic:
+            assert all(type(c) is RatFuncKappa for cls in basis for c in cls.rep)
+        expected = [[_entry_json(c) for c in cls.rep] for cls in basis]
+        report = run("image", {**config, "chi": chi})
+        assert report["rank"] == rank, chi
+        # entry by entry: a Fraction serializes as "p/q", a RatFuncKappa
+        # as a num/den object, so this compares types too
+        assert len(report["basis"]) == len(expected)
+        for got, want in zip(report["basis"], expected):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a == b, (chi, a, b)
+    report = run("aomoto", config)
+    assert {field: report[field] for field in aomoto} == aomoto
+
+
+@pytest.mark.parametrize("weights", [[1, 1, 1, 1], [2, 1, 1], [2, 2],
+                                     [2, 1, 1, 2]])
+def test_scaled_symbolic_path_matches_general_path(weights):
+    points = ["-1/2", "0/1", "1/2", "1/1"][:len(weights)]
+    arr = build_arrangement(sl2(), weights,
+                            [parse_rational(p) for p in points])
+    assert rational_split(arr) is not None
+    _assert_run_matches_general(
+        {"schema": "1", "weights": weights, "points": points}, arr,
+        all_symbolic=True)
+
+
+def _weight_variants():
+    base = build_arrangement(sl2(), [2, 1, 1],
+                             [Fraction(-1, 2), Fraction(0), Fraction(1, 2)])
+    kappa = RatFuncKappa.kappa()
+    # c_i with weights c_i / kappa, and a symmetric extra line t1 + t2 = 5
+    cs = [w * kappa for w in base.weights]
+    extra = (AffineForm(Fraction(-5), (Fraction(1), Fraction(1))),)
+
+    def make(weights, forms=base.forms):
+        return WeightedArrangement(base.dimension, forms, weights,
+                                   coloring=base.coloring)
+
+    return {
+        "zero first weight": (
+            make([kappa * 0] + list(base.weights), extra + base.forms), True),
+        "Fraction zero first weight": (
+            make([Fraction(0)] + list(base.weights), extra + base.forms), False),
+        "scale (kappa+1)/kappa": (
+            make([w * (kappa + 1) for w in base.weights]), True),
+        "constant RatFuncKappa weights": (
+            make([c * Fraction(3, 7) for c in cs]), True),
+        # the general path takes its scalar type from the first weight, and
+        # its Fraction classes would not serialize as RatFuncKappa ones
+        "constant RatFuncKappa, then Fractions": (
+            make(cs[:1] + [c.as_fraction() for c in cs[1:]]), True),
+        "Fractions, then constant RatFuncKappa": (
+            make([c.as_fraction() for c in cs[:2]] + cs[2:]), False),
+        "Fraction 1/2 next to 1/kappa": (
+            make([Fraction(1, 2)] + list(base.weights[1:])), False),
+        "1/kappa next to 1/(kappa+1)": (
+            make(list(base.weights[:-1]) + [1 / (kappa + 1)]), False),
+        "all zero": (make([kappa * 0] * base.size), False),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_weight_variants()))
+def test_explicit_weights_report_as_the_general_path(name):
+    arr, proportional = _weight_variants()[name]
+    assert (rational_split(arr) is not None) == proportional
+    _assert_run_matches_general(
+        {"schema": "1", "arrangement": arrangement_to_json(arr)}, arr,
+        all_symbolic=proportional)
