@@ -26,8 +26,8 @@ from .aomoto import (
     shapovalov_image,
 )
 from .arrangement import (
-    arrangement_from_json, arrangement_to_json, intersection_lattice,
-    os_dimension,
+    arrangement_from_json, arrangement_to_json, color_group,
+    intersection_lattice, os_dimension,
 )
 from .errors import AomotoLabError, ConfigError, ExhaustedRetries
 from .exactfield import (
@@ -53,7 +53,7 @@ COMMANDS = (
 
 DISPLAY_DIGITS = 30
 # Most verify-forms sample points: at this bound a four-doublet request
-# takes about 18 s on one core of a 2-vCPU x86-64 VM.
+# takes about 4 s of CPU on one core of a 2-vCPU x86-64 (Xeon) VM.
 MAX_NUM_POINTS = 1000
 
 
@@ -143,6 +143,8 @@ def _resolve_arrangement(config):
     if "arrangement" in config:
         try:
             arr = arrangement_from_json(config["arrangement"])
+            if arr.coloring is not None:  # a coloring must permute the forms
+                color_group(arr)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             _fail("arrangement", str(exc))
         return arr, {"arrangement": arrangement_to_json(arr)}

@@ -7,10 +7,12 @@ generic sample points, and equality at several independently drawn
 points is decisive for fixed-degree rational identities.
 
 The doubled space carries covectors dx_1..dx_M, dy_1..dy_M (indices
-0..M-1 for the first copy, M..2M-1 for the second).  The kernel forms
+0..M-1 for the first copy, M..2M-1 for the second).  With the 2-forms
+omega_i = dlog f_i(x) ^ dlog f_i(y) and Omega = sum_i a_i omega_i, the
+kernel forms
 
-    S^(b)(x, y)   = sum over b-subsets I of  prod_{i in I} a_i *
-                    wedge_{i in I} dlog f_i(x) ^ dlog f_i(y)
+    S^(b)(x, y)   = sum over b-subsets I of  prod_{i in I} a_i omega_i
+                  = Omega^b / b!
     S_{q_1..q_w}  = S^(M - w) ^ wedge_j dlog (F_{q_j}(x) - F_{q_j}(y))
 
 satisfy the boundary identity
@@ -20,6 +22,10 @@ satisfy the boundary identity
 
 which verify_grundlegend checks at sampled points.
 
+The two expressions for S^(b) agree for any scalar type: the omega_i have
+even degree, so they commute, and each squares to zero.  The package
+builds S^(b) as powers of Omega; the subset sum is the tests' oracle.
+
 expand_top_form writes a top form given only by its values in the
 wedge-monomial basis, by exact interpolation.  The package builds its
 own classes without sampling; the tests use it as an independent oracle
@@ -28,7 +34,7 @@ for them.
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
 
 from . import linalg
 from .aomoto import AomotoSpace, monomials
@@ -117,14 +123,18 @@ def _merge_sign(a, b):
     return (-1 if inversions % 2 else 1), tuple(sorted(a + b))
 
 
-def eval_dlog(form, point):
-    """dlog of an affine form at a point, as a degree-1 exterior element."""
+def eval_dlog(form, point, n=None, shift=0):
+    """dlog of an affine form at a point, as a degree-1 exterior element.
+
+    It has n covectors (default len(point)), the form's from index shift
+    on, so eval_dlog(f, y, 2 * M, M) is dlog f(y) on the doubled space.
+    """
     value = form.evaluate(point)
     if value == 0:
         raise OnHyperplane(f"point lies on the hyperplane of {form}")
     return ExteriorElement(
-        len(point),
-        {(j,): g / value for j, g in enumerate(form.gradient) if g != 0},
+        len(point) if n is None else n,
+        {(shift + j,): g / value for j, g in enumerate(form.gradient) if g != 0},
     )
 
 
@@ -141,33 +151,46 @@ def difference_form(form, dimension):
     return AffineForm(0, tuple(grad))
 
 
+def _kernel_forms(arr, xy, top):
+    """eta(x) - eta(y) and S^(0), ..., S^(top) at xy, from one dlog pass."""
+    M = arr.dimension
+    eta = omega = ExteriorElement(2 * M)
+    for form, weight in zip(arr.forms, arr.weights):
+        first = eval_dlog(form, xy[:M], 2 * M)
+        second = eval_dlog(form, xy[M:], 2 * M, M)
+        eta = eta + (first - second).scale(weight)
+        omega = omega + first.wedge(second).scale(weight)
+    powers = [ExteriorElement.one(2 * M)]
+    for b in range(1, top + 1):
+        powers.append(powers[-1].wedge(omega).scale(Fraction(1, b)))
+    return eta, powers
+
+
+def _difference_dlogs(F_list, q_indices, dimension, xy):
+    """dlog (F_q(x) - F_q(y)) for each q; OnDiagonalSlice where it vanishes."""
+    out = []
+    for q in q_indices:
+        diff = difference_form(F_list[q], dimension)
+        if diff.evaluate(xy) == 0:
+            raise OnDiagonalSlice(f"F_{q} takes equal values on both copies")
+        out.append(eval_dlog(diff, xy))
+    return out
+
+
 def eval_eta_difference(arr, xy):
     """eta(x) - eta(y) on the doubled space, evaluated at xy."""
-    M = arr.dimension
-    total = ExteriorElement(2 * M)
-    for form, weight in zip(arr.forms, arr.weights):
-        first = eval_dlog(doubled_form(form, M, 0), xy)
-        second = eval_dlog(doubled_form(form, M, 1), xy)
-        total = total + (first - second).scale(weight)
-    return total
+    return _kernel_forms(arr, xy, 0)[0]
 
 
 def eval_S_b(arr, b, xy):
-    """The degree-2b kernel form S^(b) evaluated at a doubled point."""
-    M = arr.dimension
-    if not 0 <= b <= M:
+    """The degree-2b kernel form S^(b) = Omega^b / b! at a doubled point.
+
+    The omega_i are 2-forms, so they commute and square to zero, and
+    Omega^b is b! times the sum over b-subsets of prod a_i omega_i.
+    """
+    if not 0 <= b <= arr.dimension:
         raise ValueError("b must lie between 0 and the dimension")
-    total = ExteriorElement(2 * M)
-    for subset in combinations(range(arr.size), b):
-        term = ExteriorElement.one(2 * M)
-        for i in subset:
-            term = term.scale(arr.weights[i])
-            pair = eval_dlog(doubled_form(arr.forms[i], M, 0), xy).wedge(
-                eval_dlog(doubled_form(arr.forms[i], M, 1), xy)
-            )
-            term = term.wedge(pair)
-        total = total + term
-    return total
+    return _kernel_forms(arr, xy, b)[1][b]
 
 
 def eval_S_mixed(arr, F_list, q_indices, xy):
@@ -178,16 +201,11 @@ def eval_S_mixed(arr, F_list, q_indices, xy):
     F_q takes equal values on the two copies.
     """
     M = arr.dimension
-    w = len(q_indices)
-    if w > M:
+    if len(q_indices) > M:
         raise ValueError("more comparison indices than the dimension allows")
-    result = eval_S_b(arr, M - w, xy)
-    for q in q_indices:
-        diff = difference_form(F_list[q], M)
-        if diff.evaluate(xy) == 0:
-            raise OnDiagonalSlice(f"F_{q} takes equal values on both copies")
-        result = result.wedge(eval_dlog(diff, xy))
-    return result
+    kernel = eval_S_b(arr, M - len(q_indices), xy)
+    return reduce(ExteriorElement.wedge,
+                  _difference_dlogs(F_list, q_indices, M, xy), kernel)
 
 
 def _sampling_forms(arr, F_list, upto):
@@ -196,6 +214,26 @@ def _sampling_forms(arr, F_list, upto):
     forms += [doubled_form(f, M, 1) for f in arr.forms]
     forms += [difference_form(F_list[q], M) for q in range(upto)]
     return forms
+
+
+def _boundary_sides(arr, rhs_arr, F_list, k, xy):
+    """Both sides of the boundary identity for F_1..F_k at a doubled point.
+
+    The right side is built from rhs_arr: arr itself, or the control's
+    arrangement with a perturbed weight.
+    """
+    M = arr.dimension
+    eta, kernels = _kernel_forms(arr, xy, M - k + 1)
+    upper, lower = kernels[M - k + 1], kernels[M - k]
+    if rhs_arr is not arr:
+        eta, kernels = _kernel_forms(rhs_arr, xy, M - k)
+        lower = kernels[M - k]
+    diffs = _difference_dlogs(F_list, range(k), M, xy)
+    lhs = ExteriorElement(2 * M)
+    for j in range(k):
+        term = reduce(ExteriorElement.wedge, diffs[:j] + diffs[j + 1:], upper)
+        lhs = lhs + term.scale(1 if j % 2 == 0 else -1)
+    return lhs, eta.wedge(reduce(ExteriorElement.wedge, diffs, lower))
 
 
 def verify_grundlegend(arr, F_list, k, num_points=5, seed=0, bound=10**6):
@@ -207,19 +245,13 @@ def verify_grundlegend(arr, F_list, k, num_points=5, seed=0, bound=10**6):
     """
     if not 1 <= k <= arr.dimension:
         raise ValueError("k must lie between 1 and the dimension")
-    qs = list(range(k))
     avoid = _sampling_forms(arr, F_list, k)
     rng = random.Random(seed)
     for _ in range(num_points):
         xy = random_point_avoiding(
             avoid, bound=bound, seed=rng.randrange(2**32), dimension=2 * arr.dimension
         )
-        lhs = ExteriorElement(2 * arr.dimension)
-        for j in range(k):
-            omitted = qs[:j] + qs[j + 1 :]
-            term = eval_S_mixed(arr, F_list, omitted, xy)
-            lhs = lhs + term.scale(1 if j % 2 == 0 else -1)
-        rhs = eval_eta_difference(arr, xy).wedge(eval_S_mixed(arr, F_list, qs, xy))
+        lhs, rhs = _boundary_sides(arr, arr, F_list, k, xy)
         if lhs != rhs:
             return False
     return True
@@ -235,7 +267,6 @@ def grundlegend_control(arr, F_list, k=None, seed=0, bound=10**6):
     """
     if k is None:
         k = arr.dimension
-    qs = list(range(k))
     perturbed = WeightedArrangement(
         arr.dimension,
         arr.forms,
@@ -246,14 +277,7 @@ def grundlegend_control(arr, F_list, k=None, seed=0, bound=10**6):
         _sampling_forms(arr, F_list, k), bound=bound, seed=seed,
         dimension=2 * arr.dimension,
     )
-    lhs = ExteriorElement(2 * arr.dimension)
-    for j in range(k):
-        omitted = qs[:j] + qs[j + 1:]
-        term = eval_S_mixed(arr, F_list, omitted, xy)
-        lhs = lhs + term.scale(1 if j % 2 == 0 else -1)
-    rhs = eval_eta_difference(perturbed, xy).wedge(
-        eval_S_mixed(perturbed, F_list, qs, xy)
-    )
+    lhs, rhs = _boundary_sides(arr, perturbed, F_list, k, xy)
     return lhs != rhs
 
 
@@ -268,39 +292,10 @@ def coordinate_functions(dimension):
 def monomial_value(arr, subset, point):
     """Coefficient of dt_1 ^ ... ^ dt_M in a top wedge monomial at a point."""
     M = arr.dimension
-    rows = []
-    denom = Fraction(1)
-    for i in subset:
-        value = arr.forms[i].evaluate(point)
-        if value == 0:
-            raise OnHyperplane(f"sample point lies on hyperplane {i}")
-        denom *= value
-        rows.append(list(arr.forms[i].gradient))
-    return _det(rows) / denom
-
-
-def _det(rows):
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if rows[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = rows[c][c]
-        for r in range(c + 1, n):
-            if rows[r][c] != 0:
-                f = rows[r][c] / inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
-    return det
+    top = reduce(ExteriorElement.wedge,
+                 [eval_dlog(arr.forms[i], point) for i in subset],
+                 ExteriorElement.one(M))
+    return top.terms.get(tuple(range(M)), Fraction(0))
 
 
 def expand_top_form(arr, lattice, evaluator, seed=0, bound=10**6, extra_avoid=(),

@@ -397,6 +397,26 @@ def test_verify_forms_refuses_too_many_points(tmp_path, capsys):
         assert "config field 'num_points'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,extra", [("aomoto", {}), ("image", {"chi": True})])
+def test_coloring_that_does_not_permute_the_forms_is_a_config_error(
+        tmp_path, capsys, command, extra):
+    # swapping t1 and t2 is allowed by the coloring but moves the line
+    # t1 + 2 t2 = 5 to 2 t1 + t2 = 5, which is not in the arrangement
+    forms = [AffineForm(Fraction(0), (Fraction(1), Fraction(0))),
+             AffineForm(Fraction(-5), (Fraction(1), Fraction(2))),
+             AffineForm(Fraction(0), (Fraction(0), Fraction(1)))]
+    arr = WeightedArrangement(2, forms, [Fraction(1, 2), Fraction(1, 3),
+                                         Fraction(1, 5)], coloring=[0, 0])
+    config = {"schema": "1", "arrangement": arrangement_to_json(arr), **extra}
+    with pytest.raises(ConfigError) as err:
+        run(command, config)
+    assert "config field 'arrangement'" in str(err.value)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path)]) == 2
+    assert "config field 'arrangement'" in capsys.readouterr().err
+
+
 def test_top_monomial_budget_admits_six_doublets():
     six = build_arrangement(sl2(), [1] * 6, [Fraction(k) for k in range(6)],
                             kappa=7)
@@ -441,6 +461,8 @@ def test_golden_reports():
         ("image", "image_chi_symbolic_three_variable.json"),
         ("kz", "kz_kappa3.json"),
         ("kz", "kz_kappa_m7_3.json"),
+        ("verify-forms", "verify_forms_sl2.json"),
+        ("verify-forms", "verify_forms_three_variable.json"),
     ]
     for command, name in cases:
         report = run(command, _load(name))

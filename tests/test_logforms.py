@@ -1,12 +1,18 @@
 """Exterior calculus kernels, the boundary identity, and top-form expansion."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from aomoto_lab import logforms
 from aomoto_lab.aomoto import AomotoSpace, monomials
-from aomoto_lab.arrangement import AffineForm, intersection_lattice
+from aomoto_lab.arrangement import (
+    AffineForm, WeightedArrangement, intersection_lattice,
+)
 from aomoto_lab.errors import NotInSpan, OnDiagonalSlice, OnHyperplane
+from aomoto_lab.liealg import sl2
 from aomoto_lab.logforms import (
     ExteriorElement,
     _merge_sign,
@@ -22,8 +28,12 @@ from aomoto_lab.logforms import (
     monomial_value,
     verify_grundlegend,
 )
+from aomoto_lab.svmap import build_arrangement
 
-from conftest import crossing_lines, parallel_mix, random_m3, sl2_four_point, two_points
+from conftest import (
+    ACCEPTANCE_POINTS, corpus, crossing_lines, parallel_mix, random_m3,
+    sl2_four_point, two_points,
+)
 
 F = Fraction
 
@@ -141,6 +151,109 @@ def test_boundary_identity_control_detects_mismatch():
     for arr in [two_points(), crossing_lines(), random_m3()]:
         coords = coordinate_functions(arr.dimension)
         assert grundlegend_control(arr, coords, seed=5)
+
+
+def _subset_S_b(arr, b, xy):
+    """S^(b) as the sum over b-subsets of prod a_i dlog f_i(x) ^ dlog f_i(y)."""
+    M = arr.dimension
+    total = ExteriorElement(2 * M)
+    for subset in combinations(range(arr.size), b):
+        term = ExteriorElement.one(2 * M)
+        for i in subset:
+            dx = eval_dlog(doubled_form(arr.forms[i], M, 0), xy)
+            dy = eval_dlog(doubled_form(arr.forms[i], M, 1), xy)
+            term = term.wedge(dx.wedge(dy)).scale(arr.weights[i])
+        total = total + term
+    return total
+
+
+def _reference_eta(arr, xy):
+    M = arr.dimension
+    total = ExteriorElement(2 * M)
+    for form, weight in zip(arr.forms, arr.weights):
+        dx = eval_dlog(doubled_form(form, M, 0), xy)
+        dy = eval_dlog(doubled_form(form, M, 1), xy)
+        total = total + (dx - dy).scale(weight)
+    return total
+
+
+def _reference_sides(arr, rhs_arr, F_list, k, xy):
+    """Both sides of the boundary identity from the subset sums.
+
+    The left side is built from arr, the right side from rhs_arr.
+    """
+    M = arr.dimension
+
+    def mixed(a, qs):
+        out = _subset_S_b(a, M - len(qs), xy)
+        for q in qs:
+            out = out.wedge(eval_dlog(difference_form(F_list[q], M), xy))
+        return out
+
+    lhs = ExteriorElement(2 * M)
+    for j in range(k):
+        omitted = [q for q in range(k) if q != j]
+        lhs = lhs + mixed(arr, omitted).scale(1 if j % 2 == 0 else -1)
+    return lhs, _reference_eta(rhs_arr, xy).wedge(mixed(rhs_arr, range(k)))
+
+
+def _doubled_points(arr, count, seed):
+    """Seeded doubled points off every hyperplane and coordinate diagonal."""
+    rng = random.Random(seed)
+    M = arr.dimension
+    points = []
+    while len(points) < count:
+        xy = tuple(F(rng.randint(-60, 60), rng.randint(1, 9)) for _ in range(2 * M))
+        x, y = xy[:M], xy[M:]
+        if (all(f.evaluate(x) and f.evaluate(y) for f in arr.forms)
+                and all(a != b for a, b in zip(x, y))):
+            points.append(xy)
+    return points
+
+
+POWER_FORM_CASES = [
+    *(pytest.param(arr, id=f"corpus{i}") for i, arr in enumerate(corpus())),
+    pytest.param(build_arrangement(sl2(), [2, 1, 1, 2], ACCEPTANCE_POINTS,
+                                   kappa=7), id="sl2-2112"),
+    # kappa left symbolic: RatFuncKappa weights
+    pytest.param(build_arrangement(sl2(), [1, 1, 1, 1], ACCEPTANCE_POINTS),
+                 id="symbolic-1111"),
+    pytest.param(build_arrangement(sl2(), [2, 1, 1], ACCEPTANCE_POINTS[:3]),
+                 id="symbolic-211"),
+]
+
+
+@pytest.mark.parametrize("arr", POWER_FORM_CASES)
+def test_power_form_matches_subset_sum(arr, monkeypatch):
+    # S^(b) = Omega^b / b! against the subset sum, and the two sides that
+    # verify_grundlegend and grundlegend_control build at their own sample
+    # points against the ones built from the subset sums
+    M = arr.dimension
+    coords = coordinate_functions(M)
+    for xy in _doubled_points(arr, 2, seed=M * 100 + arr.size):
+        for b in range(M + 1):
+            assert eval_S_b(arr, b, xy) == _subset_S_b(arr, b, xy), b
+        assert eval_eta_difference(arr, xy) == _reference_eta(arr, xy)
+
+    built = []
+    sides = logforms._boundary_sides
+
+    def recording(lhs_arr, rhs_arr, F_list, k, xy):
+        out = sides(lhs_arr, rhs_arr, F_list, k, xy)
+        built.append((k, xy, out))
+        return out
+
+    monkeypatch.setattr(logforms, "_boundary_sides", recording)
+    for k in range(1, M + 1):
+        assert verify_grundlegend(arr, coords, k, num_points=2, seed=k)
+    checked = len(built)
+    assert grundlegend_control(arr, coords, seed=3)
+    assert checked == 2 * M and len(built) == checked + 1
+    perturbed = WeightedArrangement(
+        M, arr.forms, [arr.weights[0] + F(1, 5), *arr.weights[1:]])
+    for n, (k, xy, got) in enumerate(built):
+        rhs_arr = arr if n < checked else perturbed
+        assert got == _reference_sides(arr, rhs_arr, coords, k, xy), n
 
 
 def test_monomial_value_examples():
