@@ -12,6 +12,7 @@ input), 2 config error (the job never started).
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -55,6 +56,10 @@ DISPLAY_DIGITS = 30
 # Most verify-forms sample points: at this bound a four-doublet request
 # takes about 4 s of CPU on one core of a 2-vCPU x86-64 (Xeon) VM.
 MAX_NUM_POINTS = 1000
+# Highest kz precision: the cost of a request about triples per doubling
+# of the bits, and at this bound a kappa-3 request takes about 100 s of
+# CPU on the same VM.
+MAX_PRECISION_BITS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +400,17 @@ def _kz_flat_samples(points, seed, count=5):
     return samples
 
 
+# The hyp2f1 self-test of a kz report: fixed arguments, with the closed
+# form (1 - u)^(-b) = exp(i pi / 3).
+_HYP2F1_ARGS = (Fraction(1, 3), Fraction(-1, 3), Fraction(1, 3), Fraction(2))
+
+
+@functools.lru_cache(maxsize=4)
+def _hyp2f1_self_test(precision_bits):
+    """The self-test's value, computed once per precision per process."""
+    return hyp2f1(*_HYP2F1_ARGS, precision_bits=precision_bits)
+
+
 def _cmd_kz(config):
     # the connection acts on four doublets
     points = (
@@ -404,8 +420,9 @@ def _cmd_kz(config):
     kappa = _parse_kappa(config, default=Fraction(3))
     precision_bits = config.get("precision_bits", DEFAULT_PRECISION_BITS)
     if not isinstance(precision_bits, int) or isinstance(precision_bits, bool) \
-            or precision_bits < 64:
-        _fail("precision_bits", "expected an integer >= 64")
+            or not 64 <= precision_bits <= MAX_PRECISION_BITS:
+        _fail("precision_bits",
+              f"expected an integer from 64 to {MAX_PRECISION_BITS}")
     seed = _seed(config)
     tol_raw = config.get("tol")
     tol = None
@@ -420,8 +437,9 @@ def _cmd_kz(config):
     loop = config.get("loop", [2, 4])
     if (not isinstance(loop, list) or len(loop) != 2
             or any(not isinstance(i, int) or isinstance(i, bool) for i in loop)
-            or not all(1 <= i <= len(points) for i in loop) or loop[0] == loop[1]):
-        _fail("loop", "expected two distinct 1-based point indices")
+            or not all(2 <= i <= len(points) for i in loop) or loop[0] == loop[1]):
+        # point 1 is the one that moves, so it is no puncture to circle
+        _fail("loop", "expected two distinct point indices from 2 to 4")
     base = _parse_rat(config["base"], "base") if "base" in config else points[0]
     # the flat samples and the loop base pass through complex floats
     for field, value in [*(("points", p) for p in points), ("base", base)]:
@@ -466,13 +484,12 @@ def _cmd_kz(config):
                 "fv_max_residual": _fmt_mpf(worst_fv),
                 "samples": len(samples),
             }
-        h_args = (Fraction(1, 3), Fraction(-1, 3), Fraction(1, 3), Fraction(2))
-        value = hyp2f1(*h_args, precision_bits=precision_bits)
+        value = _hyp2f1_self_test(precision_bits)
         hyp = {
-            "a": format_rational(h_args[0]),
-            "b": format_rational(h_args[1]),
-            "c": format_rational(h_args[2]),
-            "u": format_rational(h_args[3]),
+            "a": format_rational(_HYP2F1_ARGS[0]),
+            "b": format_rational(_HYP2F1_ARGS[1]),
+            "c": format_rational(_HYP2F1_ARGS[2]),
+            "u": format_rational(_HYP2F1_ARGS[3]),
             "value": _fmt_complex(value),
             "abs": _fmt_mpf(abs(value)),
         }
@@ -550,7 +567,8 @@ def main(argv=None):
         if name == "kz":
             p.add_argument("--kappa", help="override config kappa (p/q)")
             p.add_argument("--base", help="override loop base point (p/q)")
-            p.add_argument("--loop", help="override loop pair, e.g. 2,4")
+            p.add_argument("--loop", help="override the two circled points "
+                                          "(2 to 4), e.g. 2,4")
             p.add_argument("--tol", help="override transport tolerance")
             p.add_argument("--precision-bits", type=int,
                            help="override working precision")

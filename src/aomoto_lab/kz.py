@@ -94,7 +94,11 @@ def _casimir_matrices(weights):
 
 
 class KzSystem:
-    """Marked points, kappa, and the Casimir matrices they act through."""
+    """Marked points, kappa, and the Casimir matrices they act through.
+
+    A system remembers every segment transport it has computed (see
+    transport), so it is not to be modified after construction.
+    """
 
     def __init__(self, points, kappa, matrices=None,
                  precision_bits=DEFAULT_PRECISION_BITS):
@@ -110,6 +114,7 @@ class KzSystem:
             raise ValueError("one Casimir matrix is needed per pair of points")
         self.d = len(next(iter(self.matrices.values())))
         self.precision_bits = precision_bits
+        self.segment_transports = {}
 
     def omega(self, j, k):
         if j == k:
@@ -336,7 +341,11 @@ def transport(sys, path, tol=None, moving=0):
     length is at most STEP_RATIO times the distance to the nearest
     puncture, and raises StepUnderflow inside the keep-out radius.  The
     step matrices and their products are raw libmp tuples (see
-    _taylor_step); the result becomes mpc once, here.
+    _taylor_step); the result becomes mpc once, here.  Each segment's
+    transport is kept in sys.segment_transports, keyed on everything it
+    depends on besides the system itself, so a leg that two paths share
+    (the way out of and back to the base of a commutator's two loops) is
+    integrated once; the products run in the same order either way.
     """
     punctures = [
         _to_mpc(sys.points[k]) for k in range(sys.n) if k != moving
@@ -353,15 +362,17 @@ def transport(sys, path, tol=None, moving=0):
             tol = mpmath.mpf(tol)
         quarter_tol = (tol / 4)._mpf_
         minus_inv_kappa = _to_mpc(Fraction(-1, 1) / sys.kappa)._mpc_
+        known = sys.segment_transports
+        context = (moving, tuple(p._mpc_ for p in punctures), quarter_tol)
         total = _raw_identity(sys.d)
         for a, b in path.segments():
-            total = _raw_mat_mul(
-                _segment_transport(
+            key = (context, a, b)
+            if key not in known:
+                known[key] = _segment_transport(
                     _to_mpc(a), _to_mpc(b), punctures, omegas,
                     minus_inv_kappa, quarter_tol, prec,
-                ),
-                total, prec,
-            )
+                )
+            total = _raw_mat_mul(known[key], total, prec)
         return [[mpmath.mp.make_mpc(x) for x in row] for row in total]
 
 
@@ -537,6 +548,8 @@ def pochhammer_monodromy(sys, p, q, base=None, tol=None, radius=0.15,
 
     The loop runs around p, then q, then backwards around p, then q; the
     transport matrix is the corresponding commutator T_q^-1 T_p^-1 T_q T_p.
+    Both loops leave the base and return to it along the same leg, which
+    the system's segment table transports once.
     """
     t_p = simple_loop_monodromy(sys, p, base=base, tol=tol, radius=radius,
                                 depth=depth, moving=moving)

@@ -20,7 +20,7 @@ from aomoto_lab.arrangement import (
 from aomoto_lab.cli import main, run
 from aomoto_lab.errors import (
     AomotoLabError, BranchCut, ConfigError, ExhaustedRetries,
-    LoopEnclosesPuncture, TooManyMonomials,
+    LoopEnclosesPuncture, PrecisionLoss, TooManyMonomials,
 )
 from aomoto_lab.liealg import sl2
 from aomoto_lab.svmap import build_arrangement
@@ -144,6 +144,56 @@ def test_kz_report_reduced_precision():
     assert report["config"]["points"] == ["-1/2", "0/1", "1/2", "1/1"]
 
 
+@pytest.fixture
+def fresh_hyp2f1_memo():
+    # the memo outlives a request, so a test that swaps hyp2f1 must not
+    # find or leave a value in it
+    cli._hyp2f1_self_test.cache_clear()
+    yield
+    cli._hyp2f1_self_test.cache_clear()
+
+
+KZ_QUICK = {"schema": "1", "precision_bits": 64, "kappa": "-7/3", "loop": [2, 3]}
+
+
+def test_kz_hyp2f1_self_test_runs_once_per_precision(
+        monkeypatch, fresh_hyp2f1_memo):
+    calls = []
+    hyp2f1 = cli.hyp2f1
+
+    def counted(*args, precision_bits):
+        calls.append(precision_bits)
+        return hyp2f1(*args, precision_bits=precision_bits)
+
+    monkeypatch.setattr(cli, "hyp2f1", counted)
+    first, second = (json.dumps(run("kz", KZ_QUICK), sort_keys=True, indent=2)
+                     for _ in range(2))
+    assert first == second
+    assert calls == [64]
+    run("kz", {**KZ_QUICK, "precision_bits": 72})
+    assert calls == [64, 72]
+
+
+def test_kz_hyp2f1_failure_is_not_remembered(
+        tmp_path, capsys, monkeypatch, fresh_hyp2f1_memo):
+    calls = []
+
+    def unconverged(*args, precision_bits):
+        calls.append(precision_bits)
+        raise PrecisionLoss("contour quadrature did not converge on a chord")
+
+    monkeypatch.setattr(cli, "hyp2f1", unconverged)
+    for _ in range(2):
+        with pytest.raises(PrecisionLoss):
+            run("kz", KZ_QUICK)
+    assert calls == [64, 64]
+    path = tmp_path / "kz.json"
+    path.write_text(json.dumps(KZ_QUICK))
+    assert main(["kz", "--config", str(path)]) == 1
+    assert "PrecisionLoss" in capsys.readouterr().err
+    assert calls == [64, 64, 64]
+
+
 def test_kz_flat_sections_apply_at_kappa_3_only(monkeypatch):
     config = {"schema": "1", "precision_bits": 64}
     flat = run("kz", {**config, "kappa": "3/1"})["flat_sections"]
@@ -238,6 +288,16 @@ def test_kz_flag_overrides(tmp_path, capsys):
     assert rc == 2
     assert "--loop" in capsys.readouterr().err
 
+    # point 1 is the moving point, so no loop can circle it
+    rc = main(["kz", "--config", str(cfg), "--loop", "1,2"])
+    assert rc == 2
+    assert "config field 'loop'" in capsys.readouterr().err
+
+    for bits in (cli.MAX_PRECISION_BITS + 1, 10**6):
+        rc = main(["kz", "--config", str(cfg), "--precision-bits", str(bits)])
+        assert rc == 2
+        assert "config field 'precision_bits'" in capsys.readouterr().err
+
 
 BEYOND_FLOAT = str(10**400) + "/1"
 
@@ -252,6 +312,12 @@ BEYOND_FLOAT = str(10**400) + "/1"
     ("points", ["-" + BEYOND_FLOAT, "0/1", "1/2", "1/1"]),
     ("base", BEYOND_FLOAT),
     ("base", "-" + BEYOND_FLOAT),
+    ("precision_bits", 63),
+    ("precision_bits", cli.MAX_PRECISION_BITS + 1),
+    ("precision_bits", 10**6),
+    ("loop", [1, 2]),
+    ("loop", [3, 1]),
+    ("loop", [2, 5]),
 ])
 def test_kz_rejects_malformed_fields(tmp_path, capsys, field, value):
     config = {"schema": "1", "precision_bits": 64, field: value}
@@ -465,9 +531,12 @@ def test_golden_reports():
         ("verify-forms", "verify_forms_three_variable.json"),
     ]
     for command, name in cases:
-        report = run(command, _load(name))
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        assert text == (GOLDEN / name).read_text(), name
+        # kz runs twice, so the golden also pins the report whose hyp2f1
+        # value comes from the per-process memo
+        for _ in range(2 if command == "kz" else 1):
+            report = run(command, _load(name))
+            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+            assert text == (GOLDEN / name).read_text(), name
 
 
 def _specialize_entry(entry, kappa):

@@ -164,6 +164,30 @@ def test_simple_loop_determinant_residue():
     assert abs(det - expected) < mpmath.mpf("1e-12")
 
 
+@pytest.mark.parametrize("kappa", [F(3), F(4), F(5, 2), F(-7, 3)])
+def test_simple_loop_trace_and_det_at_every_kappa(kappa):
+    # the counterclockwise loop of z_1 around z_j is conjugate to
+    # exp(-2 pi i Omega_1j / kappa), and Omega_1j has the eigenvalues 1/2
+    # and -3/2 on coinvariants; the three loops share one system, so the
+    # later ones take their legs out of the base from its segment table
+    bits = 64
+    sys = KzSystem(POINTS, kappa, precision_bits=bits)
+    with mpmath.workprec(bits + 64):
+        k = mpmath.mpf(kappa.numerator) / kappa.denominator
+        trace = mpmath.exp(-1j * mpmath.pi / k) + mpmath.exp(3j * mpmath.pi / k)
+        det = mpmath.exp(2j * mpmath.pi / k)
+    tol = mpmath.mpf(2) ** -(bits // 2)
+    for j in (1, 2, 3):
+        (a, b), (c, d) = sys.omega(0, j)
+        assert (a + d, a * d - b * c) == (F(1, 2) - F(3, 2), F(1, 2) * F(-3, 2))
+        mono = simple_loop_monodromy(sys, j)
+        with mpmath.workprec(bits + 64):
+            got_trace = mono[0][0] + mono[1][1]
+            got_det = mono[0][0] * mono[1][1] - mono[0][1] * mono[1][0]
+            assert abs(got_trace - trace) < tol, j
+            assert abs(got_det - det) < tol, j
+
+
 # The Taylor recurrence on mpc objects, as the transport computed it before
 # its kernel moved to raw libmp tuples.  The raw kernel must reproduce
 # every rounded value of it.
@@ -335,6 +359,31 @@ def test_pochhammer_unipotent_at_kappa_three():
     assert abs(mono[1][0]) > mpmath.mpf("1e-3")
     det = mono[0][0] * mono[1][1] - mono[0][1] * mono[1][0]
     assert abs(det - 1) < mpmath.mpf("1e-12")
+
+
+def test_pochhammer_transports_the_shared_legs_once(monkeypatch):
+    # the commutator is the one of two loops built on fresh systems, bit
+    # for bit, with the legs to and from the base integrated once
+    steps = []
+    taylor_step = kz._taylor_step
+
+    def counted(*args):
+        steps.append(args)
+        return taylor_step(*args)
+
+    monkeypatch.setattr(kz, "_taylor_step", counted)
+    kappa, bits = F(-7, 3), 96
+    got = pochhammer_monodromy(KzSystem(POINTS, kappa, precision_bits=bits), 1, 2)
+    shared = len(steps)
+    steps.clear()
+    t_p = simple_loop_monodromy(KzSystem(POINTS, kappa, precision_bits=bits), 1)
+    t_q = simple_loop_monodromy(KzSystem(POINTS, kappa, precision_bits=bits), 2)
+    assert shared < len(steps)
+    with mpmath.workprec(bits + 64):
+        inv = kz._mat_inv
+        expected = kz._mat_mul(inv(t_q), kz._mat_mul(inv(t_p), kz._mat_mul(t_q, t_p)))
+    assert [[x._mpc_ for x in row] for row in got] == \
+        [[x._mpc_ for x in row] for row in expected]
 
 
 def test_pochhammer_near_identity_for_large_kappa():
