@@ -65,16 +65,14 @@ def check_top_size(arrangement):
 def rational_split(arrangement):
     """(w, the arrangement on weights w_i / w) when those are all rational.
 
-    w is the first nonzero weight.  None when every weight is zero, when
-    some w_i / w is not constant, or when the first weight is not a
-    RatFuncKappa: the complex takes its scalar type from the first
-    weight, and from a Fraction some classes keep Fraction entries.
+    w is the first nonzero weight.  None when no weight is a RatFuncKappa,
+    when every weight is zero, or when some w_i / w is not constant.
     """
     weights = arrangement.weights
     w = next((x for x in weights if x), None)
-    if w is None or not isinstance(weights[0], RatFuncKappa):
+    if w is None or not isinstance(arrangement.zero, RatFuncKappa):
         return None
-    ratios = [(weights[0] * 0 + x) / w for x in weights]
+    ratios = [(arrangement.zero + x) / w for x in weights]
     if not all(r.is_constant() for r in ratios):
         return None
     return w, type(arrangement)(arrangement.dimension, arrangement.forms,
@@ -113,7 +111,7 @@ def differential(arrangement, p, vector):
         raise BasisMismatch(f"expected {len(monomials(arrangement.size, p))} coefficients")
     out_monomials = monomials(arrangement.size, p + 1)
     out_index = {m: k for k, m in enumerate(out_monomials)}
-    out = [_zero(arrangement)] * len(out_monomials)
+    out = [arrangement.zero] * len(out_monomials)
     for subset, c in zip(monomials(arrangement.size, p), vector):
         if c == 0:
             continue
@@ -127,12 +125,8 @@ def differential(arrangement, p, vector):
     return out
 
 
-def _zero(arrangement):
-    return arrangement.weights[0] * 0
-
-
 def weight_product(arrangement, subset):
-    acc = arrangement.weights[0] * 0 + 1
+    acc = arrangement.zero + 1
     for i in subset:
         acc = acc * arrangement.weights[i]
     return acc
@@ -196,7 +190,7 @@ class AomotoComplex:
             src, dst = self.space(p), self.space(p + 1)
             cols = []
             for k in src.free:
-                vec = [_zero(self.arrangement)] * len(src.monomials)
+                vec = [self.arrangement.zero] * len(src.monomials)
                 vec[k] = vec[k] + 1
                 cols.append(dst.coords(differential(self.arrangement, p, vec)))
             self._diffs[p] = [list(row) for row in zip(*cols)] if cols else []
@@ -298,7 +292,7 @@ class TopQuotient:
         self.space = cx.space(M)
         below = cx.differential_matrix(M - 1)
         image, image_pivots = linalg.rref([list(col) for col in zip(*below)])
-        zero = _zero(cx.arrangement)
+        zero = cx.arrangement.zero
         self.image_rows = []
         for row in image:
             lifted = [zero] * len(self.space.monomials)
@@ -351,7 +345,7 @@ def dual_functional_space(quotient):
     quotient holds.  The basis is read off that form: one vector per free
     monomial, with a 1 there, as linalg.nullspace would give.
     """
-    zero = _zero(quotient.space.arrangement)
+    zero = quotient.space.arrangement.zero
     return linalg.rref_kernel(quotient.rref, quotient.pivots,
                               len(quotient.space.monomials), zero, zero + 1)
 

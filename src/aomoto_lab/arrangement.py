@@ -5,7 +5,10 @@ f_i on an M-dimensional affine space together with scalar weights a_i.
 Edges are the nonempty intersections of hyperplanes; they are graded by
 codimension and ordered by inclusion.  Edges are identified by the
 reduced row echelon form of their defining linear system, which makes
-equality and ordering canonical.
+equality and ordering canonical.  The intersection lattice row-reduces
+each (edge, hyperplane) system once and records the meets it finds; the
+defining sets of the edges and the flags of hyperplane tuples are read
+off that record.
 
 The one-form eta = sum_i a_i dlog f_i plays the role of the twisting
 differential throughout the package.
@@ -59,7 +62,9 @@ class WeightedArrangement:
 
     The coloring labels each of the M coordinates; it is only consulted
     by the symmetry-group machinery.  Weights may be Fractions or
-    RatFuncKappa scalars (symbolic mode).
+    RatFuncKappa scalars (symbolic mode).  zero is the scalar zero every
+    computation on the weights starts from: a RatFuncKappa zero when any
+    weight is a RatFuncKappa, Fraction(0) otherwise.
     """
 
     def __init__(self, dimension, forms, weights, coloring=None):
@@ -69,6 +74,8 @@ class WeightedArrangement:
         self.forms = tuple(forms)
         self.weights = tuple(weights)
         self.coloring = tuple(coloring) if coloring is not None else None
+        symbolic = any(isinstance(w, RatFuncKappa) for w in self.weights)
+        self.zero = RatFuncKappa.constant(0) if symbolic else Fraction(0)
         if len(self.forms) != len(self.weights):
             raise ValueError("need exactly one weight per form")
         for f in self.forms:
@@ -104,8 +111,6 @@ class Edge:
 
     codim: int
     key: tuple
-    basis_point: tuple
-    directions: tuple
     defining: frozenset
 
 
@@ -120,41 +125,6 @@ def _system_rref(rows):
     return tuple(tuple(row) for row in red)
 
 
-def _edge_from_key(dimension, key, arr=None):
-    pivots = []
-    for row in key:
-        for c in range(dimension):
-            if row[c] != 0:
-                pivots.append(c)
-                break
-    point = [Fraction(0)] * dimension
-    for row, pc in zip(key, pivots):
-        point[pc] = row[dimension]
-    grad_rows = [row[:dimension] for row in key]
-    dirs = tuple(tuple(v) for v in linalg.nullspace(grad_rows, dimension))
-    defining = frozenset()
-    if arr is not None:
-        defining = frozenset(
-            i for i, f in enumerate(arr.forms) if _form_contains(f, point, dirs)
-        )
-    return Edge(
-        codim=len(key),
-        key=key,
-        basis_point=tuple(point),
-        directions=dirs,
-        defining=defining,
-    )
-
-
-def _form_contains(form, point, directions):
-    if form.evaluate(point) != 0:
-        return False
-    return all(
-        sum(g * d for g, d in zip(form.gradient, direction)) == 0
-        for direction in directions
-    )
-
-
 def _augmented_row(form):
     return [*form.gradient, -form.constant]
 
@@ -164,39 +134,53 @@ class IntersectionLattice:
 
     Built level by level: codim-(p+1) edges are the proper intersections
     of codim-p edges with single hyperplanes, deduplicated by canonical
-    key.  Edge containment is decided through saturated defining sets:
-    X is contained in Y iff defining(Y) is a subset of defining(X).
+    key and sorted by key within a level.  Every proper intersection
+    found is recorded in a meet table, read through meet(edge, i).
+
+    The defining set of a new edge X is the union of defining(E) | {i}
+    over the recorded pairs (E, i) that produce X.  That union is exact:
+    a hyperplane H_j containing X either contains a parent E of X, or it
+    does not, and then E cap H_j is X, so (E, j) is a recorded pair.
+    Edge containment is decided through these saturated sets: X is
+    contained in Y iff defining(Y) is a subset of defining(X).
     """
 
     def __init__(self, arrangement):
-        self.arrangement = arrangement
-        M = arrangement.dimension
-        ambient = _edge_from_key(M, (), arrangement)
-        levels = [[ambient]]
-        for p in range(1, M + 1):
-            seen = {}
-            for edge in levels[p - 1]:
-                base_rows = [list(r) for r in edge.key]
-                for i in range(arrangement.size):
+        rows = [_augmented_row(f) for f in arrangement.forms]
+        edges = [Edge(codim=0, key=(), defining=frozenset())]
+        self._meet = {}
+        self._by_codim = {0: [0]}
+        for p in range(1, arrangement.dimension + 1):
+            found = {}  # key -> (defining set, producing pairs)
+            for e in self._by_codim[p - 1]:
+                edge = edges[e]
+                for i, row in enumerate(rows):
                     if i in edge.defining:
                         continue
-                    key = _system_rref(base_rows + [_augmented_row(arrangement.forms[i])])
+                    key = _system_rref([*edge.key, row])
                     if key is None or len(key) != p:
                         continue
-                    if key not in seen:
-                        seen[key] = _edge_from_key(M, key, arrangement)
-            levels.append(sorted(seen.values(), key=lambda e: e.key))
-        self.edges = tuple(e for level in levels for e in level)
-        self._index = {e.key: i for i, e in enumerate(self.edges)}
-        self._by_codim = {}
-        for i, e in enumerate(self.edges):
-            self._by_codim.setdefault(e.codim, []).append(i)
+                    defining, pairs = found.setdefault(key, (set(), []))
+                    defining.update(edge.defining, (i,))
+                    pairs.append((e, i))
+            self._by_codim[p] = []
+            for key in sorted(found):
+                defining, pairs = found[key]
+                for pair in pairs:
+                    self._meet[pair] = len(edges)
+                self._by_codim[p].append(len(edges))
+                edges.append(Edge(codim=p, key=key, defining=frozenset(defining)))
+        self.edges = tuple(edges)
 
     def by_codim(self, p):
         return tuple(self._by_codim.get(p, ()))
 
-    def index_of(self, key):
-        return self._index[key]
+    def meet(self, edge, i):
+        """Index of edges[edge] cap H_i one codimension down.
+
+        None when H_i contains the edge or misses it (is parallel to it).
+        """
+        return self._meet.get((edge, i))
 
     def contains(self, outer, inner):
         """True when edges[outer] contains edges[inner] (weak containment)."""

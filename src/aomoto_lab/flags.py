@@ -27,41 +27,22 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from . import linalg
-from .arrangement import _augmented_row, _system_rref, perm_sign
-
-
-def _extend_flag_edge(lattice, edge, hyperplane_index):
-    """Index of edge cut down by one hyperplane, or None if codim does not grow."""
-    cache = getattr(lattice, "_extend_cache", None)
-    if cache is None:
-        cache = {}
-        lattice._extend_cache = cache
-    cache_key = (edge.key, hyperplane_index)
-    if cache_key in cache:
-        return cache[cache_key]
-    form = lattice.arrangement.forms[hyperplane_index]
-    key = _system_rref([list(r) for r in edge.key] + [_augmented_row(form)])
-    result = None
-    if key is not None and len(key) == edge.codim + 1:
-        result = lattice.index_of(key)
-    cache[cache_key] = result
-    return result
+from .arrangement import perm_sign
 
 
 def flag_of_tuple(lattice, indices):
     """The stepwise flag of an ordered hyperplane tuple, or None.
 
-    Walks ambient > H_1 > H_1 cap H_2 > ...; returns the tuple of lattice
-    edge indices when every step raises the codimension by one.
+    Walks ambient > H_1 > H_1 cap H_2 > ... through lattice.meet; returns
+    the tuple of lattice edge indices when every step raises the
+    codimension by one.
     """
-    current = 0  # ambient edge is always first in the lattice ordering
-    flag = [current]
+    flag = [0]  # ambient edge is always first in the lattice ordering
     for h in indices:
-        nxt = _extend_flag_edge(lattice, lattice.edges[current], h)
+        nxt = lattice.meet(flag[-1], h)
         if nxt is None:
             return None
         flag.append(nxt)
-        current = nxt
     return tuple(flag)
 
 
@@ -131,10 +112,10 @@ def contravariant_form(arrangement, lattice, p):
     flags = enumerate_flags(lattice, p)
     index = {f: k for k, f in enumerate(flags)}
     n = len(flags)
-    zero = _zero_scalar(arrangement)
+    zero = arrangement.zero
     gram = [[zero for _ in range(n)] for _ in range(n)]
     for subset in combinations(range(arrangement.size), p):
-        weight = _one_scalar(arrangement)
+        weight = zero + 1
         for i in subset:
             weight = weight * arrangement.weights[i]
         realized = {}
@@ -150,14 +131,6 @@ def contravariant_form(arrangement, lattice, p):
             for kg, sg in realized.items():
                 gram[kf][kg] = gram[kf][kg] + weight * (sf * sg)
     return gram
-
-
-def _zero_scalar(arrangement):
-    return arrangement.weights[0] * 0
-
-
-def _one_scalar(arrangement):
-    return arrangement.weights[0] * 0 + 1
 
 
 def flag_space_dim(lattice, p):

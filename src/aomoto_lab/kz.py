@@ -347,14 +347,16 @@ def transport(sys, path, tol=None, moving=0):
     (the way out of and back to the base of a commutator's two loops) is
     integrated once; the products run in the same order either way.
     """
-    punctures = [
-        _to_mpc(sys.points[k]) for k in range(sys.n) if k != moving
-    ]
-    omegas = [
-        [[x._mpc_ for x in row] for row in _frac_matrix(sys.omega(moving, k))]
-        for k in range(sys.n) if k != moving
-    ]
     with mpmath.workprec(sys.precision_bits + 64):
+        # converted here, so the result does not depend on the caller's
+        # precision
+        punctures = [
+            _to_mpc(sys.points[k]) for k in range(sys.n) if k != moving
+        ]
+        omegas = [
+            [[x._mpc_ for x in row] for row in _frac_matrix(sys.omega(moving, k))]
+            for k in range(sys.n) if k != moving
+        ]
         prec = mpmath.mp.prec
         if tol is None:
             tol = mpmath.mpf(2) ** (-(sys.precision_bits // 2))
@@ -612,63 +614,56 @@ def flat_section_residual(sys, zs, exponent=_PHI_EXPONENT, section="phi"):
     """
     if len(zs) != 4 or sys.n != 4:
         raise ValueError("flat sections are implemented for four points")
+    if section not in ("phi", "fv"):
+        raise ValueError("section must be 'phi' or 'fv'")
     with mpmath.workprec(sys.precision_bits):
         _check_branch(zs)
         z = [_to_mpc(v) for v in zs]
         inv_kappa = 1 / _to_mpc(sys.kappa)
+        phi = _phi_vector(z)
         worst = mpmath.mpf(0)
         if section == "phi":
             e = _to_mpc(exponent)
-            phi = _phi_vector(z)
             partials = _phi_partials(z)
             for j in range(4):
                 log_term = sum(
                     1 / (z[j] - z[k]) for k in range(4) if k != j
                 )
                 vec = [e * log_term * phi[r] + partials[j][r] for r in range(2)]
-                conn = _mat_zero(sys.d)
-                for k in range(4):
-                    if k != j:
-                        conn = _mat_add(
-                            conn,
-                            _mat_scale(
-                                _frac_matrix(sys.omega(j, k)),
-                                inv_kappa / (z[j] - z[k]),
-                            ),
-                        )
+                conn = _connection_at(sys, z, j, inv_kappa)
                 extra = _mat_vec(conn, phi)
                 residual = max(abs(vec[r] + extra[r]) for r in range(2))
                 worst = max(worst, residual)
             return worst
-        if section == "fv":
-            phi = _phi_vector(z)
-            scale = max(abs(x) for x in phi)
-            ell = [phi[1] / scale, -phi[0] / scale]
-            v = [mpmath.mpc(1), mpmath.mpc(0)]
-            for j in range(4):
-                log_term = sum(
-                    _to_mpc(_FV_EXPONENTS[(min(j, k), max(j, k))])
-                    / (z[j] - z[k])
-                    for k in range(4) if k != j
-                )
-                vec = [log_term * v[r] for r in range(2)]
-                conn = _mat_zero(sys.d)
-                for k in range(4):
-                    if k != j:
-                        conn = _mat_add(
-                            conn,
-                            _mat_scale(
-                                _frac_matrix(sys.omega(j, k)),
-                                inv_kappa / (z[j] - z[k]),
-                            ),
-                        )
-                extra = _mat_vec(conn, v)
-                residual = abs(
-                    ell[0] * (vec[0] + extra[0]) + ell[1] * (vec[1] + extra[1])
-                )
-                worst = max(worst, residual)
-            return worst
-        raise ValueError("section must be 'phi' or 'fv'")
+        scale = max(abs(x) for x in phi)
+        ell = [phi[1] / scale, -phi[0] / scale]
+        v = [mpmath.mpc(1), mpmath.mpc(0)]
+        for j in range(4):
+            log_term = sum(
+                _to_mpc(_FV_EXPONENTS[(min(j, k), max(j, k))])
+                / (z[j] - z[k])
+                for k in range(4) if k != j
+            )
+            vec = [log_term * v[r] for r in range(2)]
+            conn = _connection_at(sys, z, j, inv_kappa)
+            extra = _mat_vec(conn, v)
+            residual = abs(
+                ell[0] * (vec[0] + extra[0]) + ell[1] * (vec[1] + extra[1])
+            )
+            worst = max(worst, residual)
+        return worst
+
+
+def _connection_at(sys, z, j, inv_kappa):
+    """The connection matrix sum_{k != j} Omega_jk * inv_kappa / (z_j - z_k)."""
+    conn = _mat_zero(sys.d)
+    for k in range(len(z)):
+        if k != j:
+            conn = _mat_add(
+                conn,
+                _mat_scale(_frac_matrix(sys.omega(j, k)), inv_kappa / (z[j] - z[k])),
+            )
+    return conn
 
 
 # ---------------------------------------------------------------------------

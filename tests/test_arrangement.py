@@ -1,18 +1,23 @@
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 import sympy
 
+from aomoto_lab import linalg
 from aomoto_lab.arrangement import (
-    AffineForm, WeightedArrangement, arrangement_from_json, arrangement_to_json,
-    color_group, intersection_lattice, is_general_position, os_dimension,
+    AffineForm, WeightedArrangement, _augmented_row, _system_rref,
+    arrangement_from_json, arrangement_to_json, color_group,
+    intersection_lattice, is_general_position, os_dimension,
 )
 from aomoto_lab.exactfield import RatFuncKappa
+from aomoto_lab.flags import enumerate_flags, flag_of_tuple
+from aomoto_lab.liealg import sl2
+from aomoto_lab.svmap import build_arrangement
 from conftest import (
-    corpus, crossing_lines, random_m3, sl2_four_point, triple_concurrent,
-    two_points,
+    ACCEPTANCE_POINTS, corpus, crossing_lines, random_m3, sl2_four_point,
+    triple_concurrent, two_points,
 )
 
 F = Fraction
@@ -83,6 +88,84 @@ def test_lattice_is_graded_and_transitive():
                 for k in range(n):
                     if lattice.contains(i, j) and lattice.contains(j, k):
                         assert lattice.contains(i, k)
+
+
+def _reference_defining(arr, key):
+    """Forms vanishing at the edge's basis point and along its directions."""
+    M = arr.dimension
+    point = [F(0)] * M
+    for row in key:
+        pivot = next(c for c in range(M) if row[c] != 0)
+        point[pivot] = row[M]
+    directions = linalg.nullspace([row[:M] for row in key], M)
+    return frozenset(
+        i for i, f in enumerate(arr.forms)
+        if f.evaluate(point) == 0
+        and all(sum(g * d for g, d in zip(f.gradient, v)) == 0 for v in directions)
+    )
+
+
+def _lattice_cases():
+    extra = AffineForm(F(-5), (F(1), F(1)))  # t1 + t2 = 5
+    base = build_arrangement(sl2(), [2, 1, 1], list(ACCEPTANCE_POINTS[:3]))
+    return [
+        *corpus(),
+        build_arrangement(sl2(), [2, 1, 1, 2], list(ACCEPTANCE_POINTS), kappa=7),
+        build_arrangement(sl2(), [1] * 6, [F(k) for k in range(6)], kappa=7),
+        WeightedArrangement(base.dimension, (extra,) + base.forms,
+                            [F(0)] + list(base.weights), coloring=base.coloring),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_lattice_cases())))
+def test_lattice_meets_and_defining_sets_match_direct_elimination(case):
+    # every recorded fact is rebuilt here from the edge keys alone:
+    # defining sets by the containment test at a basis point and along a
+    # nullspace basis, meets by row-reducing [edge key; form]
+    arr = _lattice_cases()[case]
+    lattice = intersection_lattice(arr)
+    edges = lattice.edges
+    assert edges[0].key == () and edges[0].codim == 0
+    index = {e.key: k for k, e in enumerate(edges)}
+    assert len(index) == len(edges)
+    for p in range(arr.dimension + 1):
+        level = lattice.by_codim(p)
+        assert [edges[k].codim for k in level] == [p] * len(level)
+        assert [edges[k].key for k in level] == sorted(edges[k].key for k in level)
+    assert sum(len(lattice.by_codim(p)) for p in range(arr.dimension + 1)) == len(edges)
+    defining = [_reference_defining(arr, e.key) for e in edges]
+    assert [e.defining for e in edges] == defining
+    meets = {}
+    for k, edge in enumerate(edges):
+        assert len(edge.key) == edge.codim
+        for i, f in enumerate(arr.forms):
+            key = _system_rref([list(r) for r in edge.key] + [_augmented_row(f)])
+            want = None
+            if key is not None and len(key) == edge.codim + 1:
+                want = index[key]  # every proper meet is an edge
+            meets[k, i] = want
+            assert lattice.meet(k, i) == want, (k, i)
+    # Mobius values from the reference defining sets
+    mu = {}
+    for k in sorted(range(len(edges)), key=lambda k: edges[k].codim):
+        mu[k] = 1 if k == 0 else -sum(
+            mu[j] for j in mu if defining[j] < defining[k])
+    assert lattice.mobius() == mu
+    # flags: walk the reference meets for every ordered hyperplane tuple
+    for p in range(1, arr.dimension + 1):
+        walked = set()
+        for tup in permutations(range(arr.size), p):
+            want = (0,)
+            for i in tup:
+                nxt = meets[want[-1], i]
+                if nxt is None:
+                    want = None
+                    break
+                want += (nxt,)
+            assert flag_of_tuple(lattice, tup) == want, tup
+            if want is not None:
+                walked.add(want)
+        assert enumerate_flags(lattice, p) == sorted(walked)
 
 
 def test_defining_sets_are_saturated():

@@ -516,12 +516,16 @@ def test_top_monomial_budget_refuses_five_weight_two_points(
 def test_golden_reports():
     cases = [
         ("lattice", "lattice_two_points.json"),
+        ("lattice", "lattice_three_variable.json"),
         ("invariants", "invariants_level1.json"),
         ("egregium", "egregium_kappa3.json"),
+        ("egregium", "egregium_kappa7.json"),
+        ("egregium", "egregium_three_variable.json"),
         ("sv", "sv_kappa7.json"),
         ("sv", "sv_two_variable.json"),
         ("aomoto", "aomoto_symbolic.json"),
         ("image", "image_chi_symbolic.json"),
+        ("image", "image_chi_kappa7.json"),
         ("aomoto", "aomoto_three_variable.json"),
         ("image", "image_chi_three_variable.json"),
         ("image", "image_chi_symbolic_three_variable.json"),
@@ -603,6 +607,9 @@ def _assert_run_matches_general(config, arr, all_symbolic=False):
         expected = [[_entry_json(c) for c in cls.rep] for cls in basis]
         report = run("image", {**config, "chi": chi})
         assert report["rank"] == rank, chi
+        if all_symbolic:
+            assert all(set(entry) == {"num", "den"}
+                       for vec in report["basis"] for entry in vec), chi
         # entry by entry: a Fraction serializes as "p/q", a RatFuncKappa
         # as a num/den object, so this compares types too
         assert len(report["basis"]) == len(expected)
@@ -642,17 +649,16 @@ def _weight_variants():
         "zero first weight": (
             make([kappa * 0] + list(base.weights), extra + base.forms), True),
         "Fraction zero first weight": (
-            make([Fraction(0)] + list(base.weights), extra + base.forms), False),
+            make([Fraction(0)] + list(base.weights), extra + base.forms), True),
         "scale (kappa+1)/kappa": (
             make([w * (kappa + 1) for w in base.weights]), True),
         "constant RatFuncKappa weights": (
             make([c * Fraction(3, 7) for c in cs]), True),
-        # the general path takes its scalar type from the first weight, and
-        # its Fraction classes would not serialize as RatFuncKappa ones
+        # one RatFuncKappa weight anywhere makes every class entry symbolic
         "constant RatFuncKappa, then Fractions": (
             make(cs[:1] + [c.as_fraction() for c in cs[1:]]), True),
         "Fractions, then constant RatFuncKappa": (
-            make([c.as_fraction() for c in cs[:2]] + cs[2:]), False),
+            make([c.as_fraction() for c in cs[:2]] + cs[2:]), True),
         "Fraction 1/2 next to 1/kappa": (
             make([Fraction(1, 2)] + list(base.weights[1:])), False),
         "1/kappa next to 1/(kappa+1)": (

@@ -350,6 +350,18 @@ def test_transport_is_bit_identical_to_the_object_recurrence(kappa):
         [[x._mpc_ for x in row] for row in expected]
 
 
+def test_transport_does_not_depend_on_the_callers_precision():
+    # 1/3 and 9/14 are not dyadic, so a puncture rounded at the caller's
+    # precision would move the result; fresh systems, so no call reuses
+    # the other's segments
+    points = (F(-1, 2), F(1, 3), F(9, 14), F(1))
+    plain = simple_loop_monodromy(KzSystem(points, 3, precision_bits=64), 1)
+    with mpmath.workprec(128):
+        wide = simple_loop_monodromy(KzSystem(points, 3, precision_bits=64), 1)
+    assert [[x._mpc_ for x in row] for row in plain] == \
+        [[x._mpc_ for x in row] for row in wide]
+
+
 def test_pochhammer_unipotent_at_kappa_three():
     sys = KzSystem(POINTS, 3, precision_bits=96)
     mono = pochhammer_monodromy(sys, 1, 3)
