@@ -161,9 +161,6 @@ class AomotoSpace:
         red = self.reduce(vector)
         return [red[k] for k in self.free]
 
-    def basis_subsets(self):
-        return [self.monomials[k] for k in self.free]
-
 
 class AomotoComplex:
     """Lazy bundle of all degrees of the complex with induced differentials.

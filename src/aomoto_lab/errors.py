@@ -77,6 +77,10 @@ class TooManyMonomials(AomotoLabError):
     """An arrangement has more top-degree monomials than the cost budget admits."""
 
 
+class TooManyWeightVectors(AomotoLabError):
+    """A tensor product has more weight-0 basis vectors than the cost budget admits."""
+
+
 class PrecisionLoss(AomotoLabError):
     """A numeric result lost too much precision to be trusted at the working tolerance."""
 

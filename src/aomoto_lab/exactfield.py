@@ -136,12 +136,21 @@ class RatFuncKappa:
         self.num, self.den = num, den
 
     @classmethod
+    def _reduced(cls, num, den=(Fraction(1),)):
+        # num/den is already reduced with den monic, so no gcd is taken;
+        # a reduced pair is unique, so this equals cls(num, den)
+        out = object.__new__(cls)
+        out.num, out.den = num, den
+        return out
+
+    @classmethod
     def kappa(cls):
         return cls((Fraction(0), Fraction(1)))
 
     @classmethod
     def constant(cls, value):
-        return cls((Fraction(value),))
+        value = Fraction(value)
+        return cls._reduced((value,) if value else ())
 
     def is_constant(self):
         return len(self.num) <= 1 and self.den == (Fraction(1),)
@@ -173,7 +182,7 @@ class RatFuncKappa:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFuncKappa(_pneg(self.num), self.den)
+        return RatFuncKappa._reduced(_pneg(self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -191,9 +200,20 @@ class RatFuncKappa:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.is_constant():
+            return self._scaled(o.num)
+        if self.is_constant():
+            return o._scaled(self.num)
         return RatFuncKappa(_pmul(self.num, o.num), _pmul(self.den, o.den))
 
     __rmul__ = __mul__
+
+    def _scaled(self, constant_num):
+        # a nonzero constant factor keeps num/den coprime and den monic
+        if not constant_num or not self.num:
+            return RatFuncKappa._reduced(())
+        c = constant_num[0]
+        return RatFuncKappa._reduced(tuple(c * a for a in self.num), self.den)
 
     def __truediv__(self, other):
         o = self._coerce(other)

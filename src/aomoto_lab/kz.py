@@ -32,7 +32,6 @@ from mpmath.libmp import (
     mpf_lt,
 )
 
-from . import linalg
 from .errors import (
     BranchCut, CollidingPoints, LoopEnclosesPuncture, PrecisionLoss,
     StepUnderflow, ZeroKappa,
@@ -69,27 +68,25 @@ def _casimir_matrices(weights):
     n = len(space.ms)
     out = {}
     for j in range(n):
-        e_j = space.op_on_factor("e", j)
-        f_j = space.op_on_factor("f", j)
-        h_j = space.op_on_factor("h", j)
         for k in range(j + 1, n):
-            e_k = space.op_on_factor("e", k)
-            f_k = space.op_on_factor("f", k)
-            h_k = space.op_on_factor("h", k)
-            omega = linalg.matmul(e_j, f_k)
-            for row, extra in zip(omega, linalg.matmul(f_j, e_k)):
-                for c, val in enumerate(extra):
-                    row[c] += val
-            for row, extra in zip(omega, linalg.matmul(h_j, h_k)):
-                for c, val in enumerate(extra):
-                    row[c] += Fraction(1, 2) * val
             cols = []
             for idx in chosen:
-                unit = [Fraction(0)] * space.dim
-                unit[idx] = Fraction(1)
-                image = linalg.matvec(omega, unit)
-                cols.append(linalg.matvec(projection, image))
+                image = _omega(space, j, k, {space.basis[idx]: Fraction(1)})
+                cols.append([
+                    sum((row[space.index[b]] * c for b, c in image.items()),
+                        Fraction(0))
+                    for row in projection
+                ])
             out[(j, k)] = [list(row) for row in zip(*cols)]
+    return out
+
+
+def _omega(space, j, k, vec):
+    """e^(j) f^(k) + f^(j) e^(k) + (1/2) h^(j) h^(k) applied to a sparse vector."""
+    out = {}
+    for a, b, scale in (("e", "f", 1), ("f", "e", 1), ("h", "h", Fraction(1, 2))):
+        for t, c in space.act(a, j, space.act(b, k, vec)).items():
+            out[t] = out.get(t, 0) + scale * c
     return out
 
 

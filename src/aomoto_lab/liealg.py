@@ -12,9 +12,14 @@ w_0, ..., w_m with
 
     f w_k = w_{k+1},   e w_k = k (m - k + 1) w_{k-1},   h w_k = (m - 2k) w_k,
 
-so all matrices are integral.  Conformal block dimensions at level l are
-codimensions of g V + image of (sum_i z_i e^(i))^(l+1) inside the tensor
-product.
+so all actions are integral.  A tensor product acts on sparse vectors,
+{basis tuple: coefficient}, one factor at a time.  Every space involved
+is graded by weight and every nonzero weight space lies in h V, so all
+the quotients are computed on the weight-0 space V_0 alone: coinvariants
+are V_0 / (e V_-2 + f V_2), and conformal blocks at level l are
+V_0 / (e V_-2 + f V_2 + T^(l+1) V_-2(l+1)) with T = sum_i z_i e^(i)
+(Feigin, Schechtman and Varchenko, 1994).  Ranks are exact, over
+Fraction.
 """
 
 from dataclasses import dataclass
@@ -25,9 +30,14 @@ from . import linalg
 from .errors import (
     DuplicatePoints,
     LevelViolation,
+    TooManyWeightVectors,
     UnsupportedAlgebra,
     WeightMismatch,
 )
+
+# conformal blocks refuse tensor products with more weight-0 basis vectors:
+# the dense V_0 rank takes about 3 s at 100 and about 12 s at 141
+MAX_ZERO_WEIGHT_DIM = 100
 
 _MARKS = {
     "A": lambda n: [1] * n,
@@ -198,7 +208,7 @@ def _require_sl2(root):
 
 @dataclass(frozen=True)
 class Sl2Rep:
-    """The (m+1)-dimensional irrep with integral matrices in the w_k basis."""
+    """The (m+1)-dimensional irrep with integral actions in the w_k basis."""
 
     m: int
 
@@ -206,25 +216,22 @@ class Sl2Rep:
     def dim(self):
         return self.m + 1
 
-    def matrix(self, op):
-        n = self.dim
-        out = [[Fraction(0)] * n for _ in range(n)]
+    def act(self, op, k):
+        """(j, c) with op w_k = c w_j, or None when op w_k = 0."""
         if op == "e":
-            for k in range(1, n):
-                out[k - 1][k] = Fraction(k * (self.m - k + 1))
-        elif op == "f":
-            for k in range(n - 1):
-                out[k + 1][k] = Fraction(1)
-        elif op == "h":
-            for k in range(n):
-                out[k][k] = Fraction(self.m - 2 * k)
-        else:
-            raise ValueError(f"unknown sl2 generator {op!r}")
-        return out
+            return (k - 1, k * (self.m - k + 1)) if k else None
+        if op == "f":
+            return (k + 1, 1) if k < self.m else None
+        if op == "h":
+            return (k, self.m - 2 * k) if 2 * k != self.m else None
+        raise ValueError(f"unknown sl2 generator {op!r}")
 
 
 class TensorSpace:
-    """Tensor product of sl2 irreps; basis tuples (k_1, ..., k_n) in lex order."""
+    """Tensor product of sl2 irreps; basis tuples (k_1, ..., k_n) in lex order.
+
+    Vectors are sparse: dicts {basis tuple: coefficient}.
+    """
 
     def __init__(self, highest_weights):
         self.ms = tuple(int(m) for m in highest_weights)
@@ -234,9 +241,16 @@ class TensorSpace:
         self.basis = list(product(*(range(m + 1) for m in self.ms)))
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.dim = len(self.basis)
+        self._weight_spaces = {}
+        for b in self.basis:
+            self._weight_spaces.setdefault(self.weight(b), []).append(b)
 
     def weight(self, basis_tuple):
         return sum(m - 2 * k for m, k in zip(self.ms, basis_tuple))
+
+    def weight_basis(self, wt):
+        """Basis tuples of weight wt in lex order; empty if wt is not a weight."""
+        return self._weight_spaces.get(wt, [])
 
     def zero_weight_indices(self):
         """Flat indices of the weight-0 product basis vectors, in lex order.
@@ -244,32 +258,50 @@ class TensorSpace:
         This ordering is the documented coordinate convention for
         functionals on the zero-weight space.
         """
-        return [i for i, b in enumerate(self.basis) if self.weight(b) == 0]
+        return [self.index[b] for b in self.weight_basis(0)]
 
-    def op_on_factor(self, op, factor):
-        """Dense matrix of 1 x ... x op x ... x 1 acting on the given factor."""
-        small = self.factors[factor].matrix(op)
-        n = self.dim
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for col, b in enumerate(self.basis):
-            k = b[factor]
-            for krow in range(self.ms[factor] + 1):
-                c = small[krow][k]
-                if c != 0:
-                    target = b[:factor] + (krow,) + b[factor + 1 :]
-                    out[self.index[target]][col] = c
+    def act(self, op, factor, vec):
+        """1 x ... x op x ... x 1, op on the given factor, applied to vec."""
+        rep = self.factors[factor]
+        out = {}
+        for b, c in vec.items():
+            hit = rep.act(op, b[factor])
+            if hit is not None:
+                target = b[:factor] + (hit[0],) + b[factor + 1 :]
+                out[target] = out.get(target, 0) + hit[1] * c
         return out
 
-    def total_action(self, op):
-        """Matrix of the diagonal action sum_i op^(i)."""
-        n = self.dim
-        out = [[Fraction(0)] * n for _ in range(n)]
+    def total_act(self, op, vec, scales=None):
+        """sum_i s_i op^(i) applied to vec, with s_i = 1 unless scales are given."""
+        out = {}
         for i in range(len(self.ms)):
-            block = self.op_on_factor(op, i)
-            for r in range(n):
-                for c in range(n):
-                    out[r][c] += block[r][c]
+            s = 1 if scales is None else scales[i]
+            for b, c in self.act(op, i, vec).items():
+                out[b] = out.get(b, 0) + s * c
         return out
+
+
+def zero_weight_dim(ms):
+    """dim V_0 of the tensor product, counted from the highest weights alone.
+
+    The weight-0 basis tuples are those with k_1 + ... + k_n = sum(m)/2,
+    counted by a running-window product of the factors' ranges.
+    """
+    total = sum(ms)
+    if total % 2:
+        return 0
+    half = total // 2
+    counts = [1] + [0] * half
+    for m in ms:
+        window = 0
+        nxt = []
+        for d in range(half + 1):
+            window += counts[d]
+            if d > m:
+                window -= counts[d - m - 1]
+            nxt.append(window)
+        counts = nxt
+    return counts[half]
 
 
 def invariants_dim(root, weights):
@@ -302,53 +334,71 @@ def _sl2_weight_int(w):
     return m
 
 
+def _coords(position, vec):
+    """Dense Fraction coordinates of a sparse vector on a weight basis."""
+    row = [Fraction(0)] * len(position)
+    for b, c in vec.items():
+        row[position[b]] += c
+    return row
+
+
+def _zero_weight_relations(space):
+    """The weight-0 basis, its positions, and the rows spanning (g V)_0.
+
+    The rows are e(b) for b of weight -2 and f(b) for b of weight +2, in
+    lex order of b, in V_0 coordinates; h kills V_0.
+    """
+    zero = space.weight_basis(0)
+    position = {b: i for i, b in enumerate(zero)}
+    sources = sorted([(b, "e") for b in space.weight_basis(-2)]
+                     + [(b, "f") for b in space.weight_basis(2)])
+    rows = [_coords(position, space.total_act(op, {b: 1})) for b, op in sources]
+    return zero, position, rows
+
+
 def coinvariants_quotient(space):
     """Basis and projection for V / (e V + f V + h V).
 
     Picks quotient basis vectors greedily from the product basis in lex
     order; returns (indices, projection) where projection maps a vector
-    of V to its coordinates on the chosen classes.
+    of V to its coordinates on the chosen classes.  Every nonzero weight
+    space lies in h V, so only weight-0 vectors are chosen and the other
+    projection columns are zero.  A weight-0 basis vector is skipped
+    exactly when it is the last nonzero entry of some vector of (g V)_0,
+    so the skipped ones are the pivots of the echelon form taken with
+    columns reversed, and each pivot row gives that vector's coordinates.
     """
-    stacked = []
-    for op in ("e", "f", "h"):
-        mat = space.total_action(op)
-        for col in range(space.dim):
-            stacked.append([mat[r][col] for r in range(space.dim)])
-    g_rref, g_pivots = linalg.rref(stacked)
-    g_basis = [list(r) for r in g_rref]
-    chosen = []
-    current = list(g_basis)
-    current_rank = len(g_basis)
-    for idx in range(space.dim):
-        unit = [Fraction(0)] * space.dim
-        unit[idx] = Fraction(1)
-        if linalg.rank(current + [unit]) > current_rank:
-            chosen.append(idx)
-            current.append(unit)
-            current_rank += 1
-    # coordinates: write x = (gV part) + sum c_k * unit_{chosen[k]}
-    columns = [list(col) for col in g_basis] + [
-        [Fraction(1) if r == idx else Fraction(0) for r in range(space.dim)]
-        for idx in chosen
-    ]
-    mat = [list(row) for row in zip(*columns)]
-    n_g = len(g_basis)
-    projection = []
-    inv_cols = []
-    for r in range(space.dim):
-        rhs = [Fraction(1) if i == r else Fraction(0) for i in range(space.dim)]
-        sol = linalg.solve(mat, rhs)
-        inv_cols.append(sol[n_g:])
-    projection = [list(row) for row in zip(*inv_cols)]
+    zero, _, rows = _zero_weight_relations(space)
+    n = len(zero)
+    rev, rev_pivots = linalg.rref([row[::-1] for row in rows])
+    skipped = {n - 1 - p: row[::-1] for p, row in zip(rev_pivots, rev)}
+    kept = [i for i in range(n) if i not in skipped]
+    chosen = [space.index[zero[i]] for i in kept]
+    projection = [[Fraction(0)] * space.dim for _ in kept]
+    for k, idx in enumerate(chosen):
+        projection[k][idx] = Fraction(1)
+    # b_p = (row in g V) - sum_k row[kept_k] b_{kept_k}
+    for p, row in skipped.items():
+        col = space.index[zero[p]]
+        for k, i in enumerate(kept):
+            projection[k][col] = -row[i]
     return chosen, projection
 
 
 def conformal_block_dim(root, weights, level, points):
     """Dimension of the space of conformal blocks at the given level.
 
-    Computed as dim of V / (g V + image of T^(level+1)) with
-    T = sum_i z_i e^(i).  Raises LevelViolation when some weight exceeds
-    the level and DuplicatePoints for coinciding points.
+    The blocks are V / (g V + image of T^(level+1)) with
+    T = sum_i z_i e^(i).  Every space here is graded by weight and every
+    nonzero weight space lies in h V, so the quotient is
+
+        V_0 / (e V_-2 + f V_2 + T^(level+1) V_-2(level+1)),
+
+    and its dimension is dim V_0 minus the rank of those rows in V_0
+    coordinates.  When V_-2(level+1) is empty no power of T is formed.
+    Raises LevelViolation when some weight exceeds the level,
+    DuplicatePoints for coinciding points, and TooManyWeightVectors when
+    dim V_0 exceeds MAX_ZERO_WEIGHT_DIM.
     """
     _require_sl2(root)
     level = int(level)
@@ -364,28 +414,20 @@ def conformal_block_dim(root, weights, level, points):
         raise DuplicatePoints("marked points must be pairwise distinct")
     if len(pts) != len(ms):
         raise WeightMismatch("need exactly one marked point per weight")
+    size = zero_weight_dim(ms)
+    if size > MAX_ZERO_WEIGHT_DIM:
+        raise TooManyWeightVectors(
+            f"weights {ms} give {size} weight-0 basis vectors, above the "
+            f"budget of {MAX_ZERO_WEIGHT_DIM}"
+        )
     space = TensorSpace(ms)
-    T = [[Fraction(0)] * space.dim for _ in range(space.dim)]
-    for i, z in enumerate(pts):
-        block = space.op_on_factor("e", i)
-        for r in range(space.dim):
-            for c in range(space.dim):
-                T[r][c] += z * block[r][c]
-    # T raises the weight, so it is nilpotent: once a power vanishes,
-    # every higher one does too
-    power = linalg.identity(space.dim)
-    for _ in range(level + 1):
-        power = linalg.matmul(T, power)
-        if not any(any(row) for row in power):
-            break
-    span = []
-    for op in ("e", "f", "h"):
-        mat = space.total_action(op)
-        for col in range(space.dim):
-            span.append([mat[r][col] for r in range(space.dim)])
-    for col in range(space.dim):
-        span.append([power[r][col] for r in range(space.dim)])
-    return space.dim - linalg.rank(span)
+    zero, position, rows = _zero_weight_relations(space)
+    for b in space.weight_basis(-2 * (level + 1)):
+        vec = {b: Fraction(1)}
+        for _ in range(level + 1):
+            vec = space.total_act("e", vec, scales=pts)
+        rows.append(_coords(position, vec))
+    return len(zero) - linalg.rank(rows)
 
 
 def dual_weights(root, weights):
@@ -407,14 +449,5 @@ def invariant_functionals(space):
     canonical echelon basis of that null space, in the documented
     zero-weight ordering.
     """
-    zero = space.zero_weight_indices()
-    constraints = []
-    e_mat = space.total_action("e")
-    f_mat = space.total_action("f")
-    for i, b in enumerate(space.basis):
-        wt = space.weight(b)
-        if wt == -2:
-            constraints.append([e_mat[z][i] for z in zero])
-        elif wt == 2:
-            constraints.append([f_mat[z][i] for z in zero])
-    return linalg.nullspace(constraints, len(zero))
+    zero, _, rows = _zero_weight_relations(space)
+    return linalg.nullspace(rows, len(zero))

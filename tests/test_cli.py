@@ -20,9 +20,9 @@ from aomoto_lab.arrangement import (
 from aomoto_lab.cli import main, run
 from aomoto_lab.errors import (
     AomotoLabError, BranchCut, ConfigError, ExhaustedRetries,
-    LoopEnclosesPuncture, PrecisionLoss, TooManyMonomials,
+    LoopEnclosesPuncture, PrecisionLoss, TooManyMonomials, TooManyWeightVectors,
 )
-from aomoto_lab.liealg import sl2
+from aomoto_lab.liealg import MAX_ZERO_WEIGHT_DIM, sl2, zero_weight_dim
 from aomoto_lab.svmap import build_arrangement
 from aomoto_lab.exactfield import (
     RatFuncKappa, format_rational, parse_rational, specialize_kappa,
@@ -449,6 +449,26 @@ def test_invariants_level_far_above_the_weights_is_exact_and_fast():
     far = run("invariants", {**base, "levels": [10**6]})
     assert time.monotonic() - started < 5
     assert far["conformal_block_dims"] == {"1000000": at_sum["conformal_block_dims"]["4"]}
+
+
+def test_invariants_levels_refuse_a_large_weight_zero_space(tmp_path, capsys):
+    # [5,5,5,5] has 146 weight-0 basis vectors, above MAX_ZERO_WEIGHT_DIM;
+    # its dense V_0 rank takes more than ten seconds.  [4,4,4,4] has 85.
+    assert zero_weight_dim((5, 5, 5, 5)) > MAX_ZERO_WEIGHT_DIM >= zero_weight_dim((4, 4, 4, 4))
+    config = {"schema": "1", "weights": [5, 5, 5, 5], "level": 5,
+              "points": ["0/1", "1/1", "2/1", "3/1"]}
+    started = time.monotonic()
+    with pytest.raises(TooManyWeightVectors) as err:
+        run("invariants", config)
+    assert time.monotonic() - started < 1
+    assert "146" in str(err.value)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["invariants", "--config", str(path)]) == 1
+    assert "TooManyWeightVectors" in capsys.readouterr().err
+    # without levels the command only counts, so it is not refused
+    del config["level"], config["points"]
+    assert run("invariants", config)["invariants_dim"] == 6
 
 
 def test_verify_forms_refuses_too_many_points(tmp_path, capsys):

@@ -128,10 +128,10 @@ def test_sv_vector_weight_and_guards():
     space = TensorSpace((1, 1, 1, 1))
     zs = ACCEPTANCE_POINTS
     coeffs = sv_vector_eval(space, (F(7), F(-3)), zs)
-    h = space.total_action("h")
     mu = sum(space.ms) - 2 * 2
-    for r in range(space.dim):
-        assert sum(h[r][c] * coeffs[c] for c in range(space.dim)) == mu * coeffs[r]
+    h_of_v = space.total_act("h", dict(zip(space.basis, coeffs)))
+    for b, c in zip(space.basis, coeffs):
+        assert h_of_v.get(b, 0) == mu * c
     assert any(c != 0 for c in coeffs)
     with pytest.raises(OnHyperplane):
         sv_vector_eval(space, (F(0), F(3)), zs)
