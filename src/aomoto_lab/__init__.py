@@ -2,13 +2,13 @@
 
 Subpackage map:
 
-* ``exactfield``   -- rational scalars, rational functions in kappa, big complex floats
+* ``exactfield``   -- rational scalars and rational functions in kappa
 * ``arrangement``  -- weighted arrangements and their intersection lattices
 * ``flags``        -- flag spaces, the duality pairing and the contravariant form
 * ``aomoto``       -- the twisted logarithmic complex and the weight-diagonal map
 * ``logforms``     -- pointwise exterior calculus for identity verification
-* ``liealg``       -- root data, sl2 representations, invariants and conformal blocks
-* ``svmap``        -- the hypergeometric solution vector and its top-form expansion
+* ``liealg``       -- sl2 representations, invariants, coinvariants and conformal blocks
+* ``svmap``        -- the discriminantal arrangement and the classes of the solution vector
 * ``kz``           -- the KZ connection, parallel transport and contour monodromy
 * ``cli``          -- the ``aomoto-lab`` command line front end
 """

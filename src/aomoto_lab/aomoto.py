@@ -147,8 +147,8 @@ class AomotoSpace:
         self.monomials = monomials(arrangement.size, p)
         self.pairing = pairing_matrix(arrangement, lattice, p)
         transposed = [list(col) for col in zip(*self.pairing)] if self.pairing else []
-        kernel = linalg.nullspace(transposed, len(self.monomials))
-        self.kernel_rref, self.kernel_pivots = linalg.rref(kernel)
+        self.kernel_rref, self.kernel_pivots = linalg.kernel_rref(
+            transposed, len(self.monomials))
         self.free = [
             k for k in range(len(self.monomials)) if k not in set(self.kernel_pivots)
         ]

@@ -30,7 +30,9 @@ from .arrangement import (
     arrangement_from_json, arrangement_to_json, color_group,
     intersection_lattice, os_dimension,
 )
-from .errors import AomotoLabError, ConfigError, ExhaustedRetries
+from .errors import (
+    AomotoLabError, ConfigError, ExhaustedRetries, UnsupportedAlgebra,
+)
 from .exactfield import (
     DEFAULT_PRECISION_BITS, RatFuncKappa, format_rational, parse_rational,
 )
@@ -39,8 +41,7 @@ from .kz import (
     flat_section_residual, hyp2f1, pochhammer_monodromy,
 )
 from .liealg import (
-    RootData, TensorSpace, conformal_block_dim, invariant_functionals,
-    invariants_dim,
+    TensorSpace, conformal_block_dim, invariant_functionals, invariants_dim,
 )
 from .logforms import (
     coordinate_functions, grundlegend_control, verify_grundlegend,
@@ -110,19 +111,24 @@ def _parse_weights(config):
 
 
 def _parse_algebra(config):
+    """The algebra's echo.  sl2, type A and rank 1, is the only one computed.
+
+    A malformed object is a config error; a well-formed type and rank
+    other than A1 is refused with UnsupportedAlgebra.
+    """
     data = config.get("algebra", {"type": "A", "rank": 1})
     if not isinstance(data, dict):
         _fail("algebra", "expected an object with 'type' and 'rank'")
     letter = data.get("type", "A")
     rank = data.get("rank", 1)
-    if (not isinstance(letter, str) or not isinstance(rank, int)
-            or isinstance(rank, bool)):
-        _fail("algebra", "'type' must be a letter and 'rank' an integer")
-    try:
-        root = RootData(letter, rank)
-    except ValueError as exc:
-        _fail("algebra", str(exc))
-    return root, {"type": letter, "rank": rank}
+    if (not isinstance(letter, str) or letter.upper() not in tuple("ABCDEFG")
+            or not isinstance(rank, int) or isinstance(rank, bool) or rank < 1):
+        _fail("algebra", "'type' must be a letter from A to G and 'rank' a "
+                         "positive integer")
+    if (letter.upper(), rank) != ("A", 1):
+        raise UnsupportedAlgebra(f"only sl2 (type A1) is supported, got type "
+                                 f"{letter}{rank}")
+    return {"type": letter, "rank": rank}
 
 
 def _parse_kappa(config, required=True, default=None):
@@ -153,25 +159,24 @@ def _resolve_arrangement(config):
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             _fail("arrangement", str(exc))
         return arr, {"arrangement": arrangement_to_json(arr)}
-    root, algebra_echo = _parse_algebra(config)
+    algebra_echo = _parse_algebra(config)
     weights = _parse_weights(config)
     points = _parse_points(config, len(weights))
     kappa = _parse_kappa(config, required=False)
-    arr = build_arrangement(root, weights, points, kappa=kappa)
-    if "beta" in config:
-        beta = config["beta"]
-        if (not isinstance(beta, list) or len(beta) != arr.dimension
-                or any(not isinstance(b, int) or isinstance(b, bool)
-                       or not 0 <= b < root.rank for b in beta)):
-            _fail("beta", "expected one simple-root index per variable")
-        arr = type(arr)(arr.dimension, arr.forms, arr.weights,
-                        coloring=tuple(beta))
+    arr = build_arrangement(weights, points, kappa=kappa)
+    # beta colors each variable by a simple root; sl2 has only root 0,
+    # which the arrangement's coloring already holds
+    beta = config.get("beta", list(arr.coloring))
+    if (not isinstance(beta, list) or len(beta) != arr.dimension
+            or any(not isinstance(b, int) or isinstance(b, bool) or b != 0
+                   for b in beta)):
+        _fail("beta", "expected the simple-root index 0 for every variable")
     echo = {
         "algebra": algebra_echo,
         "weights": list(config["weights"]),
         "points": [format_rational(p) for p in points],
         "kappa": format_rational(kappa) if kappa is not None else None,
-        "beta": list(config["beta"]) if "beta" in config else list(arr.coloring),
+        "beta": list(beta),
     }
     return arr, echo
 
@@ -268,9 +273,9 @@ def _cmd_image(config):
 
 
 def _cmd_invariants(config):
-    root, algebra_echo = _parse_algebra(config)
+    algebra_echo = _parse_algebra(config)
     weights = _parse_weights(config)
-    report = {"invariants_dim": invariants_dim(root, weights)}
+    report = {"invariants_dim": invariants_dim(weights)}
     echo = {"algebra": algebra_echo, "weights": list(config["weights"])}
     levels = None
     if "levels" in config:
@@ -286,8 +291,8 @@ def _cmd_invariants(config):
     if levels is not None:
         points = _parse_points(config, len(weights))
         dims = {
-            str(level): conformal_block_dim(root, weights, level, points)
-            for level in levels
+            str(level): conformal_block_dim(weights, level, points)
+            for level in dict.fromkeys(levels)
         }
         echo["points"] = [format_rational(p) for p in points]
         echo["levels"] = list(levels)
@@ -298,13 +303,13 @@ def _cmd_invariants(config):
 
 
 def _cmd_sv(config):
-    root, algebra_echo = _parse_algebra(config)
+    algebra_echo = _parse_algebra(config)
     weights = _parse_weights(config)
     points = _parse_points(config, len(weights))
     kappa = _parse_kappa(config)
     seed = _seed(config)
     space = TensorSpace(weights)
-    arr = build_arrangement(root, weights, points, kappa=kappa)
+    arr = build_arrangement(weights, points, kappa=kappa)
     check_top_size(arr)
     lattice = intersection_lattice(arr)
     quotient = AomotoComplex(arr, lattice).top_quotient()
@@ -334,12 +339,12 @@ def _cmd_sv(config):
 
 
 def _cmd_egregium(config):
-    root, algebra_echo = _parse_algebra(config)
+    algebra_echo = _parse_algebra(config)
     weights = _parse_weights(config)
     points = _parse_points(config, len(weights))
     kappa = _parse_kappa(config)
     seed = _seed(config)
-    report = egregium_check(root, weights, points, kappa)
+    report = egregium_check(weights, points, kappa)
     echo = {
         "algebra": algebra_echo,
         "weights": list(config["weights"]),

@@ -42,7 +42,7 @@ class BasisMismatch(AomotoLabError):
 
 
 class UnsupportedAlgebra(AomotoLabError):
-    """The requested operation is only implemented for sl2."""
+    """The config names an algebra other than sl2, the only one computed."""
 
 
 class LevelViolation(AomotoLabError):

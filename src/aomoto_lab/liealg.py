@@ -1,13 +1,9 @@
-"""Root data, sl2 representations, tensor invariants and conformal blocks.
+"""sl2 representations, tensor invariants and conformal blocks.
 
-Root data covers every simple Cartan type, enough for weight arithmetic:
-the invariant form is normalized so the highest root theta satisfies
-(theta, theta) = 2, weights are held in fundamental-weight coordinates,
-and the dual involution -w0 acts through the diagram automorphism.
-
-Representation-space computations (invariants, coinvariants, conformal
-blocks) are implemented for sl2 only and raise UnsupportedAlgebra
-otherwise.  The sl2 irrep of highest weight m uses the basis
+sl2 is the only algebra.  A highest weight is an integer m >= 0, the
+multiple m omega of the fundamental weight; with the invariant form
+normalized so that (alpha, alpha) = 2 for the simple root alpha = theta,
+(m omega, theta) = m.  The irrep of highest weight m uses the basis
 w_0, ..., w_m with
 
     f w_k = w_{k+1},   e w_k = k (m - k + 1) w_{k-1},   h w_k = (m - 2k) w_k,
@@ -16,10 +12,11 @@ so all actions are integral.  A tensor product acts on sparse vectors,
 {basis tuple: coefficient}, one factor at a time.  Every space involved
 is graded by weight and every nonzero weight space lies in h V, so all
 the quotients are computed on the weight-0 space V_0 alone: coinvariants
-are V_0 / (e V_-2 + f V_2), and conformal blocks at level l are
-V_0 / (e V_-2 + f V_2 + T^(l+1) V_-2(l+1)) with T = sum_i z_i e^(i)
-(Feigin, Schechtman and Varchenko, 1994).  Ranks are exact, over
-Fraction.
+are V_0 / e V_-2, and conformal blocks at level l are
+V_0 / (e V_-2 + T^(l+1) V_-2(l+1)) with T = sum_i z_i e^(i)
+(Feigin, Schechtman and Varchenko, 1994).  Inside V_0, f V_2 = e V_-2:
+both are the weight-0 part of the nontrivial isotypic components.  Ranks
+are exact, over Fraction.
 """
 
 from dataclasses import dataclass
@@ -31,179 +28,12 @@ from .errors import (
     DuplicatePoints,
     LevelViolation,
     TooManyWeightVectors,
-    UnsupportedAlgebra,
     WeightMismatch,
 )
 
 # conformal blocks refuse tensor products with more weight-0 basis vectors:
-# the dense V_0 rank takes about 3 s at 100 and about 12 s at 141
+# at 141 (six weight-2 points at level 2) the dense V_0 rank takes about 9 s
 MAX_ZERO_WEIGHT_DIM = 100
-
-_MARKS = {
-    "A": lambda n: [1] * n,
-    "B": lambda n: [1] + [2] * (n - 1),
-    "C": lambda n: [2] * (n - 1) + [1],
-    "D": lambda n: [1] + [2] * (n - 3) + [1, 1],
-    "E": {6: [1, 2, 2, 3, 2, 1], 7: [2, 2, 3, 4, 3, 2, 1], 8: [2, 3, 4, 6, 5, 4, 3, 2]},
-    "F": {4: [2, 3, 4, 2]},
-    "G": {2: [3, 2]},
-}
-
-_DUAL_COXETER = {
-    "A": lambda n: n + 1,
-    "B": lambda n: 2 * n - 1,
-    "C": lambda n: n + 1,
-    "D": lambda n: 2 * n - 2,
-    "E": {6: 12, 7: 18, 8: 30},
-    "F": {4: 9},
-    "G": {2: 4},
-}
-
-
-def _cartan_matrix(letter, n):
-    A = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def bond(i, j, aij=-1, aji=-1):
-        A[i][j] = aij
-        A[j][i] = aji
-
-    if letter == "A":
-        if n < 1:
-            raise ValueError("type A needs rank >= 1")
-        for i in range(n - 1):
-            bond(i, i + 1)
-    elif letter == "B":
-        if n < 2:
-            raise ValueError("type B needs rank >= 2")
-        for i in range(n - 2):
-            bond(i, i + 1)
-        bond(n - 2, n - 1, aij=-2, aji=-1)
-    elif letter == "C":
-        if n < 2:
-            raise ValueError("type C needs rank >= 2")
-        for i in range(n - 2):
-            bond(i, i + 1)
-        bond(n - 2, n - 1, aij=-1, aji=-2)
-    elif letter == "D":
-        if n < 4:
-            raise ValueError("type D needs rank >= 4")
-        for i in range(n - 3):
-            bond(i, i + 1)
-        bond(n - 3, n - 2)
-        bond(n - 3, n - 1)
-    elif letter == "E":
-        if n not in (6, 7, 8):
-            raise ValueError("type E needs rank 6, 7 or 8")
-        chain = [0, 2, 3, 4, 5, 6, 7][: n - 1]
-        for a, b in zip(chain, chain[1:]):
-            bond(a, b)
-        bond(1, 3)
-    elif letter == "F":
-        if n != 4:
-            raise ValueError("type F needs rank 4")
-        bond(0, 1)
-        bond(1, 2, aij=-2, aji=-1)
-        bond(2, 3)
-    elif letter == "G":
-        if n != 2:
-            raise ValueError("type G needs rank 2")
-        bond(0, 1, aij=-1, aji=-3)
-    else:
-        raise ValueError(f"unknown Cartan type {letter!r}")
-    return A
-
-
-def _root_norms(letter, n, cartan):
-    # half squared lengths s_i with long roots normalized to s = 1;
-    # fixed by symmetrizing the Cartan matrix: s_j A_ij = s_i A_ji
-    s = [None] * n
-    s[0] = Fraction(1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                if i != j and cartan[i][j] != 0:
-                    if s[i] is not None and s[j] is None:
-                        s[j] = s[i] * cartan[j][i] / cartan[i][j]
-                        changed = True
-    top = max(s)
-    return tuple(x / top for x in s)
-
-
-class RootData:
-    """Cartan matrix, invariant form and highest-root data for a simple type."""
-
-    def __init__(self, letter, rank):
-        letter = letter.upper()
-        self.letter = letter
-        self.rank = int(rank)
-        self.cartan = tuple(tuple(row) for row in _cartan_matrix(letter, self.rank))
-        self.root_norms = _root_norms(letter, self.rank, self.cartan)
-        marks = _MARKS[letter]
-        self.theta_marks = tuple(
-            marks(self.rank) if callable(marks) else marks[self.rank]
-        )
-        dual = _DUAL_COXETER[letter]
-        self.dual_coxeter = dual(self.rank) if callable(dual) else dual[self.rank]
-
-    def simple_root_fund(self, j):
-        """Fundamental-weight coordinates of the simple root alpha_j."""
-        return tuple(Fraction(self.cartan[j][i]) for i in range(self.rank))
-
-    def theta_fund(self):
-        """Fundamental-weight coordinates of the highest root."""
-        coords = [Fraction(0)] * self.rank
-        for j, m in enumerate(self.theta_marks):
-            for i in range(self.rank):
-                coords[i] += m * self.cartan[j][i]
-        return tuple(coords)
-
-    def root_coords(self, weight):
-        """Simple-root coordinates of a weight given in fundamental coordinates."""
-        At = [[Fraction(self.cartan[j][i]) for j in range(self.rank)] for i in range(self.rank)]
-        x = linalg.solve(At, [Fraction(c) for c in weight])
-        if x is None:
-            raise ValueError("Cartan matrix is singular; cannot happen for simple types")
-        return tuple(x)
-
-    def weight_pairing(self, lam, mu):
-        """Invariant form (lam, mu), both in fundamental coordinates.
-
-        Normalized so (theta, theta) = 2; concretely (omega_i, alpha_j)
-        equals delta_ij times half the squared length of alpha_j.
-        """
-        x = self.root_coords(lam)
-        return sum(
-            xj * self.root_norms[j] * Fraction(mu[j]) for j, xj in enumerate(x)
-        )
-
-    def dual_weight(self, lam):
-        """The weight of the dual representation, -w0 applied to lam."""
-        lam = tuple(Fraction(c) for c in lam)
-        n = self.rank
-        if self.letter == "A" and n >= 2:
-            return tuple(reversed(lam))
-        if self.letter == "D" and n % 2 == 1:
-            return lam[: n - 2] + (lam[n - 1], lam[n - 2])
-        if self.letter == "E" and n == 6:
-            return (lam[5], lam[1], lam[4], lam[3], lam[2], lam[0])
-        return lam
-
-
-def sl2():
-    return RootData("A", 1)
-
-
-# ---------------------------------------------------------------------------
-# sl2 representations
-
-
-def _require_sl2(root):
-    if root.letter != "A" or root.rank != 1:
-        raise UnsupportedAlgebra(
-            f"only sl2 is supported here, got type {root.letter}{root.rank}"
-        )
 
 
 @dataclass(frozen=True)
@@ -304,14 +134,12 @@ def zero_weight_dim(ms):
     return counts[half]
 
 
-def invariants_dim(root, weights):
+def invariants_dim(weights):
     """Multiplicity of the trivial representation in the tensor product.
 
     Computed by iterated Clebsch-Gordan decomposition of the highest
-    weights (sl2 only; weights are fundamental coordinates, so each is a
-    1-tuple or plain integer).
+    weights, each a plain integer or a 1-tuple.
     """
-    _require_sl2(root)
     ms = [_sl2_weight_int(w) for w in weights]
     counts = {0: 1}
     for m in ms:
@@ -345,14 +173,16 @@ def _coords(position, vec):
 def _zero_weight_relations(space):
     """The weight-0 basis, its positions, and the rows spanning (g V)_0.
 
-    The rows are e(b) for b of weight -2 and f(b) for b of weight +2, in
-    lex order of b, in V_0 coordinates; h kills V_0.
+    The rows are e(b) for b of weight -2, in lex order of b, in V_0
+    coordinates.  h kills V_0, and f V_2 = e V_-2 inside V_0: in a
+    finite-dimensional module both are the weight-0 part of the
+    nontrivial isotypic components.  So rows f(b) for b of weight +2
+    would change no rank, kernel or chosen class.
     """
     zero = space.weight_basis(0)
     position = {b: i for i, b in enumerate(zero)}
-    sources = sorted([(b, "e") for b in space.weight_basis(-2)]
-                     + [(b, "f") for b in space.weight_basis(2)])
-    rows = [_coords(position, space.total_act(op, {b: 1})) for b, op in sources]
+    rows = [_coords(position, space.total_act("e", {b: 1}))
+            for b in space.weight_basis(-2)]
     return zero, position, rows
 
 
@@ -385,29 +215,29 @@ def coinvariants_quotient(space):
     return chosen, projection
 
 
-def conformal_block_dim(root, weights, level, points):
+def conformal_block_dim(weights, level, points):
     """Dimension of the space of conformal blocks at the given level.
 
     The blocks are V / (g V + image of T^(level+1)) with
     T = sum_i z_i e^(i).  Every space here is graded by weight and every
     nonzero weight space lies in h V, so the quotient is
 
-        V_0 / (e V_-2 + f V_2 + T^(level+1) V_-2(level+1)),
+        V_0 / (e V_-2 + T^(level+1) V_-2(level+1)),
 
     and its dimension is dim V_0 minus the rank of those rows in V_0
-    coordinates.  When V_-2(level+1) is empty no power of T is formed.
+    coordinates.  When V_-2(level+1) is empty, that is when
+    level >= sum(m) / 2, there are no T rows and the blocks are the
+    coinvariants, counted by invariants_dim with no elimination.
     Raises LevelViolation when some weight exceeds the level,
     DuplicatePoints for coinciding points, and TooManyWeightVectors when
     dim V_0 exceeds MAX_ZERO_WEIGHT_DIM.
     """
-    _require_sl2(root)
     level = int(level)
     if level < 1:
         raise LevelViolation("level must be a positive integer")
     ms = [_sl2_weight_int(w) for w in weights]
-    theta = root.theta_fund()
     for m in ms:
-        if root.weight_pairing((Fraction(m),), theta) > level:
+        if m > level:  # (m omega, theta) = m
             raise LevelViolation(f"weight {m} exceeds level {level}")
     pts = [Fraction(z) for z in points]
     if len(set(pts)) != len(pts):
@@ -420,6 +250,8 @@ def conformal_block_dim(root, weights, level, points):
             f"weights {ms} give {size} weight-0 basis vectors, above the "
             f"budget of {MAX_ZERO_WEIGHT_DIM}"
         )
+    if 2 * (level + 1) > sum(ms):
+        return invariants_dim(ms)
     space = TensorSpace(ms)
     zero, position, rows = _zero_weight_relations(space)
     for b in space.weight_basis(-2 * (level + 1)):
@@ -430,24 +262,13 @@ def conformal_block_dim(root, weights, level, points):
     return len(zero) - linalg.rank(rows)
 
 
-def dual_weights(root, weights):
-    """Componentwise -w0 on a list of fundamental-coordinate weights."""
-    return tuple(root.dual_weight(tuple(Fraction(c) for c in _as_tuple(w))) for w in weights)
-
-
-def _as_tuple(w):
-    if isinstance(w, (tuple, list)):
-        return tuple(w)
-    return (w,)
-
-
 def invariant_functionals(space):
     """Basis of g-invariant functionals, as vectors on the zero-weight basis.
 
     A functional supported on weight 0 is invariant iff it kills e of the
-    weight -2 vectors and f of the weight +2 vectors; the basis is the
-    canonical echelon basis of that null space, in the documented
-    zero-weight ordering.
+    weight -2 vectors (and so f of the weight +2 vectors, which span the
+    same subspace of V_0); the basis is the canonical echelon basis of
+    that null space, in the documented zero-weight ordering.
     """
     zero, _, rows = _zero_weight_relations(space)
     return linalg.nullspace(rows, len(zero))

@@ -45,8 +45,7 @@ from .arrangement import (
 from .errors import DuplicatePoints, NotInSpan, OnHyperplane, WeightMismatch
 from .exactfield import RatFuncKappa
 from .liealg import (
-    TensorSpace, _require_sl2, _sl2_weight_int, invariant_functionals,
-    invariants_dim,
+    TensorSpace, _sl2_weight_int, invariant_functionals, invariants_dim,
 )
 
 
@@ -68,21 +67,21 @@ def num_variables(weights, mu=0):
     return gap // 2
 
 
-def build_arrangement(root, weights, points, kappa=None, mu=0,
+def build_arrangement(weights, points, kappa=None, mu=0,
                       keep_zero_weights=False):
     """The weighted arrangement attached to sl2 data at distinct points.
 
     Forms come in variable-major order: first t_1 - z_1, ..., t_1 - z_n,
     then the same for t_2, ..., and finally the diagonals t_a - t_b for
-    a < b in lexicographic order.  Point hyperplanes carry (m_i, alpha)
-    over kappa, diagonals carry -(alpha, alpha) over kappa.  Hyperplanes
-    whose weight is exactly zero contribute nothing to eta or to the
-    diagonal map, so they are omitted unless keep_zero_weights is set.
+    a < b in lexicographic order.  Point hyperplanes carry
+    (m_i omega, alpha) / kappa = m_i / kappa, diagonals carry
+    -(alpha, alpha) / kappa = -2 / kappa.  A point hyperplane of weight
+    zero (m_i = 0) contributes nothing to eta or to the diagonal map, so
+    it is omitted unless keep_zero_weights is set.
     With kappa=None the weights stay symbolic as rational functions of
     kappa.  All coordinates share one color, so the full symmetric group
     acts.
     """
-    _require_sl2(root)
     ms = [_sl2_weight_int(w) for w in weights]
     zs = _as_fraction_points(points)
     if len(zs) != len(ms):
@@ -90,17 +89,16 @@ def build_arrangement(root, weights, points, kappa=None, mu=0,
     M = num_variables(ms, mu)
     if M == 0:
         raise WeightMismatch("no integration variables at this weight")
-    alpha = root.simple_root_fund(0)
     if kappa is None:
         inv_kappa = 1 / RatFuncKappa.kappa()
     else:
         inv_kappa = 1 / Fraction(kappa)
-    pair_weight = -root.weight_pairing(alpha, alpha) * inv_kappa
+    pair_weight = Fraction(-2) * inv_kappa
     forms = []
     form_weights = []
     for a in range(M):
         for i, z in enumerate(zs):
-            w = root.weight_pairing((ms[i],), alpha) * inv_kappa
+            w = Fraction(ms[i]) * inv_kappa
             if w == 0 and not keep_zero_weights:
                 continue
             grad = [Fraction(0)] * M
@@ -109,8 +107,6 @@ def build_arrangement(root, weights, points, kappa=None, mu=0,
             form_weights.append(w)
     for a in range(M):
         for b in range(a + 1, M):
-            if pair_weight == 0 and not keep_zero_weights:
-                continue
             grad = [Fraction(0)] * M
             grad[a] = Fraction(1)
             grad[b] = Fraction(-1)
@@ -230,7 +226,7 @@ def omega_sv(arr, lattice, space, psi, zs, aomoto_space=None):
     return CohomologyClass(M, tuple(aomoto_space.reduce(vector)))
 
 
-def egregium_check(root, weights, points, kappa):
+def egregium_check(weights, points, kappa):
     """Compare tensor invariants with both realizations in top cohomology.
 
     Returns a dict with the invariant dimension, the rank of the span of
@@ -238,10 +234,9 @@ def egregium_check(root, weights, points, kappa):
     image, whether those two subspaces of top cohomology coincide exactly,
     and the overall verdict.
     """
-    _require_sl2(root)
     space = TensorSpace([_sl2_weight_int(w) for w in weights])
-    inv_dim = invariants_dim(root, weights)
-    arr = build_arrangement(root, weights, points, kappa=kappa)
+    inv_dim = invariants_dim(weights)
+    arr = build_arrangement(weights, points, kappa=kappa)
     check_top_size(arr)
     lattice = intersection_lattice(arr)
     quotient = AomotoComplex(arr, lattice).top_quotient()

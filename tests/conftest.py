@@ -10,7 +10,6 @@ import random
 from fractions import Fraction
 
 from aomoto_lab.arrangement import AffineForm, WeightedArrangement
-from aomoto_lab.liealg import sl2
 from aomoto_lab.svmap import build_arrangement
 
 F = Fraction
@@ -53,7 +52,7 @@ def parallel_mix(weights=(F(1), F(1, 2), F(1, 3), F(1, 5))):
 
 def sl2_four_point(kappa=7, points=ACCEPTANCE_POINTS):
     """The discriminantal arrangement of four sl2 doublets (M=2, r=9)."""
-    return build_arrangement(sl2(), [1, 1, 1, 1], list(points), kappa=kappa)
+    return build_arrangement([1, 1, 1, 1], list(points), kappa=kappa)
 
 
 def random_m3(seed=20240817, size=6):

@@ -41,7 +41,7 @@ from aomoto_lab.kz import (
     pochhammer_monodromy,
     simple_loop_monodromy,
 )
-from aomoto_lab.liealg import conformal_block_dim, sl2
+from aomoto_lab.liealg import conformal_block_dim
 from aomoto_lab.logforms import (
     coordinate_functions,
     expand_top_form,
@@ -97,7 +97,7 @@ def test_criterion_1_invariants_match_both_realizations():
         "match": True,
     }
     for kappa in (3, 7):
-        report = egregium_check(sl2(), [1, 1, 1, 1], ACCEPTANCE_POINTS, kappa)
+        report = egregium_check([1, 1, 1, 1], ACCEPTANCE_POINTS, kappa)
         if report != expected:
             failures.append(f"kappa={kappa}: got {report}")
     _conclude(1, "invariants match both cohomology realizations", 10.0,
@@ -168,7 +168,7 @@ def test_criterion_4_conformal_block_dimensions():
     failures = []
     expected = {1: 1, 2: 2, 5: 2}
     for level, dim in expected.items():
-        got = conformal_block_dim(sl2(), [1, 1, 1, 1], level, ACCEPTANCE_POINTS)
+        got = conformal_block_dim([1, 1, 1, 1], level, ACCEPTANCE_POINTS)
         if got != dim:
             failures.append(f"level {level}: got {got}, expected {dim}")
     _conclude(4, "conformal block dimensions at levels 1, 2, 5", 5.0,

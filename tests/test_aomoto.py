@@ -16,7 +16,6 @@ from aomoto_lab.arrangement import (
     color_group, intersection_lattice, os_dimension, perm_sign,
 )
 from aomoto_lab.exactfield import RatFuncKappa
-from aomoto_lab.liealg import sl2
 from aomoto_lab.svmap import build_arrangement
 from conftest import corpus, crossing_lines, sl2_four_point, two_points
 
@@ -91,6 +90,21 @@ def brute_force_cohomology(arr, p):
         return cx.space(p).dim - rank_in
     rank_out = sym_rank(cx.differential_matrix(p))
     return cx.space(p).dim - rank_out - rank_in
+
+
+@pytest.mark.parametrize("weights", [[1, 1, 1, 1], [2, 1, 1], [2, 2], [2, 1, 1, 2]],
+                         ids=lambda w: "-".join(map(str, w)))
+def test_relation_kernel_is_the_rref_of_the_pairing_nullspace(weights):
+    # the reference takes the nullspace of the transposed flag pairing and
+    # row-reduces it again, where AomotoSpace reads it from one elimination
+    points = [F(-1, 2), F(0), F(1, 2), F(1)][:len(weights)]
+    arr = build_arrangement(weights, points, kappa=7)
+    lattice = intersection_lattice(arr)
+    for p in range(arr.dimension + 1):
+        space = AomotoSpace(arr, lattice, p)
+        transposed = [list(col) for col in zip(*space.pairing)]
+        kernel = linalg.nullspace(transposed, len(space.monomials))
+        assert (space.kernel_rref, space.kernel_pivots) == linalg.rref(kernel), p
 
 
 def test_two_point_cohomology_generic_and_degenerate():
@@ -174,7 +188,7 @@ def test_shapovalov_image_two_points():
 
 def image_arrangements():
     """Rational and symbolic-kappa arrangements, each with and without chi."""
-    symbolic = build_arrangement(sl2(), [2, 1, 1], [F(-1, 2), F(0), F(1)])
+    symbolic = build_arrangement([2, 1, 1], [F(-1, 2), F(0), F(1)])
     for arr in (sl2_four_point(kappa=7), symbolic):
         for use_chi in (False, True):
             yield arr, use_chi
@@ -281,12 +295,12 @@ def test_chi_fixed_top_dimension():
 
 def three_variable(kappa=7):
     """Weights [2,1,1,2]: 15 hyperplanes in three variables."""
-    return build_arrangement(sl2(), [2, 1, 1, 2],
+    return build_arrangement([2, 1, 1, 2],
                              [F(-1, 2), F(0), F(1, 2), F(1)], kappa=kappa)
 
 
 def symbolic_three_point():
-    return build_arrangement(sl2(), [2, 1, 1], [F(-1, 2), F(0), F(1)])
+    return build_arrangement([2, 1, 1], [F(-1, 2), F(0), F(1)])
 
 
 def image_rows_of_every_monomial(arr):

@@ -13,7 +13,6 @@ from aomoto_lab.arrangement import (
 )
 from aomoto_lab.exactfield import RatFuncKappa
 from aomoto_lab.flags import enumerate_flags, flag_of_tuple
-from aomoto_lab.liealg import sl2
 from aomoto_lab.svmap import build_arrangement
 from conftest import (
     ACCEPTANCE_POINTS, corpus, crossing_lines, random_m3, sl2_four_point,
@@ -107,11 +106,11 @@ def _reference_defining(arr, key):
 
 def _lattice_cases():
     extra = AffineForm(F(-5), (F(1), F(1)))  # t1 + t2 = 5
-    base = build_arrangement(sl2(), [2, 1, 1], list(ACCEPTANCE_POINTS[:3]))
+    base = build_arrangement([2, 1, 1], list(ACCEPTANCE_POINTS[:3]))
     return [
         *corpus(),
-        build_arrangement(sl2(), [2, 1, 1, 2], list(ACCEPTANCE_POINTS), kappa=7),
-        build_arrangement(sl2(), [1] * 6, [F(k) for k in range(6)], kappa=7),
+        build_arrangement([2, 1, 1, 2], list(ACCEPTANCE_POINTS), kappa=7),
+        build_arrangement([1] * 6, [F(k) for k in range(6)], kappa=7),
         WeightedArrangement(base.dimension, (extra,) + base.forms,
                             [F(0)] + list(base.weights), coloring=base.coloring),
     ]
@@ -243,10 +242,7 @@ def test_json_round_trip_fraction_weights():
 
 
 def test_json_round_trip_symbolic_weights():
-    from aomoto_lab.liealg import sl2
-    from aomoto_lab.svmap import build_arrangement
-
-    arr = build_arrangement(sl2(), [1, 1, 1, 1], [0, 1, 3, 7])
+    arr = build_arrangement([1, 1, 1, 1], [0, 1, 3, 7])
     assert isinstance(arr.weights[0], RatFuncKappa)
     back = arrangement_from_json(arrangement_to_json(arr))
     assert back.weights == arr.weights

@@ -22,7 +22,7 @@ from aomoto_lab.errors import (
     AomotoLabError, BranchCut, ConfigError, ExhaustedRetries,
     LoopEnclosesPuncture, PrecisionLoss, TooManyMonomials, TooManyWeightVectors,
 )
-from aomoto_lab.liealg import MAX_ZERO_WEIGHT_DIM, sl2, zero_weight_dim
+from aomoto_lab.liealg import MAX_ZERO_WEIGHT_DIM, zero_weight_dim
 from aomoto_lab.svmap import build_arrangement
 from aomoto_lab.exactfield import (
     RatFuncKappa, format_rational, parse_rational, specialize_kappa,
@@ -221,10 +221,13 @@ def test_run_rejects_bad_inputs():
     with pytest.raises(ConfigError) as err:
         run("invariants", {"schema": "1", "weights": "nope"})
     assert "config field 'weights'" in str(err.value)
-    for rank in (True, 0):
+    for algebra in ({"type": "A", "rank": True}, {"type": "A", "rank": 0},
+                    {"type": "A", "rank": -3}, {"type": "A", "rank": 1.0},
+                    {"type": "A", "rank": "1"}, {"type": None}, {"type": ""},
+                    {"type": "AB"}, {"type": "Z"}, {"type": 1}, "A1", ["A", 1]):
         with pytest.raises(ConfigError) as err:
             run("invariants", {"schema": "1", "weights": [1, 1],
-                               "algebra": {"type": "A", "rank": rank}})
+                               "algebra": algebra})
         assert "config field 'algebra'" in str(err.value)
 
 
@@ -258,6 +261,38 @@ def test_main_exit_codes(tmp_path, capsys):
     rc = main(["egregium", "--config", str(collide)])
     assert rc == 1
     assert "DuplicatePoints" in capsys.readouterr().err
+
+
+def test_main_exit_codes_for_algebra_and_beta(tmp_path, capsys):
+    # a well-formed algebra other than A1 is refused as a domain error,
+    # a malformed one, and any beta but 0 per variable, as a config error
+    base = {"schema": "1", "weights": [1, 1, 1, 1],
+            "points": ["-1/2", "0/1", "1/2", "1/1"], "kappa": "3/1"}
+    path = tmp_path / "config.json"
+    cases = [
+        ("invariants", {"algebra": {"type": "A", "rank": 2}}, 1),
+        ("aomoto", {"algebra": {"type": "E", "rank": 5}}, 1),
+        ("invariants", {"algebra": {"type": "A", "rank": 0}}, 2),
+        ("invariants", {"algebra": {"type": "Z", "rank": 1}}, 2),
+        ("aomoto", {"beta": [1, 0]}, 2),
+        ("aomoto", {"beta": [0]}, 2),
+        ("aomoto", {"beta": [0, False]}, 2),
+    ]
+    for command, extra, code in cases:
+        path.write_text(json.dumps({**base, **extra}))
+        assert main([command, "--config", str(path)]) == code, extra
+        err = capsys.readouterr().err
+        if code == 1:
+            assert err.startswith("UnsupportedAlgebra:"), err
+        else:
+            assert err.startswith("config error: config field"), err
+    path.write_text(json.dumps({**base, "algebra": {"type": "a", "rank": 1},
+                                "beta": [0, 0]}))
+    out = tmp_path / "report.json"
+    assert main(["aomoto", "--config", str(path), "--out", str(out)]) == 0
+    echo = json.loads(out.read_text())["config"]
+    assert echo["algebra"] == {"type": "a", "rank": 1}
+    assert echo["beta"] == [0, 0]
 
 
 def test_main_output_is_byte_stable(tmp_path):
@@ -451,6 +486,32 @@ def test_invariants_level_far_above_the_weights_is_exact_and_fast():
     assert far["conformal_block_dims"] == {"1000000": at_sum["conformal_block_dims"]["4"]}
 
 
+def _fusion_count(ms, level):
+    """sl2 conformal blocks by the level-l fusion rule, highest weight 0 at the end."""
+    counts = {0: 1}
+    for m in ms:
+        nxt = {}
+        for a, mult in counts.items():
+            for c in range(abs(a - m), min(a + m, 2 * level - a - m) + 1, 2):
+                nxt[c] = nxt.get(c, 0) + mult
+        counts = nxt
+    return counts.get(0, 0)
+
+
+def test_a_long_levels_list_is_computed_once_per_level():
+    # 10^4 entries over 20 distinct levels: four of them need an
+    # elimination, the rest lie past sum(m) / 2 - 1 and need none
+    levels = [4 + k % 20 for k in range(10**4)]
+    config = {"schema": "1", "weights": [4, 4, 4, 4], "levels": levels,
+              "points": ["0/1", "1/1", "3/1", "7/1"]}
+    started = time.monotonic()
+    report = run("invariants", config)
+    assert time.monotonic() - started < 20
+    assert report["conformal_block_dims"] == {
+        str(level): _fusion_count([4, 4, 4, 4], level) for level in range(4, 24)}
+    assert report["config"]["levels"] == levels
+
+
 def test_invariants_levels_refuse_a_large_weight_zero_space(tmp_path, capsys):
     # [5,5,5,5] has 146 weight-0 basis vectors, above MAX_ZERO_WEIGHT_DIM;
     # its dense V_0 rank takes more than ten seconds.  [4,4,4,4] has 85.
@@ -504,7 +565,7 @@ def test_coloring_that_does_not_permute_the_forms_is_a_config_error(
 
 
 def test_top_monomial_budget_admits_six_doublets():
-    six = build_arrangement(sl2(), [1] * 6, [Fraction(k) for k in range(6)],
+    six = build_arrangement([1] * 6, [Fraction(k) for k in range(6)],
                             kappa=7)
     assert (six.size, six.dimension) == (21, 3)
     assert 1330 <= MAX_TOP_MONOMIALS
@@ -645,7 +706,7 @@ def _assert_run_matches_general(config, arr, all_symbolic=False):
                                      [2, 1, 1, 2]])
 def test_scaled_symbolic_path_matches_general_path(weights):
     points = ["-1/2", "0/1", "1/2", "1/1"][:len(weights)]
-    arr = build_arrangement(sl2(), weights,
+    arr = build_arrangement(weights,
                             [parse_rational(p) for p in points])
     assert rational_split(arr) is not None
     _assert_run_matches_general(
@@ -654,7 +715,7 @@ def test_scaled_symbolic_path_matches_general_path(weights):
 
 
 def _weight_variants():
-    base = build_arrangement(sl2(), [2, 1, 1],
+    base = build_arrangement([2, 1, 1],
                              [Fraction(-1, 2), Fraction(0), Fraction(1, 2)])
     kappa = RatFuncKappa.kappa()
     # c_i with weights c_i / kappa, and a symmetric extra line t1 + t2 = 5

@@ -1,4 +1,4 @@
-"""Root data, sl2 tensor invariants and conformal block dimensions."""
+"""sl2 tensor invariants, coinvariants and conformal block dimensions."""
 
 import functools
 import random
@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from aomoto_lab import kz, linalg
+from aomoto_lab.cli import run
 from aomoto_lab.errors import (
     DuplicatePoints,
     LevelViolation,
@@ -15,16 +16,14 @@ from aomoto_lab.errors import (
     WeightMismatch,
 )
 from aomoto_lab.liealg import (
-    RootData,
     TensorSpace,
     conformal_block_dim,
     coinvariants_quotient,
-    dual_weights,
     invariant_functionals,
     invariants_dim,
-    sl2,
     zero_weight_dim,
 )
+from aomoto_lab.svmap import build_arrangement
 
 F = Fraction
 
@@ -160,43 +159,15 @@ def _dense_vector(space, vec):
 
 
 def test_sl2_pairings():
-    g = sl2()
-    omega = (F(1),)
-    alpha = g.simple_root_fund(0)
-    assert alpha == (F(2),)
-    assert g.weight_pairing(omega, omega) == F(1, 2)
-    assert g.weight_pairing(alpha, alpha) == F(2)
-    assert g.weight_pairing(omega, alpha) == F(1)
-
-
-def test_highest_root_norm_is_two_across_types():
-    for letter, rank in [("A", 1), ("A", 3), ("B", 3), ("C", 3),
-                         ("D", 4), ("E", 6), ("F", 4), ("G", 2)]:
-        g = RootData(letter, rank)
-        theta = g.theta_fund()
-        assert g.weight_pairing(theta, theta) == F(2), (letter, rank)
-
-
-def test_root_coords_inverts_simple_roots():
-    g = RootData("B", 3)
-    for j in range(3):
-        coords = g.root_coords(g.simple_root_fund(j))
-        assert coords == tuple(F(1) if i == j else F(0) for i in range(3))
-
-
-def test_weight_pairing_symmetric():
-    g = RootData("C", 3)
-    lam = (F(1), F(0), F(2))
-    mu = (F(0), F(3), F(1))
-    assert g.weight_pairing(lam, mu) == g.weight_pairing(mu, lam)
-
-
-def test_dual_weights():
-    a2 = RootData("A", 2)
-    assert dual_weights(a2, [(1, 0)]) == (((F(0), F(1)),))
-    assert dual_weights(sl2(), [(1,), 2]) == ((F(1),), (F(2),))
-    e6 = RootData("E", 6)
-    assert dual_weights(e6, [(1, 0, 0, 0, 0, 0)]) == ((F(0),) * 5 + (F(1),),)
+    # (m omega, theta) = m: a weight is admitted up to the level itself
+    points = (F(0), F(1), F(3))
+    assert conformal_block_dim([2, 1, 1], 2, points) == 1
+    with pytest.raises(LevelViolation):
+        conformal_block_dim([2, 1, 1], 1, points)
+    # (m omega, alpha) = m and (alpha, alpha) = 2 weight the arrangement
+    arr = build_arrangement([2, 1, 1], points, kappa=7)
+    assert list(arr.weights) == [F(2, 7), F(1, 7), F(1, 7),
+                                 F(2, 7), F(1, 7), F(1, 7), F(-2, 7)]
 
 
 def test_sl2_commutation_relations():
@@ -242,27 +213,25 @@ def test_zero_weight_dim_counts_the_weight_zero_basis():
 
 
 def test_invariants_dim_examples():
-    g = sl2()
-    assert invariants_dim(g, [(1,), (1,)]) == 1
-    assert invariants_dim(g, [1, 1, 1, 1]) == 2
-    assert invariants_dim(g, [2, 2, 2]) == 1
-    assert invariants_dim(g, [1]) == 0
-    assert invariants_dim(g, [1, 1, 1]) == 0
-    assert invariants_dim(g, [3, 1]) == 0
-    assert invariants_dim(g, [2, 2]) == 1
+    assert invariants_dim([(1,), (1,)]) == 1
+    assert invariants_dim([1, 1, 1, 1]) == 2
+    assert invariants_dim([2, 2, 2]) == 1
+    assert invariants_dim([1]) == 0
+    assert invariants_dim([1, 1, 1]) == 0
+    assert invariants_dim([3, 1]) == 0
+    assert invariants_dim([2, 2]) == 1
 
 
 def test_invariants_dim_matches_invariant_vector_count():
     # independent route: the multiplicity of the trivial rep equals the
     # dimension of the simultaneous kernel of e, f and h on the product
-    g = sl2()
     for ms in [(1, 1), (1, 1, 1, 1), (2, 2, 2), (2, 1, 1), (3, 3)]:
         space = TensorSpace(ms)
         rows = []
         for op in ("e", "f", "h"):
             rows.extend(_dense_total(ms, op))
         kernel = linalg.nullspace(rows, space.dim)
-        assert len(kernel) == invariants_dim(g, list(ms)), ms
+        assert len(kernel) == invariants_dim(list(ms)), ms
 
 
 def test_invariant_functionals_kill_lowering_and_raising():
@@ -270,7 +239,7 @@ def test_invariant_functionals_kill_lowering_and_raising():
         space = TensorSpace(ms)
         zero = space.zero_weight_indices()
         funcs = invariant_functionals(space)
-        assert len(funcs) == invariants_dim(sl2(), list(ms))
+        assert len(funcs) == invariants_dim(list(ms))
         e = _dense_total(ms, "e")
         f = _dense_total(ms, "f")
         for psi in funcs:
@@ -286,7 +255,7 @@ def test_coinvariants_match_invariants_dim():
     for ms in [(1, 1), (1, 1, 1, 1), (2, 2)]:
         space = TensorSpace(ms)
         chosen, projection = coinvariants_quotient(space)
-        assert len(chosen) == invariants_dim(sl2(), list(ms))
+        assert len(chosen) == invariants_dim(list(ms))
         # the projection annihilates every vector in g V
         e = _dense_total(ms, "e")
         for col in range(space.dim):
@@ -308,36 +277,33 @@ def test_coinvariants_match_invariants_dim():
 
 
 def test_conformal_block_dims_four_points():
-    g = sl2()
     points = (F(-1, 2), F(0), F(1, 2), F(1))
     weights = [1, 1, 1, 1]
-    assert conformal_block_dim(g, weights, 1, points) == 1
-    assert conformal_block_dim(g, weights, 2, points) == 2
-    assert conformal_block_dim(g, weights, 5, points) == 2
+    assert conformal_block_dim(weights, 1, points) == 1
+    assert conformal_block_dim(weights, 2, points) == 2
+    assert conformal_block_dim(weights, 5, points) == 2
 
 
 def test_conformal_block_errors():
-    g = sl2()
     with pytest.raises(LevelViolation):
-        conformal_block_dim(g, [2, 2], 1, (0, 1))
+        conformal_block_dim([2, 2], 1, (0, 1))
     with pytest.raises(LevelViolation):
-        conformal_block_dim(g, [1, 1], 0, (0, 1))
+        conformal_block_dim([1, 1], 0, (0, 1))
     with pytest.raises(DuplicatePoints):
-        conformal_block_dim(g, [1, 1], 1, (3, 3))
+        conformal_block_dim([1, 1], 1, (3, 3))
     with pytest.raises(WeightMismatch):
-        conformal_block_dim(g, [1, 1, 1], 1, (0, 1))
+        conformal_block_dim([1, 1, 1], 1, (0, 1))
 
 
 def test_sl2_only_guards():
-    a2 = RootData("A", 2)
-    with pytest.raises(UnsupportedAlgebra):
-        invariants_dim(a2, [(1, 0), (0, 1)])
-    with pytest.raises(UnsupportedAlgebra):
-        conformal_block_dim(a2, [(1, 0)], 1, (0,))
+    # the config names the algebra, and only A1 gets past it
+    for algebra in ({"type": "A", "rank": 2}, {"type": "B", "rank": 1}):
+        with pytest.raises(UnsupportedAlgebra):
+            run("invariants", {"weights": [1, 1], "algebra": algebra})
     with pytest.raises(WeightMismatch):
-        invariants_dim(sl2(), [(1, 0)])
+        invariants_dim([(1, 0)])
     with pytest.raises(WeightMismatch):
-        invariants_dim(sl2(), [-1])
+        invariants_dim([-1])
 
 
 ORACLE_SHAPES = [(1, 1, 1, 1), (2, 1, 1), (2, 2), (2, 1, 1, 2), (3, 3, 1, 1),
@@ -352,7 +318,7 @@ def test_weight_zero_computations_match_the_dense_oracle(ms):
     # sum(ms) // 2 + 1 never has any
     levels = sorted({max(ms), max(ms) + 1, sum(ms) // 2 + 1})
     for level in levels:
-        assert (conformal_block_dim(sl2(), list(ms), level, points)
+        assert (conformal_block_dim(list(ms), level, points)
                 == _dense_conformal_block_dim(ms, level, points)), (level, points)
     space = TensorSpace(ms)
     assert invariant_functionals(space) == _dense_invariant_functionals(ms)

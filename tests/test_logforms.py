@@ -12,7 +12,6 @@ from aomoto_lab.arrangement import (
     AffineForm, WeightedArrangement, intersection_lattice,
 )
 from aomoto_lab.errors import NotInSpan, OnDiagonalSlice, OnHyperplane
-from aomoto_lab.liealg import sl2
 from aomoto_lab.logforms import (
     ExteriorElement,
     _merge_sign,
@@ -213,12 +212,12 @@ def _doubled_points(arr, count, seed):
 
 POWER_FORM_CASES = [
     *(pytest.param(arr, id=f"corpus{i}") for i, arr in enumerate(corpus())),
-    pytest.param(build_arrangement(sl2(), [2, 1, 1, 2], ACCEPTANCE_POINTS,
+    pytest.param(build_arrangement([2, 1, 1, 2], ACCEPTANCE_POINTS,
                                    kappa=7), id="sl2-2112"),
     # kappa left symbolic: RatFuncKappa weights
-    pytest.param(build_arrangement(sl2(), [1, 1, 1, 1], ACCEPTANCE_POINTS),
+    pytest.param(build_arrangement([1, 1, 1, 1], ACCEPTANCE_POINTS),
                  id="symbolic-1111"),
-    pytest.param(build_arrangement(sl2(), [2, 1, 1], ACCEPTANCE_POINTS[:3]),
+    pytest.param(build_arrangement([2, 1, 1], ACCEPTANCE_POINTS[:3]),
                  id="symbolic-211"),
 ]
 

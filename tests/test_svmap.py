@@ -16,7 +16,7 @@ from aomoto_lab.errors import (
 from aomoto_lab.exactfield import (
     RatFuncKappa, random_point_avoiding, specialize_kappa,
 )
-from aomoto_lab.liealg import TensorSpace, invariant_functionals, sl2
+from aomoto_lab.liealg import TensorSpace, invariant_functionals
 from aomoto_lab.logforms import expand_top_form, monomial_value
 from aomoto_lab.svmap import (
     _ordering_sum,
@@ -44,7 +44,7 @@ def test_num_variables():
 
 
 def test_build_arrangement_two_representations():
-    arr = build_arrangement(sl2(), [(1,), (1,)], (0, 1), kappa=7)
+    arr = build_arrangement([(1,), (1,)], (0, 1), kappa=7)
     assert arr.dimension == 1
     assert [f.constant for f in arr.forms] == [F(0), F(-1)]
     assert [f.gradient for f in arr.forms] == [(F(1),), (F(1),)]
@@ -53,7 +53,7 @@ def test_build_arrangement_two_representations():
 
 
 def test_build_arrangement_four_representations():
-    arr = build_arrangement(sl2(), [1, 1, 1, 1], ACCEPTANCE_POINTS, kappa=3)
+    arr = build_arrangement([1, 1, 1, 1], ACCEPTANCE_POINTS, kappa=3)
     assert arr.dimension == 2
     assert arr.size == 9
     # variable-major point hyperplanes, then the diagonal
@@ -69,33 +69,32 @@ def test_build_arrangement_four_representations():
 
 
 def test_build_arrangement_zero_weight_hyperplanes():
-    dropped = build_arrangement(sl2(), [1, 1, 0], (0, 1, 2), kappa=3)
+    dropped = build_arrangement([1, 1, 0], (0, 1, 2), kappa=3)
     assert dropped.size == 2
     assert all(f.constant in (F(0), F(-1)) for f in dropped.forms)
-    kept = build_arrangement(
-        sl2(), [1, 1, 0], (0, 1, 2), kappa=3, keep_zero_weights=True
-    )
+    kept = build_arrangement([1, 1, 0], (0, 1, 2), kappa=3,
+                             keep_zero_weights=True)
     assert kept.size == 3
     assert kept.weights[2] == 0
 
 
 def test_build_arrangement_symbolic_kappa():
-    arr = build_arrangement(sl2(), [1, 1, 1, 1], ACCEPTANCE_POINTS)
+    arr = build_arrangement([1, 1, 1, 1], ACCEPTANCE_POINTS)
     assert all(isinstance(w, RatFuncKappa) for w in arr.weights)
     specialized = [specialize_kappa(w, F(7)) for w in arr.weights]
-    numeric = build_arrangement(sl2(), [1, 1, 1, 1], ACCEPTANCE_POINTS, kappa=7)
+    numeric = build_arrangement([1, 1, 1, 1], ACCEPTANCE_POINTS, kappa=7)
     assert specialized == list(numeric.weights)
 
 
 def test_build_arrangement_guards():
     with pytest.raises(DuplicatePoints):
-        build_arrangement(sl2(), [1, 1], (2, 2), kappa=3)
+        build_arrangement([1, 1], (2, 2), kappa=3)
     with pytest.raises(WeightMismatch):
-        build_arrangement(sl2(), [1], (0,), kappa=3)
+        build_arrangement([1], (0,), kappa=3)
     with pytest.raises(WeightMismatch):
-        build_arrangement(sl2(), [0, 0], (0, 1), kappa=3)
+        build_arrangement([0, 0], (0, 1), kappa=3)
     with pytest.raises(ValueError):
-        build_arrangement(sl2(), [1, 1], (0, 1, 2), kappa=3)
+        build_arrangement([1, 1], (0, 1, 2), kappa=3)
 
 
 def test_ordering_sum_telescopes_to_product():
@@ -157,7 +156,7 @@ def test_sv_vector_single_point_is_divided_product():
 
 
 def test_omega_sv_two_point_class():
-    arr = build_arrangement(sl2(), [1, 1], (0, 1), kappa=7)
+    arr = build_arrangement([1, 1], (0, 1), kappa=7)
     lattice = intersection_lattice(arr)
     aspace = AomotoSpace(arr, lattice, 1)
     space = TensorSpace((1, 1))
@@ -171,7 +170,7 @@ def test_omega_sv_two_point_class():
 
 
 def test_omega_sv_linear_in_psi():
-    arr = build_arrangement(sl2(), [1, 1, 1, 1], ACCEPTANCE_POINTS, kappa=3)
+    arr = build_arrangement([1, 1, 1, 1], ACCEPTANCE_POINTS, kappa=3)
     lattice = intersection_lattice(arr)
     aspace = AomotoSpace(arr, lattice, 2)
     space = TensorSpace((1, 1, 1, 1))
@@ -188,7 +187,7 @@ def test_omega_sv_linear_in_psi():
 
 
 def test_omega_sv_classes_are_sign_isotypic():
-    arr = build_arrangement(sl2(), [1, 1, 1, 1], ACCEPTANCE_POINTS, kappa=7)
+    arr = build_arrangement([1, 1, 1, 1], ACCEPTANCE_POINTS, kappa=7)
     lattice = intersection_lattice(arr)
     quotient = AomotoComplex(arr, lattice).top_quotient()
     aspace = quotient.space
@@ -208,7 +207,7 @@ def test_omega_sv_classes_are_sign_isotypic():
 
 
 def test_egregium_two_representations():
-    report = egregium_check(sl2(), [(1,), (1,)], (0, 1), 7)
+    report = egregium_check([(1,), (1,)], (0, 1), 7)
     assert report == {
         "invariants_dim": 1,
         "sv_rank": 1,
@@ -220,7 +219,7 @@ def test_egregium_two_representations():
 
 def test_egregium_four_representations():
     for kappa in (3, 7):
-        report = egregium_check(sl2(), [1, 1, 1, 1], ACCEPTANCE_POINTS, kappa)
+        report = egregium_check([1, 1, 1, 1], ACCEPTANCE_POINTS, kappa)
         assert report == {
             "invariants_dim": 2,
             "sv_rank": 2,
@@ -252,7 +251,7 @@ CHAIN_CASES = [
 @pytest.mark.parametrize("kappa", [F(7), F(-5, 3)])
 @pytest.mark.parametrize("weights, points", CHAIN_CASES)
 def test_chain_classes_match_interpolation(weights, points, kappa):
-    arr = build_arrangement(sl2(), weights, points, kappa=kappa)
+    arr = build_arrangement(weights, points, kappa=kappa)
     lattice = intersection_lattice(arr)
     aspace = AomotoSpace(arr, lattice, arr.dimension)
     space = TensorSpace(weights)
@@ -270,7 +269,7 @@ def test_chain_classes_look_up_hyperplanes_by_form():
     # t_2 - t_1 and one point form doubled: the chains must find them by
     # form, and dlog(c f) = dlog f leaves every sign alone
     weights, points = [2, 1, 1], (F(-1, 3), F(1, 2), F(2))
-    arr = build_arrangement(sl2(), weights, points, kappa=3)
+    arr = build_arrangement(weights, points, kappa=3)
     forms = [
         AffineForm(-f.constant, tuple(-g for g in f.gradient))
         if f.constant == 0 else f for f in arr.forms
@@ -291,7 +290,7 @@ def test_chain_classes_look_up_hyperplanes_by_form():
 def test_chain_classes_refuse_a_missing_hyperplane():
     # a weight-2 point takes two variables, so its chains need the diagonal
     points = (F(-1, 3), F(1, 2), F(2))
-    arr = build_arrangement(sl2(), [2, 1, 1], points, kappa=3)
+    arr = build_arrangement([2, 1, 1], points, kappa=3)
     no_diagonal = WeightedArrangement(arr.dimension, arr.forms[:-1],
                                       arr.weights[:-1], coloring=arr.coloring)
     lattice = intersection_lattice(no_diagonal)
@@ -305,7 +304,7 @@ def test_chain_classes_three_variables_pointwise():
     # interpolation is far too slow an oracle at M=3, so the reduced
     # class is evaluated against psi(v) itself at fresh points
     weights = [2, 1, 1, 2]
-    arr = build_arrangement(sl2(), weights, ACCEPTANCE_POINTS, kappa=7)
+    arr = build_arrangement(weights, ACCEPTANCE_POINTS, kappa=7)
     assert arr.dimension == 3
     lattice = intersection_lattice(arr)
     aspace = AomotoSpace(arr, lattice, 3)
