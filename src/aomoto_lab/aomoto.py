@@ -2,11 +2,14 @@
 
 Degree p of the complex is spanned by wedge monomials
 dlog f_{i_1} ^ ... ^ dlog f_{i_p} over increasing index subsets.  The
-monomials satisfy linear relations; the quotient by those relations is
-recovered exactly as the row space of the pairing matrix against flags,
-so ranks never rely on floating point.  The differential is left wedge
-with eta = sum_i a_i dlog f_i, and the top cohomology is the cokernel
-of the differential in top degree.
+monomials satisfy the Orlik-Solomon relations.  Each monomial's normal
+form in the no-broken-circuit (nbc) basis is read off the intersection
+lattice with integer coefficients, so nothing is eliminated and ranks
+never rely on floating point.  The relations equal the kernel of the
+pairing matrix against flags (pairing_matrix), which the tests keep as
+the oracle.  The differential is left wedge with eta = sum_i a_i dlog
+f_i, and the top cohomology is the cokernel of the differential in top
+degree.
 
 An AomotoComplex owns one TopQuotient, the top monomials modulo the
 relations and the image of eta-wedge.  It is built in quotient
@@ -28,6 +31,7 @@ diagonal map by w^M.  So symbolic weights that rational_split splits
 run over Fraction on the r_i, and their classes are scaled afterwards.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -72,12 +76,30 @@ def rational_split(arrangement):
     w = next((x for x in weights if x), None)
     if w is None or not isinstance(arrangement.zero, RatFuncKappa):
         return None
-    ratios = [(arrangement.zero + x) / w for x in weights]
-    if not all(r.is_constant() for r in ratios):
+    ratios = [_constant_ratio(x, w) for x in weights]
+    if None in ratios:
         return None
     return w, type(arrangement)(arrangement.dimension, arrangement.forms,
-                                [r.as_fraction() for r in ratios],
-                                coloring=arrangement.coloring)
+                                ratios, coloring=arrangement.coloring)
+
+
+def _constant_ratio(x, w):
+    """x / w as a Fraction when it is constant, else None; w is nonzero.
+
+    Both sides are reduced with a monic denominator, so x / w is a
+    constant c exactly when x is zero, or when the denominators agree and
+    x.num = c * w.num.  No polynomial gcd is taken.
+    """
+    if not isinstance(x, RatFuncKappa):
+        x = RatFuncKappa.constant(x)
+    if not isinstance(w, RatFuncKappa):
+        w = RatFuncKappa.constant(w)
+    if not x:
+        return Fraction(0)
+    if x.den != w.den or len(x.num) != len(w.num):
+        return None
+    c = x.num[-1] / w.num[-1]
+    return c if all(a == c * b for a, b in zip(x.num, w.num)) else None
 
 
 def insertion_sign(subset, j):
@@ -90,7 +112,9 @@ def pairing_matrix(arrangement, lattice, p):
     """Matrix of duality functionals: rows = monomials, columns = raw flags.
 
     Entries lie in {-1, 0, +1}; the rank equals the dimension of the
-    degree-p logarithmic subalgebra and matches the Mobius count.
+    degree-p logarithmic subalgebra and matches the Mobius count.  Its
+    left kernel is the span of the relations, so it is the tests' oracle
+    for AomotoSpace; no request builds it.
     """
     flags = enumerate_flags(lattice, p)
     rows = []
@@ -103,6 +127,8 @@ def pairing_matrix(arrangement, lattice, p):
 def differential(arrangement, p, vector):
     """Left wedge with eta on monomial coefficients, degree p -> p + 1.
 
+    Dense, over all monomials; AomotoComplex.differential_matrix builds
+    its columns from normal forms instead, and the tests compare the two.
     Refuses top-degree input: the complex ends at the dimension.
     """
     if p >= arrangement.dimension:
@@ -133,29 +159,89 @@ def weight_product(arrangement, subset):
 
 
 class AomotoSpace:
-    """Degree-p monomial space together with its relation kernel.
+    """Degree-p monomial space together with its relations.
 
-    The kernel of the flag pairing is stored in reduced echelon form;
+    Relations are no-broken-circuit normal forms, read off the lattice
+    with no elimination (Orlik & Terao, Arrangements of Hyperplanes,
+    ch. 3).  Walk a monomial S = (s_1 < ... < s_p) through lattice.meet:
+    if the walk fails, the hyperplanes are dependent or do not meet and
+    e_S is zero.  Otherwise let X_i be the prefix edge of s_1..s_i.  S
+    is nbc (free) when max(defining(X_i)) = s_i at every i.  If not,
+    take the first i with c = max(defining(X_i)) > s_i: the circuit
+    D = (s_1, ..., s_i, c) meets, so its boundary is a relation, and it
+    writes e_{s_1..s_i} as a signed sum of the e_{D - s_j}, j <= i.
+    Wedged with the rest of S, every term is later in lex order, so the
+    normal forms fill in decreasing lex order with integer coefficients.
+
+    normal_forms[k] maps free monomial indices to the integer
+    coefficients of NF(e_{monomials[k]}).  kernel_rref (rows
+    e_S - NF(S), one per non-free S) and kernel_pivots are the reduced
+    echelon form of the relations; they equal the kernel of the flag
+    pairing (pairing_matrix), which the tests keep as the oracle.
     reduce() maps monomial coefficient vectors to the canonical
     representative with zero pivot coordinates, and coords() extracts
-    quotient coordinates on the free (non-pivot) monomials.
+    quotient coordinates on the free monomials.
     """
 
     def __init__(self, arrangement, lattice, p):
         self.arrangement = arrangement
         self.p = p
         self.monomials = monomials(arrangement.size, p)
-        self.pairing = pairing_matrix(arrangement, lattice, p)
-        transposed = [list(col) for col in zip(*self.pairing)] if self.pairing else []
-        self.kernel_rref, self.kernel_pivots = linalg.kernel_rref(
-            transposed, len(self.monomials))
-        self.free = [
-            k for k in range(len(self.monomials)) if k not in set(self.kernel_pivots)
-        ]
+        self.index = {m: k for k, m in enumerate(self.monomials)}
+        top = [max(edge.defining, default=-1) for edge in lattice.edges]
+        self.normal_forms = [None] * len(self.monomials)
+        for k in range(len(self.monomials) - 1, -1, -1):
+            self.normal_forms[k] = self._normal_form(lattice, top, k)
+        self.free, self.kernel_pivots = [], []
+        for k, nf in enumerate(self.normal_forms):
+            (self.free if nf == {k: 1} else self.kernel_pivots).append(k)
         self.dim = len(self.free)
 
+    def _normal_form(self, lattice, top, k):
+        subset = self.monomials[k]
+        edge = 0
+        for i, s in enumerate(subset):
+            edge = lattice.meet(edge, s)
+            if edge is None:
+                return {}
+            c = top[edge]
+            if c > s:
+                break
+        else:
+            return {k: 1}
+        # e_{s_0..s_i} = sum_j (-1)^(i+j) e_{D - s_j} with D = s_0..s_i, c,
+        # then c moves past the entries of the rest of S below it
+        rest = subset[i + 1:]
+        if c in rest:
+            return {}
+        sign = (-1) ** (i + sum(1 for r in rest if r < c))
+        out = {}
+        for j in range(i + 1):
+            target = tuple(sorted(subset[:j] + subset[j + 1:] + (c,)))
+            for col, v in self.normal_forms[self.index[target]].items():
+                out[col] = out.get(col, 0) + (sign if j % 2 == 0 else -sign) * v
+        return {col: v for col, v in out.items() if v}
+
+    @functools.cached_property
+    def kernel_rref(self):
+        rows = []
+        for k in self.kernel_pivots:
+            row = [Fraction(0)] * len(self.monomials)
+            row[k] = Fraction(1)
+            for col, v in self.normal_forms[k].items():
+                row[col] = Fraction(-v)
+            rows.append(row)
+        return rows
+
     def reduce(self, vector):
-        return linalg.reduce_mod_rowspace(vector, self.kernel_rref, self.kernel_pivots)
+        out = list(vector)
+        for k in self.kernel_pivots:
+            f = out[k]
+            if f:
+                out[k] = f * 0
+                for col, v in self.normal_forms[k].items():
+                    out[col] = out[col] + f * v
+        return out
 
     def coords(self, vector):
         red = self.reduce(vector)
@@ -185,11 +271,23 @@ class AomotoComplex:
         """Quotient matrix of wedge-with-eta from degree p to p + 1 (columns = basis)."""
         if p not in self._diffs:
             src, dst = self.space(p), self.space(p + 1)
+            weights, zero = self.arrangement.weights, self.arrangement.zero
+            row_of = {k: r for r, k in enumerate(dst.free)}
             cols = []
             for k in src.free:
-                vec = [self.arrangement.zero] * len(src.monomials)
-                vec[k] = vec[k] + 1
-                cols.append(dst.coords(differential(self.arrangement, p, vec)))
+                # eta ^ e_S = sum_j a_j (insertion sign) e_{S + j}, each
+                # term replaced by its normal form
+                subset = src.monomials[k]
+                col = [zero] * dst.dim
+                for j, w in enumerate(weights):
+                    if j in subset:
+                        continue
+                    sign = insertion_sign(subset, j)
+                    target = dst.index[tuple(sorted(subset + (j,)))]
+                    for free, v in dst.normal_forms[target].items():
+                        r = row_of[free]
+                        col[r] = col[r] + w * (sign * v)
+                cols.append(col)
             self._diffs[p] = [list(row) for row in zip(*cols)] if cols else []
         return self._diffs[p]
 

@@ -6,9 +6,9 @@ Edges are the nonempty intersections of hyperplanes; they are graded by
 codimension and ordered by inclusion.  Edges are identified by the
 reduced row echelon form of their defining linear system, which makes
 equality and ordering canonical.  The intersection lattice row-reduces
-each (edge, hyperplane) system once and records the meets it finds; the
-defining sets of the edges and the flags of hyperplane tuples are read
-off that record.
+each (edge, hyperplane) system whose meet it has not already found and
+records the meets; the defining sets of the edges and the flags of
+hyperplane tuples are read off that record.
 
 The one-form eta = sum_i a_i dlog f_i plays the role of the twisting
 differential throughout the package.
@@ -143,6 +143,11 @@ class IntersectionLattice:
     does not, and then E cap H_j is X, so (E, j) is a recorded pair.
     Edge containment is decided through these saturated sets: X is
     contained in Y iff defining(Y) is a subset of defining(X).
+
+    A pair (E, i) needs no elimination when the running defining set of
+    an edge Y already found at this level holds i and defining(E): then
+    Y lies in E cap H_i, and both have the same codimension, so they
+    are equal.
     """
 
     def __init__(self, arrangement):
@@ -152,16 +157,24 @@ class IntersectionLattice:
         self._by_codim = {0: [0]}
         for p in range(1, arrangement.dimension + 1):
             found = {}  # key -> (defining set, producing pairs)
+            # i -> the found (defining set, pairs) values whose set holds i
+            through = [[] for _ in rows]
             for e in self._by_codim[p - 1]:
                 edge = edges[e]
                 for i, row in enumerate(rows):
                     if i in edge.defining:
                         continue
-                    key = _system_rref([*edge.key, row])
-                    if key is None or len(key) != p:
-                        continue
-                    defining, pairs = found.setdefault(key, (set(), []))
-                    defining.update(edge.defining, (i,))
+                    entry = next((y for y in through[i]
+                                  if edge.defining <= y[0]), None)
+                    if entry is None:
+                        key = _system_rref([*edge.key, row])
+                        if key is None or len(key) != p:
+                            continue
+                        entry = found.setdefault(key, (set(), []))
+                    defining, pairs = entry
+                    for j in (edge.defining | {i}) - defining:
+                        defining.add(j)
+                        through[j].append(entry)
                     pairs.append((e, i))
             self._by_codim[p] = []
             for key in sorted(found):

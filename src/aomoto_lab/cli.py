@@ -46,7 +46,9 @@ from .liealg import (
 from .logforms import (
     coordinate_functions, grundlegend_control, verify_grundlegend,
 )
-from .svmap import build_arrangement, egregium_check, omega_sv
+from .svmap import (
+    build_arrangement, egregium_check, num_variables, omega_sv,
+)
 
 COMMANDS = (
     "lattice", "aomoto", "image", "invariants", "sv", "egregium",
@@ -164,21 +166,24 @@ def _resolve_arrangement(config):
     points = _parse_points(config, len(weights))
     kappa = _parse_kappa(config, required=False)
     arr = build_arrangement(weights, points, kappa=kappa)
-    # beta colors each variable by a simple root; sl2 has only root 0,
-    # which the arrangement's coloring already holds
-    beta = config.get("beta", list(arr.coloring))
-    if (not isinstance(beta, list) or len(beta) != arr.dimension
-            or any(not isinstance(b, int) or isinstance(b, bool) or b != 0
-                   for b in beta)):
-        _fail("beta", "expected the simple-root index 0 for every variable")
     echo = {
         "algebra": algebra_echo,
         "weights": list(config["weights"]),
         "points": [format_rational(p) for p in points],
         "kappa": format_rational(kappa) if kappa is not None else None,
-        "beta": list(beta),
+        "beta": _parse_beta(config, arr.dimension),
     }
     return arr, echo
+
+
+def _parse_beta(config, dimension):
+    """beta colors each variable by a simple root; sl2 has only root 0."""
+    beta = config.get("beta", [0] * dimension)
+    if (not isinstance(beta, list) or len(beta) != dimension
+            or any(not isinstance(b, int) or isinstance(b, bool) or b != 0
+                   for b in beta)):
+        _fail("beta", "expected the simple-root index 0 for every variable")
+    return list(beta)
 
 
 def _fmt_scalar(x):
@@ -308,6 +313,7 @@ def _cmd_sv(config):
     points = _parse_points(config, len(weights))
     kappa = _parse_kappa(config)
     seed = _seed(config)
+    beta = _parse_beta(config, num_variables(weights)) if "beta" in config else None
     space = TensorSpace(weights)
     arr = build_arrangement(weights, points, kappa=kappa)
     check_top_size(arr)
@@ -335,6 +341,8 @@ def _cmd_sv(config):
         "kappa": format_rational(kappa),
         "seed": seed,
     }
+    if beta is not None:
+        echo["beta"] = beta
     return report, echo
 
 
@@ -344,6 +352,7 @@ def _cmd_egregium(config):
     points = _parse_points(config, len(weights))
     kappa = _parse_kappa(config)
     seed = _seed(config)
+    beta = _parse_beta(config, num_variables(weights)) if "beta" in config else None
     report = egregium_check(weights, points, kappa)
     echo = {
         "algebra": algebra_echo,
@@ -352,6 +361,8 @@ def _cmd_egregium(config):
         "kappa": format_rational(kappa),
         "seed": seed,
     }
+    if beta is not None:
+        echo["beta"] = beta
     return report, echo
 
 
@@ -365,9 +376,10 @@ def _cmd_verify_forms(config):
     check_top_size(arr)
     F_list = coordinate_functions(arr.dimension)
     results = {}
+    kernels = {}  # shared by every k, since they mostly draw the same points
     for k in range(1, arr.dimension + 1):
         results[f"k={k}"] = verify_grundlegend(
-            arr, F_list, k, num_points=num_points, seed=seed
+            arr, F_list, k, num_points=num_points, seed=seed, kernels=kernels
         )
     control = grundlegend_control(arr, F_list, seed=seed)
     report = {

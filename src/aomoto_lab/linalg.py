@@ -94,23 +94,6 @@ def rref_kernel(rows, pivots, ncols, zero, one):
     return basis
 
 
-def kernel_rref(matrix, ncols):
-    """Reduced echelon form (rows, pivots) of the right kernel of `matrix`.
-
-    Read off one rref of `matrix` with its columns reversed.  There each
-    canonical kernel vector ends in a 1 at its free column and is zero at
-    the other free columns; reversed back, that 1 leads and the other
-    kernel pivots are zero, so the vectors, taken in reverse order, are
-    already the kernel's reduced echelon form.
-    """
-    rows, pivots = rref([row[::-1] for row in matrix])
-    reversed_basis = rref_kernel(rows, pivots, ncols, *_zero_one(matrix))
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    return ([vec[::-1] for vec in reversed(reversed_basis)],
-            [ncols - 1 - c for c in reversed(free)])
-
-
 def _zero_one(matrix):
     for row in matrix:
         for v in row:

@@ -216,14 +216,15 @@ def _sampling_forms(arr, F_list, upto):
     return forms
 
 
-def _boundary_sides(arr, rhs_arr, F_list, k, xy):
+def _boundary_sides(arr, rhs_arr, F_list, k, xy, forms=None):
     """Both sides of the boundary identity for F_1..F_k at a doubled point.
 
     The right side is built from rhs_arr: arr itself, or the control's
-    arrangement with a perturbed weight.
+    arrangement with a perturbed weight.  forms, when given, is
+    _kernel_forms(arr, xy, top) for some top >= M - k + 1.
     """
     M = arr.dimension
-    eta, kernels = _kernel_forms(arr, xy, M - k + 1)
+    eta, kernels = forms or _kernel_forms(arr, xy, M - k + 1)
     upper, lower = kernels[M - k + 1], kernels[M - k]
     if rhs_arr is not arr:
         eta, kernels = _kernel_forms(rhs_arr, xy, M - k)
@@ -236,22 +237,31 @@ def _boundary_sides(arr, rhs_arr, F_list, k, xy):
     return lhs, eta.wedge(reduce(ExteriorElement.wedge, diffs, lower))
 
 
-def verify_grundlegend(arr, F_list, k, num_points=5, seed=0, bound=10**6):
+def verify_grundlegend(arr, F_list, k, num_points=5, seed=0, bound=10**6,
+                       kernels=None):
     """Check the boundary identity for the first k comparison functions.
 
     Samples num_points doubled integer points away from all hyperplanes
     and diagonal slices, then compares both sides exactly.  Returns True
     iff the identity holds at every sampled point.
+
+    kernels maps a doubled point to eta and S^(0..M) there.  The calls
+    for k = 1..M with one seed mostly draw the same points, so passing
+    them one dict builds the kernel forms once per distinct point.
     """
     if not 1 <= k <= arr.dimension:
         raise ValueError("k must lie between 1 and the dimension")
+    if kernels is None:
+        kernels = {}
     avoid = _sampling_forms(arr, F_list, k)
     rng = random.Random(seed)
     for _ in range(num_points):
         xy = random_point_avoiding(
             avoid, bound=bound, seed=rng.randrange(2**32), dimension=2 * arr.dimension
         )
-        lhs, rhs = _boundary_sides(arr, arr, F_list, k, xy)
+        if xy not in kernels:
+            kernels[xy] = _kernel_forms(arr, xy, arr.dimension)
+        lhs, rhs = _boundary_sides(arr, arr, F_list, k, xy, kernels[xy])
         if lhs != rhs:
             return False
     return True

@@ -13,7 +13,8 @@ from aomoto_lab.aomoto import (
     shapovalov_image, weight_product,
 )
 from aomoto_lab.arrangement import (
-    color_group, intersection_lattice, os_dimension, perm_sign,
+    AffineForm, WeightedArrangement, color_group, intersection_lattice,
+    os_dimension, perm_sign,
 )
 from aomoto_lab.exactfield import RatFuncKappa
 from aomoto_lab.svmap import build_arrangement
@@ -92,19 +93,81 @@ def brute_force_cohomology(arr, p):
     return cx.space(p).dim - rank_out - rank_in
 
 
-@pytest.mark.parametrize("weights", [[1, 1, 1, 1], [2, 1, 1], [2, 2], [2, 1, 1, 2]],
-                         ids=lambda w: "-".join(map(str, w)))
-def test_relation_kernel_is_the_rref_of_the_pairing_nullspace(weights):
-    # the reference takes the nullspace of the transposed flag pairing and
-    # row-reduces it again, where AomotoSpace reads it from one elimination
-    points = [F(-1, 2), F(0), F(1, 2), F(1)][:len(weights)]
-    arr = build_arrangement(weights, points, kappa=7)
+def pairing_kernel_rref(arr, lattice, p):
+    """rref(nullspace(transpose(pairing_matrix))) by sympy over QQ.
+
+    The relations of degree p are the monomial combinations every flag
+    functional kills; this is the elimination AomotoSpace no longer runs.
+    """
+    pairing = pairing_matrix(arr, lattice, p)
+    shape = (len(pairing), len(pairing[0]))
+    P = DomainMatrix([[_qq(v) for v in row] for row in pairing], shape, QQ)
+    kernel = P.transpose().nullspace()
+    if not kernel.shape[0]:
+        return [], []
+    R, pivots = kernel.rref()
+    R = R.to_list()[:len(pivots)]
+    return ([[F(int(v.numerator), int(v.denominator)) for v in row] for row in R],
+            list(pivots))
+
+
+def with_parallel_line():
+    """[2,1,1] plus t1 - t2 = 1, parallel to the diagonal: a pair that never meets."""
+    base = build_arrangement([2, 1, 1], [F(-1, 2), F(0), F(1, 2)], kappa=7)
+    line = AffineForm(F(-1), (F(1), F(-1)))
+    return WeightedArrangement(base.dimension, (*base.forms, line),
+                               (*base.weights, F(1, 3)), coloring=base.coloring)
+
+
+def relation_cases():
+    points = [F(-1, 2), F(0), F(1, 2), F(1), F(3, 2), F(2)]
+    cases = {"-".join(map(str, w)): build_arrangement(w, points[:len(w)], kappa=7)
+             for w in ([1, 1, 1, 1], [2, 1, 1], [2, 2], [2, 1, 1, 2])}
+    cases.update({f"corpus{k}": arr for k, arr in enumerate(corpus())})
+    cases["parallel-line"] = with_parallel_line()
+    return cases
+
+
+@pytest.mark.parametrize("name", [*relation_cases(), "six-doublets"])
+def test_relation_kernel_is_the_rref_of_the_pairing_nullspace(name):
+    # the relations straightened from the lattice against the flag
+    # pairing: its kernel, row-reduced, by an elimination they never run
+    if name == "six-doublets":
+        arr = build_arrangement([1] * 6, [F(k, 2) for k in range(-1, 5)], kappa=7)
+    else:
+        arr = relation_cases()[name]
     lattice = intersection_lattice(arr)
+    rng = random.Random(arr.size)
     for p in range(arr.dimension + 1):
         space = AomotoSpace(arr, lattice, p)
-        transposed = [list(col) for col in zip(*space.pairing)]
-        kernel = linalg.nullspace(transposed, len(space.monomials))
-        assert (space.kernel_rref, space.kernel_pivots) == linalg.rref(kernel), p
+        rows, pivots = pairing_kernel_rref(arr, lattice, p)
+        assert space.kernel_pivots == pivots, p
+        assert space.kernel_rref == rows, p
+        assert space.dim == os_dimension(lattice, p), p
+        n = len(space.monomials)
+        assert space.free == [k for k in range(n) if k not in set(pivots)]
+        for _ in range(2):
+            vec = [F(rng.randint(-3, 3)) for _ in range(n)]
+            assert space.reduce(vec) == linalg.reduce_mod_rowspace(vec, rows, pivots)
+
+
+@pytest.mark.parametrize("name", [*relation_cases(), "symbolic-2-1-1"])
+def test_differential_matrix_is_the_dense_differential_in_coords(name):
+    arr = (symbolic_three_point() if name == "symbolic-2-1-1"
+           else relation_cases()[name])
+    cx = AomotoComplex(arr, intersection_lattice(arr))
+    for p in range(arr.dimension):
+        src, dst = cx.space(p), cx.space(p + 1)
+        matrix = cx.differential_matrix(p)
+        assert len(matrix) == dst.dim
+        for col, k in enumerate(src.free):
+            unit = [arr.zero] * len(src.monomials)
+            unit[k] = arr.zero + 1
+            want = dst.coords(differential(arr, p, unit))
+            got = [row[col] for row in matrix]
+            # compared with the types: a Fraction serializes unlike a
+            # RatFuncKappa of the same value
+            assert [(type(v), v) for v in got] == [(type(v), v) for v in want], (p, k)
 
 
 def test_two_point_cohomology_generic_and_degenerate():

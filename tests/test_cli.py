@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from aomoto_lab import cli
+from aomoto_lab import cli, logforms
 from aomoto_lab.aomoto import (
     MAX_TOP_MONOMIALS, AomotoComplex, check_top_size, chi_fixed_dim,
     rational_split, shapovalov_image,
@@ -24,6 +24,7 @@ from aomoto_lab.errors import (
 )
 from aomoto_lab.liealg import MAX_ZERO_WEIGHT_DIM, zero_weight_dim
 from aomoto_lab.svmap import build_arrangement
+from conftest import corpus
 from aomoto_lab.exactfield import (
     RatFuncKappa, format_rational, parse_rational, specialize_kappa,
 )
@@ -293,6 +294,28 @@ def test_main_exit_codes_for_algebra_and_beta(tmp_path, capsys):
     echo = json.loads(out.read_text())["config"]
     assert echo["algebra"] == {"type": "a", "rank": 1}
     assert echo["beta"] == [0, 0]
+
+
+@pytest.mark.parametrize("command,config", [("egregium", "egregium_kappa3.json"),
+                                            ("sv", "sv_kappa7.json")])
+def test_main_checks_and_echoes_beta_for_sl2_commands(command, config, tmp_path,
+                                                       capsys):
+    # egregium and sv build their arrangement from the sl2 recipe, and read
+    # beta as aomoto does: 0 for each of the two variables, or exit 2
+    base = _load(config)
+    path = tmp_path / "config.json"
+    for beta in ([5, "x"], [1, 0], [0], [0, False], "0"):
+        path.write_text(json.dumps({**base, "beta": beta}))
+        assert main([command, "--config", str(path)]) == 2, beta
+        assert capsys.readouterr().err.startswith("config error: config field 'beta'")
+    path.write_text(json.dumps({**base, "beta": [0, 0]}))
+    out = tmp_path / "report.json"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["beta"] == [0, 0]
+    # without beta the report is the one without the echo
+    assert ({k: v for k, v in report["config"].items() if k != "beta"}
+            == run(command, base)["config"])
 
 
 def test_main_output_is_byte_stable(tmp_path):
@@ -746,6 +769,73 @@ def _weight_variants():
             make(list(base.weights[:-1]) + [1 / (kappa + 1)]), False),
         "all zero": (make([kappa * 0] * base.size), False),
     }
+
+
+def _divided_split(arr):
+    """rational_split's reference: every ratio formed by division."""
+    w = next((x for x in arr.weights if x), None)
+    if w is None or not isinstance(arr.zero, RatFuncKappa):
+        return None
+    ratios = [(arr.zero + x) / w for x in arr.weights]
+    if not all(r.is_constant() for r in ratios):
+        return None
+    return w, [r.as_fraction() for r in ratios]
+
+
+def test_rational_split_matches_division():
+    kappa = RatFuncKappa.kappa()
+    cases = [arr for arr, _ in _weight_variants().values()]
+    for arr in corpus():
+        def make(weights, arr=arr):
+            return WeightedArrangement(arr.dimension, arr.forms, weights,
+                                       coloring=arr.coloring)
+        ws = arr.weights
+        cases += [
+            arr,
+            make([w / kappa for w in ws]),
+            make([w * (kappa + 1) / (kappa - 2) for w in ws]),
+            # Fraction and constant RatFuncKappa weights mixed
+            make([RatFuncKappa.constant(w) if k % 2 else w for k, w in enumerate(ws)]),
+            make([w / kappa if k % 2 else w for k, w in enumerate(ws)]),
+            # the last ratio is not constant
+            make([w / kappa for w in ws[:-1]] + [ws[-1] / (kappa + 1)]),
+        ]
+    split_count = 0
+    for arr in cases:
+        got, want = rational_split(arr), _divided_split(arr)
+        if want is None:
+            assert got is None, arr.weights
+            continue
+        split_count += 1
+        assert got[0] is next(x for x in arr.weights if x)
+        assert got[0] == want[0]
+        assert got[1].weights == tuple(want[1])
+        assert all(type(r) is Fraction for r in got[1].weights)
+        assert (got[1].forms, got[1].coloring) == (arr.forms, arr.coloring)
+    assert split_count >= 3 * len(corpus())
+    ratio = corpus()[0]
+    assert rational_split(WeightedArrangement(
+        1, ratio.forms, [1 / kappa, 1 / (kappa + 1)])) is None
+
+
+def test_verify_forms_builds_kernel_forms_once_per_point(monkeypatch):
+    # every k of one request draws its points from the same seed; the
+    # kernel forms at a point are built once and read by every k
+    built = []
+    original = logforms._kernel_forms
+
+    def counting(arr, xy, top):
+        built.append(xy)
+        return original(arr, xy, top)
+
+    monkeypatch.setattr(logforms, "_kernel_forms", counting)
+    for name in ("verify_forms_sl2.json", "verify_forms_three_variable.json"):
+        built.clear()
+        report = run("verify-forms", _load(name))
+        assert report["all_hold"] and report["control_detects_perturbation"]
+        checked = built[:-2]  # the control builds two at its own point
+        assert len(checked) == len(set(checked)), name
+        assert len(checked) < report["num_points"] * len(report["identity_holds"])
 
 
 @pytest.mark.parametrize("name", sorted(_weight_variants()))

@@ -90,14 +90,6 @@ def test_nullspace_is_the_canonical_kernel():
                 assert sum((a * b for a, b in zip(row, vec)), F(0)) == 0
 
 
-def test_kernel_rref_is_the_rref_of_the_nullspace():
-    for _, matrix in seeded_cases():
-        ncols = len(matrix[0])
-        assert (linalg.kernel_rref(matrix, ncols)
-                == naive_rref(linalg.nullspace(matrix, ncols)))
-    assert linalg.kernel_rref([], 3) == naive_rref(linalg.identity(3))
-
-
 def test_all_zero_matvec_over_ratfunc_keeps_the_type():
     kappa = RatFuncKappa.kappa()
     zero = RatFuncKappa()

@@ -237,8 +237,8 @@ def test_power_form_matches_subset_sum(arr, monkeypatch):
     built = []
     sides = logforms._boundary_sides
 
-    def recording(lhs_arr, rhs_arr, F_list, k, xy):
-        out = sides(lhs_arr, rhs_arr, F_list, k, xy)
+    def recording(lhs_arr, rhs_arr, F_list, k, xy, *forms):
+        out = sides(lhs_arr, rhs_arr, F_list, k, xy, *forms)
         built.append((k, xy, out))
         return out
 
