@@ -12,14 +12,23 @@ Transport moves one coordinate along a piecewise-linear path while the
 others stay put, integrating with Taylor series recentered at each step:
 the series radius equals the distance to the nearest puncture and the
 step stays well inside it, so the truncation error is controlled by a
-geometric tail.  All floating arithmetic runs through mpmath at the
-system's precision.  The Taylor recurrence and the step products run on
-raw libmp (re, im) tuples: each operation is the libmp call an mpc
-operator makes, at the same precision and rounding, and only additions
-of an exact zero are left out, so every rounded value is bit-identical
-to the same recurrence on mpc objects.  hyp2f1 integrates each contour
-chord at GUARD bits above the requested precision, the precision its
-2^-precision_bits error guard asks for.
+geometric tail.  Floating arithmetic runs through mpmath at the
+system's precision, except that the Taylor recurrence and the step
+products run on an integer kernel: a real number is an integer mantissa and a binary
+exponent, and each complex sum or product is formed exactly from those
+integers and rounded once to the precision, to nearest with ties to
+even.  That is how libmp's mpc_add, mpc_mul and mpc_mul_int round the
+same exact expressions, and the kernel copies the one shortcut libmp
+takes for addends far apart (see _far_addends), so every value is
+bit-identical to the same recurrence on mpc objects; only additions of
+an exact zero are left out.  The reciprocal 1/((s + 1) q_0) stays a
+libmp call, and so does the size test of a Taylor term where the
+exponents of its entries do not decide it.  tests/test_kz_kernel.py
+checks the kernel operations against libmp value for value, and the
+bit-identity tests of tests/test_kz.py check single steps and whole
+loops against the recurrence on mpc objects.  hyp2f1 integrates each
+contour chord at GUARD bits above the requested precision, the
+precision its 2^-precision_bits error guard asks for.
 """
 
 import functools
@@ -27,10 +36,7 @@ import math
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import (
-    fone, fzero, mpc_abs, mpc_add, mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_neg,
-    mpf_lt,
-)
+from mpmath.libmp import fone, from_man_exp, mpc_abs, mpc_mpf_div, mpf_lt
 
 from .errors import (
     BranchCut, CollidingPoints, LoopEnclosesPuncture, PrecisionLoss,
@@ -337,8 +343,10 @@ def transport(sys, path, tol=None, moving=0):
     expansions of the solution recentered along each segment; each step
     length is at most STEP_RATIO times the distance to the nearest
     puncture, and raises StepUnderflow inside the keep-out radius.  The
-    step matrices and their products are raw libmp tuples (see
-    _taylor_step); the result becomes mpc once, here.  Each segment's
+    step matrices and their products run on the integer kernel (see the
+    module docstring), where every sum and product is the exact value
+    rounded once, as mpc arithmetic rounds it at the same precision; the
+    result becomes mpc once, here.  Each segment's
     transport is kept in sys.segment_transports, keyed on everything it
     depends on besides the system itself, so a leg that two paths share
     (the way out of and back to the base of a commutator's two loops) is
@@ -359,11 +367,13 @@ def transport(sys, path, tol=None, moving=0):
             tol = mpmath.mpf(2) ** (-(sys.precision_bits // 2))
         else:
             tol = mpmath.mpf(tol)
+            if not tol > 0:
+                raise ValueError("tol must be positive")
         quarter_tol = (tol / 4)._mpf_
         minus_inv_kappa = _to_mpc(Fraction(-1, 1) / sys.kappa)._mpc_
         known = sys.segment_transports
         context = (moving, tuple(p._mpc_ for p in punctures), quarter_tol)
-        total = _raw_identity(sys.d)
+        total = _identity(sys.d)
         for a, b in path.segments():
             key = (context, a, b)
             if key not in known:
@@ -371,14 +381,14 @@ def transport(sys, path, tol=None, moving=0):
                     _to_mpc(a), _to_mpc(b), punctures, omegas,
                     minus_inv_kappa, quarter_tol, prec,
                 )
-            total = _raw_mat_mul(known[key], total, prec)
-        return [[mpmath.mp.make_mpc(x) for x in row] for row in total]
+            total = _kmat_mul(known[key], total, prec)
+        return [[mpmath.mp.make_mpc(_to_libmp(x)) for x in row] for row in total]
 
 
 def _segment_transport(a, b, punctures, omegas, minus_inv_kappa, quarter_tol,
                        prec):
     pos = a
-    result = _raw_identity(len(omegas[0]))
+    result = _identity(len(omegas[0]))
     while True:
         remaining = b - pos
         if abs(remaining) == 0:
@@ -396,55 +406,186 @@ def _segment_transport(a, b, punctures, omegas, minus_inv_kappa, quarter_tol,
             h = remaining / abs(remaining) * hmax
         step = _taylor_step([s._mpc_ for s in shifts], h._mpc_, omegas,
                             minus_inv_kappa, quarter_tol, prec)
-        result = _raw_mat_mul(step, result, prec)
+        result = _kmat_mul(_kmat(step), result, prec)
         pos = b if abs(remaining) <= hmax else pos + h
 
 
-# Raw libmp arithmetic for the transport kernel: every value is an (re, im)
-# pair of mpf tuples, and every operation rounds to nearest at prec, as the
-# mpc operators do (see the module docstring).  An exact zero is never
-# added: that addition would return a value already rounded to prec as is.
+# The transport kernel.  A real number is an integer mantissa m and an
+# exponent e, the value m * 2**e, and a complex number is the flat tuple
+# (m_re, e_re, m_im, e_im).  A sum or product is formed exactly from the
+# integers and rounded once to prec bits, to nearest with ties to even,
+# which is how libmp rounds mpc_add, mpc_mul and mpc_mul_int, up to one
+# shortcut that _cmul copies (see _far_addends): so each value is the one
+# the libmp call gives.  The rounding is written out in _cadd
+# and _cmul, which run in the innermost loop.  libmp tuples enter and
+# leave once per Taylor step.
 
-_ONE = (fone, fzero)
-_ZERO = (fzero, fzero)
+_ONE = (1, 0, 0, 0)
+_ZERO = (0, 0, 0, 0)
 
 
-def _raw_identity(d):
+def _from_libmp(z):
+    (rs, rm, re, _), (js, jm, je, _) = z
+    return (-rm if rs else rm), re, (-jm if js else jm), je
+
+
+def _to_libmp(x):
+    m, e, k, f = x
+    return from_man_exp(m, e), from_man_exp(k, f)
+
+
+def _kmat(mat):
+    return [[_from_libmp(z) for z in row] for row in mat]
+
+
+def _cadd(x, y, prec):
+    """x + y as mpc_add gives it, for x and y rounded to prec bits."""
+    p, ep, q, eq = x
+    u, eu, v, ev = y
+    if ep > eu:
+        m, e = (p << (ep - eu)) + u, eu
+    else:
+        m, e = p + (u << (eu - ep)), ep
+    n = m.bit_length() - prec
+    if n > 0:
+        # m >> (n - 1) rounds toward minus infinity for either sign, so
+        # its last bit is the first dropped bit and the mask below holds
+        # the others
+        t = m >> (n - 1)
+        m = (t >> 1) + 1 if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)) \
+            else t >> 1
+        e += n
+    if eq > ev:
+        k, f = (q << (eq - ev)) + v, ev
+    else:
+        k, f = q + (v << (ev - eq)), eq
+    n = k.bit_length() - prec
+    if n > 0:
+        t = k >> (n - 1)
+        k = (t >> 1) + 1 if t & 1 and (t & 2 or k & ((1 << (n - 1)) - 1)) \
+            else t >> 1
+        f += n
+    return m, e, k, f
+
+
+def _cmul(x, y, prec):
+    """x * y as mpc_mul gives it: each part's two exact products, rounded once."""
+    a, ea, b, eb = x
+    c, ec, d, ed = y
+    p, ep, q, eq = a * c, ea + ec, -(b * d), eb + ed
+    if p and q:
+        gap = p.bit_length() + ep - q.bit_length() - eq
+        if gap > prec + 4 or -gap > prec + 4:
+            p, ep, q, eq = _far_addends(p, ep, q, eq, gap, prec)
+    if ep > eq:
+        m, e = (p << (ep - eq)) + q, eq
+    else:
+        m, e = p + (q << (eq - ep)), ep
+    n = m.bit_length() - prec
+    if n > 0:
+        t = m >> (n - 1)
+        m = (t >> 1) + 1 if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)) \
+            else t >> 1
+        e += n
+    p, ep, q, eq = a * d, ea + ed, b * c, eb + ec
+    if p and q:
+        gap = p.bit_length() + ep - q.bit_length() - eq
+        if gap > prec + 4 or -gap > prec + 4:
+            p, ep, q, eq = _far_addends(p, ep, q, eq, gap, prec)
+    if ep > eq:
+        k, f = (p << (ep - eq)) + q, eq
+    else:
+        k, f = p + (q << (eq - ep)), ep
+    n = k.bit_length() - prec
+    if n > 0:
+        t = k >> (n - 1)
+        k = (t >> 1) + 1 if t & 1 and (t & 2 or k & ((1 << (n - 1)) - 1)) \
+            else t >> 1
+        f += n
+    return m, e, k, f
+
+
+def _far_addends(p, ep, q, eq, gap, prec):
+    """The addends libmp's mpf_add rounds in place of p 2^ep and q 2^eq.
+
+    gap is how far the top bit of p lies above that of q, and exceeds
+    prec + 4 either way.  Where, in addition, the exponents of the two
+    addends written with odd mantissas differ by more than 100, mpf_add
+    shifts the larger one up by prec + 4 bits and adds a unit of the
+    smaller one's sign.  That rounds as the exact sum does when the
+    larger addend fits in prec bits, so _cadd needs no such step, but
+    not always when it is an exact product of two mantissas, as here.
+    """
+    offset = ep - eq + (p & -p).bit_length() - (q & -q).bit_length()
+    if gap > 0 and offset > 100:
+        return p << (prec + 4), ep - prec - 4, 1 if q > 0 else -1, ep - prec - 4
+    if gap < 0 and offset < -100:
+        return 1 if p > 0 else -1, eq - prec - 4, q << (prec + 4), eq - prec - 4
+    return p, ep, q, eq
+
+
+def _cmul_int(x, n, prec):
+    """x * n for an integer n, as mpc_mul_int gives it."""
+    return _cmul(x, (n, 0, 0, 0), prec)
+
+
+def _identity(d):
     return [[_ONE if r == c else _ZERO for c in range(d)] for r in range(d)]
 
 
-def _raw_sum(values, prec):
+def _ksum(values, prec):
     acc = values[0]
     for v in values[1:]:
-        acc = mpc_add(acc, v, prec, "n")
+        acc = _cadd(acc, v, prec)
     return acc
 
 
-def _raw_mat_add(a, b, prec):
-    return [[mpc_add(x, y, prec, "n") for x, y in zip(ra, rb)]
-            for ra, rb in zip(a, b)]
+def _kmat_add(a, b, prec):
+    return [[_cadd(x, y, prec) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _raw_mat_scale(a, s, prec):
-    return [[mpc_mul(s, x, prec, "n") for x in row] for row in a]
+def _kmat_scale(a, s, prec):
+    return [[_cmul(s, x, prec) for x in row] for row in a]
 
 
-def _raw_mat_mul(a, b, prec):
+def _kmat_mul(a, b, prec):
     cols = list(zip(*b))
-    return [
-        [_raw_sum([mpc_mul(x, y, prec, "n") for x, y in zip(row, col)], prec)
-         for col in cols]
-        for row in a
-    ]
+    out = []
+    for row in a:
+        out_row = []
+        for col in cols:
+            acc = _cmul(row[0], col[0], prec)
+            for x, y in zip(row[1:], col[1:]):
+                acc = _cadd(acc, _cmul(x, y, prec), prec)
+            out_row.append(acc)
+        out.append(out_row)
+    return out
 
 
-def _raw_poly_from_roots(shifts, prec):
+def _below(x, tol, tol_top, prec):
+    """Whether mpc_abs(x) < tol, where 2**(tol_top - 1) <= tol < 2**tol_top.
+
+    A part at or above 2**tol_top, or both parts below 2**(tol_top - 2),
+    decide it without libmp: |x| is then at least 2**tol_top, or below
+    2**(tol_top - 1.5), and mpc_abs rounds neither across tol.
+    """
+    m, e, k, f = x
+    top = max(m.bit_length() + e if m else -math.inf,
+              k.bit_length() + f if k else -math.inf)
+    if top > tol_top:
+        return False
+    if top <= tol_top - 2:
+        return True
+    return mpf_lt(mpc_abs(_to_libmp(x), prec, "n"), tol)
+
+
+def _poly_from_roots(shifts, prec):
     """Coefficients of prod (w + shift) in increasing powers of w."""
     coeffs = [_ONE]
     for s in shifts:
         coeffs = (
-            [mpc_mul(coeffs[0], s, prec, "n")]
-            + [mpc_add(low, mpc_mul(c, s, prec, "n"), prec, "n")
+            [_cmul(coeffs[0], s, prec)]
+            + [_cadd(low, _cmul(c, s, prec), prec)
                for low, c in zip(coeffs, coeffs[1:])]
             + [coeffs[-1]]
         )
@@ -452,7 +593,7 @@ def _raw_poly_from_roots(shifts, prec):
 
 
 def _taylor_step(shifts, h, omegas, minus_inv_kappa, quarter_tol, prec):
-    """Transport matrix over one step of length h, as raw libmp tuples.
+    """Transport matrix over one step of length h, as libmp tuples.
 
     With w the displacement from the step's start, the evolution matrix
     is C(w) / q(w), where q(w) = prod_k (w + shift_k) and
@@ -462,51 +603,59 @@ def _taylor_step(shifts, h, omegas, minus_inv_kappa, quarter_tol, prec):
         (s + 1) q_0 U_{s+1} = sum_i C_i U_{s-i}
                               - sum_{i>=1} (s + 1 - i) q_i U_{s+1-i},
 
-    and the sum stops after three terms in a row below quarter_tol.
+    and the sum stops after three terms in a row below quarter_tol (see
+    _below).  The arguments and the result are libmp tuples; the
+    arithmetic runs on the integer kernel, except the reciprocal
+    1/((s + 1) q_0), which is mpc_mpf_div's.
     """
     d = len(omegas[0])
-    q = _raw_poly_from_roots(shifts, prec)
-    minus_q = [mpc_neg(x, prec, "n") for x in q]
+    shifts = [_from_libmp(s) for s in shifts]
+    h = _from_libmp(h)
+    omegas = [_kmat(omega) for omega in omegas]
+    minus_inv_kappa = _from_libmp(minus_inv_kappa)
+    q = _poly_from_roots(shifts, prec)
+    minus_q = [(-m, e, -k, f) for m, e, k, f in q]
     scales = [
-        [mpc_mul(c, minus_inv_kappa, prec, "n")
-         for c in _raw_poly_from_roots(shifts[:k] + shifts[k + 1:], prec)]
+        [_cmul(c, minus_inv_kappa, prec)
+         for c in _poly_from_roots(shifts[:k] + shifts[k + 1:], prec)]
         for k in range(len(shifts))
     ]
     c_coeffs = [
-        [[_raw_sum([mpc_mul(scale[i], omega[r][c], prec, "n")
-                    for scale, omega in zip(scales, omegas)], prec)
+        [[_ksum([_cmul(scale[i], omega[r][c], prec)
+                 for scale, omega in zip(scales, omegas)], prec)
           for c in range(d)]
          for r in range(d)]
         for i in range(len(shifts))
     ]
-    terms = [_raw_identity(d)]
-    value = _raw_identity(d)
+    tol_top = quarter_tol[2] + quarter_tol[3]
+    terms = [_identity(d)]
+    value = _identity(d)
     h_power = _ONE
     quiet = 0
     for s in range(MAX_SERIES_TERMS):
-        acc = _raw_mat_mul(c_coeffs[0], terms[s], prec)
+        acc = _kmat_mul(c_coeffs[0], terms[s], prec)
         for i in range(1, min(s, len(c_coeffs) - 1) + 1):
-            acc = _raw_mat_add(
-                acc, _raw_mat_mul(c_coeffs[i], terms[s - i], prec), prec
+            acc = _kmat_add(
+                acc, _kmat_mul(c_coeffs[i], terms[s - i], prec), prec
             )
         # the i = s + 1 term has the factor 0 and is left out
         for i in range(1, min(s, len(q) - 1) + 1):
-            factor = mpc_mul_int(minus_q[i], s - i + 1, prec, "n")
-            acc = _raw_mat_add(
-                acc, _raw_mat_scale(terms[s - i + 1], factor, prec), prec
+            factor = _cmul_int(minus_q[i], s - i + 1, prec)
+            acc = _kmat_add(
+                acc, _kmat_scale(terms[s - i + 1], factor, prec), prec
             )
-        inv = mpc_mpf_div(fone, mpc_mul_int(q[0], s + 1, prec, "n"),
+        inv = mpc_mpf_div(fone, _to_libmp(_cmul_int(q[0], s + 1, prec)),
                           prec, "n")
-        nxt = _raw_mat_scale(acc, inv, prec)
+        nxt = _kmat_scale(acc, _from_libmp(inv), prec)
         terms.append(nxt)
-        h_power = mpc_mul(h_power, h, prec, "n")
-        contribution = _raw_mat_scale(nxt, h_power, prec)
-        value = _raw_mat_add(value, contribution, prec)
-        if all(mpf_lt(mpc_abs(x, prec, "n"), quarter_tol)
+        h_power = _cmul(h_power, h, prec)
+        contribution = _kmat_scale(nxt, h_power, prec)
+        value = _kmat_add(value, contribution, prec)
+        if all(_below(x, quarter_tol, tol_top, prec)
                for row in contribution for x in row):
             quiet += 1
             if quiet >= 3:
-                return value
+                return [[_to_libmp(x) for x in row] for row in value]
         else:
             quiet = 0
     raise PrecisionLoss("Taylor step did not converge within the term cap")

@@ -388,6 +388,41 @@ def test_kz_rejects_malformed_fields(tmp_path, capsys, field, value):
     assert f"config field '{field}'" in capsys.readouterr().err
 
 
+JUST_OUTSIDE = f"{cli.MAX_KZ_COORDINATE * 10**6 + 1}/{10**6}"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("points", ["-1/2", "0/1", "1/2", JUST_OUTSIDE]),
+    ("points", ["-" + JUST_OUTSIDE, "0/1", "1/2", "1/1"]),
+    ("base", JUST_OUTSIDE),
+    ("base", "-" + JUST_OUTSIDE),
+])
+def test_kz_refuses_coordinates_beyond_the_bound(tmp_path, capsys, field,
+                                                 value):
+    config = {"schema": "1", "precision_bits": 64, "loop": [2, 3],
+              field: value}
+    started = time.process_time()
+    with pytest.raises(ConfigError) as err:
+        run("kz", config)
+    assert time.process_time() - started < 1
+    assert f"config field '{field}'" in str(err.value)
+    assert str(cli.MAX_KZ_COORDINATE) in str(err.value)
+    path = tmp_path / "kz.json"
+    path.write_text(json.dumps(config))
+    assert main(["kz", "--config", str(path)]) == 2
+
+
+def test_kz_accepts_coordinates_at_the_bound():
+    bound = cli.MAX_KZ_COORDINATE
+    report = run("kz", {
+        "schema": "1", "precision_bits": 64, "kappa": "-7/3", "loop": [2, 3],
+        "points": ["-1/2", "0/1", "1/2", str(bound)], "base": str(-bound),
+    })
+    assert report["config"]["base"] == f"{-bound}/1"
+    # a commutator has determinant 1
+    assert float(report["pochhammer"]["det_defect"]) < 1e-15
+
+
 @pytest.mark.parametrize("third", ["1/10", "1/" + str(10**400)])
 def test_kz_loop_enclosing_two_punctures_is_a_domain_error(
         tmp_path, capsys, third):
