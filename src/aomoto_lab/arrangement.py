@@ -6,9 +6,10 @@ Edges are the nonempty intersections of hyperplanes; they are graded by
 codimension and ordered by inclusion.  Edges are identified by the
 reduced row echelon form of their defining linear system, which makes
 equality and ordering canonical.  The intersection lattice row-reduces
-each (edge, hyperplane) system whose meet it has not already found and
-records the meets; the defining sets of the edges and the flags of
-hyperplane tuples are read off that record.
+each (edge, hyperplane) system whose meet it has not already found,
+where a lone form is only scaled by its leading entry, and records the
+meets; the defining sets of the edges and the flags of hyperplane tuples
+are read off that record.
 
 The one-form eta = sum_i a_i dlog f_i plays the role of the twisting
 differential throughout the package.
@@ -129,6 +130,17 @@ def _augmented_row(form):
     return [*form.gradient, -form.constant]
 
 
+def _form_key(row):
+    """The key of a lone augmented row, the row over its leading entry.
+
+    None when only the constant can be nonzero (no hyperplane).
+    """
+    lead = next((c for c, v in enumerate(row) if v), len(row) - 1)
+    if lead == len(row) - 1:
+        return None
+    return (tuple(v / row[lead] for v in row),)
+
+
 class IntersectionLattice:
     """All edges of an arrangement, graded by codimension.
 
@@ -167,7 +179,8 @@ class IntersectionLattice:
                     entry = next((y for y in through[i]
                                   if edge.defining <= y[0]), None)
                     if entry is None:
-                        key = _system_rref([*edge.key, row])
+                        key = _system_rref([*edge.key, row]) if p > 1 \
+                            else _form_key(row)
                         if key is None or len(key) != p:
                             continue
                         entry = found.setdefault(key, (set(), []))

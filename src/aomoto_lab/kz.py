@@ -26,9 +26,9 @@ libmp call, and so does the size test of a Taylor term where the
 exponents of its entries do not decide it.  tests/test_kz_kernel.py
 checks the kernel operations against libmp value for value, and the
 bit-identity tests of tests/test_kz.py check single steps and whole
-loops against the recurrence on mpc objects.  hyp2f1 integrates each
-contour chord at GUARD bits above the requested precision, the
-precision its 2^-precision_bits error guard asks for.
+loops against the recurrence on mpc objects.  hyp2f1 walks its contour
+with the same step rule and kernel, on the scalar equation its
+integrand solves.
 """
 
 import functools
@@ -36,7 +36,9 @@ import math
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import fone, from_man_exp, mpc_abs, mpc_mpf_div, mpf_lt
+from mpmath.libmp import (
+    fone, from_man_exp, from_rational, fzero, mpc_abs, mpc_mpf_div, mpf_lt,
+)
 
 from .errors import (
     BranchCut, CollidingPoints, LoopEnclosesPuncture, PrecisionLoss,
@@ -48,8 +50,6 @@ from .liealg import TensorSpace, coinvariants_quotient
 KEEP_OUT_RADIUS = 0.01
 STEP_RATIO = 0.38
 MAX_SERIES_TERMS = 400
-# bits above the requested precision at which hyp2f1 integrates a chord
-GUARD = 16
 
 
 def casimir_matrices(weights=(1, 1, 1, 1)):
@@ -387,12 +387,26 @@ def transport(sys, path, tol=None, moving=0):
 
 def _segment_transport(a, b, punctures, omegas, minus_inv_kappa, quarter_tol,
                        prec):
-    pos = a
     result = _identity(len(omegas[0]))
+    for shifts, h in _steps(a, b, punctures):
+        step = _taylor_step([s._mpc_ for s in shifts], h._mpc_, omegas,
+                            minus_inv_kappa, quarter_tol, prec)
+        result = _kmat_mul(_kmat(step), result, prec)
+    return result
+
+
+def _steps(a, b, punctures):
+    """(offsets from the punctures, length) of each Taylor step from a to b.
+
+    A step is at most STEP_RATIO times the distance to the nearest
+    puncture, and one that would start inside the keep-out radius raises
+    StepUnderflow.
+    """
+    pos = a
     while True:
         remaining = b - pos
         if abs(remaining) == 0:
-            return result
+            return
         shifts = [pos - p for p in punctures]
         rho = min(abs(s) for s in shifts)
         if rho <= KEEP_OUT_RADIUS:
@@ -401,13 +415,11 @@ def _segment_transport(a, b, punctures, omegas, minus_inv_kappa, quarter_tol,
             )
         hmax = STEP_RATIO * rho
         if abs(remaining) <= hmax:
-            h = remaining
-        else:
-            h = remaining / abs(remaining) * hmax
-        step = _taylor_step([s._mpc_ for s in shifts], h._mpc_, omegas,
-                            minus_inv_kappa, quarter_tol, prec)
-        result = _kmat_mul(_kmat(step), result, prec)
-        pos = b if abs(remaining) <= hmax else pos + h
+            yield shifts, remaining
+            return
+        h = remaining / abs(remaining) * hmax
+        yield shifts, h
+        pos = pos + h
 
 
 # The transport kernel.  A real number is an integer mantissa m and an
@@ -859,102 +871,142 @@ def diagonalizability_report(mat):
 # hypergeometric oracle by contour integration
 
 
+_LOOP_RADIUS = 0.25
+
+
 def _pochhammer_contour():
     """Waypoints of the double-commutator contour around t=0 and t=1.
 
-    Based below the segment so that the third singular point 1/u of the
-    integrand (u = 2 puts it at 1/2) is never approached or encircled.
+    Based below the segment, with loops of radius _LOOP_RADIUS, so that
+    the third singular point 1/u of the integrand (u = 2 puts it at 1/2)
+    is neither approached nor encircled for the u that hyp2f1 accepts.
     """
     base = complex(0.5, -0.35)
-    loop1 = ContourPath.loop_around(base, 1.0, radius=0.25, depth=0.35)
-    loop0 = ContourPath.loop_around(base, 0.0, radius=0.25, depth=0.35)
+    loop1 = ContourPath.loop_around(base, 1.0, radius=_LOOP_RADIUS, depth=0.35)
+    loop0 = ContourPath.loop_around(base, 0.0, radius=_LOOP_RADIUS, depth=0.35)
     path = loop1.concat(loop0).concat(loop1.reversed()).concat(loop0.reversed())
     return path
-
-
-def _arg_ratio(w1, w0):
-    return abs(mpmath.arg(w1 / w0))
 
 
 def hyp2f1(a, b, c, u, precision_bits=DEFAULT_PRECISION_BITS):
     """Gauss hypergeometric value via the double-loop Euler contour.
 
-    Integrates t^(b-1) (1-t)^(c-b-1) (1-ut)^(-a) along a commutator
-    contour around t = 0 and t = 1 with continuous branch tracking, then
-    normalizes by gamma factors and the endpoint monodromy factors.
-    Every chord of the contour stays away from t = 0, 1 and 1/u, so the
-    integrand is analytic on it and each chord is integrated by
-    Gauss-Legendre quadrature at precision_bits + GUARD bits; the branch
-    logs, the running sum and the normalization keep precision_bits + 64.
-    Needs b and c - b nonintegral.  Raises PrecisionLoss if a chord's
-    quadrature error estimate exceeds 2^-precision_bits, or if the branch
-    bookkeeping fails to close up.
+    Integrates f(t) = t^(b-1) (1-t)^(c-b-1) (1-ut)^(-a) along a commutator
+    contour around t = 0 and t = 1, then normalizes by gamma factors and
+    the endpoint monodromy factors.  f is carried around the contour by
+    the Taylor steps of transport, on the integer kernel (see _hyp_step),
+    which continue its branches analytically from their principal values
+    at the start.  Needs b and c - b nonintegral, and 1/u (u != 0)
+    outside both loops and the keep-out radius of the contour; raises
+    ValueError otherwise.  Raises PrecisionLoss if a step's series does
+    not fall below 2^-(precision_bits + 16) within MAX_SERIES_TERMS, or
+    if f does not come back to its start value around the contour to a
+    relative 2^-(precision_bits // 4).
     """
     for name, val in (("b", b), ("c-b", Fraction(c) - Fraction(b))):
         frac = Fraction(val)
         if frac.denominator == 1:
             raise ValueError(f"{name} must not be an integer for the contour")
+    path = _pochhammer_contour()
+    if u != 0:
+        pole = 1 / complex(u)
+        if min(abs(pole), abs(pole - 1)) < _LOOP_RADIUS \
+                or path.min_distance([pole]) <= KEEP_OUT_RADIUS:
+            raise ValueError(
+                f"the pole 1/u = {pole} lies inside a loop of the contour "
+                "or within the keep-out radius of it"
+            )
     with mpmath.workprec(precision_bits + 64):
         aa, bb, cc, uu = (_to_mpc(x) for x in (a, b, c, u))
-        path = _pochhammer_contour()
-        exps = (bb - 1, cc - bb - 1, -aa)
-
-        def factors(t):
-            return (t, 1 - t, 1 - uu * t)
-
         start = _to_mpc(path.waypoints[0])
-        logs = [mpmath.log(w) for w in factors(start)]
-        initial_logs = list(logs)
-        total = mpmath.mpc(0)
+        exps = [bb - 1, cc - bb - 1, -aa]
+        f_start = mpmath.exp(sum(
+            e * mpmath.log(w)
+            for e, w in zip(exps, (start, 1 - start, 1 - uu * start))
+        ))
+        # u = 0 drops the third factor, which is then 1
+        poles = [mpmath.mpc(0), mpmath.mpc(1), *([1 / uu] if u != 0 else [])]
+        kexps = [_from_libmp(e._mpc_) for e in exps[:len(poles)]]
+        prec = mpmath.mp.prec
+        tol = (mpmath.mpf(2) ** -(precision_bits + 16))._mpf_
+        value = _from_libmp(f_start._mpc_)
+        total = _ZERO
         for seg_a, seg_b in path.segments():
-            total, logs = _integrate_segment(
-                _to_mpc(seg_a), _to_mpc(seg_b), factors, exps, logs, total,
-                precision_bits,
-            )
-        drift = max(abs(x - y) for x, y in zip(logs, initial_logs))
-        if drift > mpmath.mpf(2) ** (-(precision_bits // 4)):
-            raise PrecisionLoss("branch tracking failed to close the contour")
+            for shifts, h in _steps(_to_mpc(seg_a), _to_mpc(seg_b), poles):
+                grow, area = _hyp_step(
+                    [_from_libmp(s._mpc_) for s in shifts],
+                    _from_libmp(h._mpc_), kexps, tol, prec,
+                )
+                total = _cadd(total, _cmul(value, area, prec), prec)
+                value = _cmul(value, grow, prec)
+        drift = mpmath.mp.make_mpc(_to_libmp(value)) - f_start
+        if abs(drift) > mpmath.mpf(2) ** (-(precision_bits // 4)) * abs(f_start):
+            raise PrecisionLoss("the integrand did not close up around the contour")
         lam = mpmath.exp(2j * mpmath.pi * bb)
         mu = mpmath.exp(2j * mpmath.pi * (cc - bb))
         denom = (1 - lam) * (1 - mu)
         gamma_factor = mpmath.gamma(cc) / (
             mpmath.gamma(bb) * mpmath.gamma(cc - bb)
         )
-        return gamma_factor * total / denom
+        return gamma_factor * mpmath.mp.make_mpc(_to_libmp(total)) / denom
 
 
-def _integrate_segment(t0, t1, factors, exps, logs, total, precision_bits,
-                       depth=0):
-    w0 = factors(t0)
-    w1 = factors(t1)
-    if any(abs(w) == 0 for w in w0 + w1):
-        raise PrecisionLoss("contour touches a singular point")
-    if depth > 24:
-        raise PrecisionLoss("contour subdivision failed to settle branches")
-    if any(_arg_ratio(x, y) > 1.2 for x, y in zip(w1, w0)):
-        mid = (t0 + t1) / 2
-        total, logs = _integrate_segment(
-            t0, mid, factors, exps, logs, total, precision_bits, depth + 1
-        )
-        return _integrate_segment(
-            mid, t1, factors, exps, logs, total, precision_bits, depth + 1
-        )
+@functools.lru_cache(maxsize=8)
+def _reciprocals(count, prec):
+    """[0, 1/1, ..., 1/count], each rounded to prec bits, as kernel values."""
+    return [_ZERO] + [_from_libmp((from_rational(1, k, prec, "n"), fzero))
+                      for k in range(1, count + 1)]
 
-    def integrand(t):
-        w = factors(t)
-        acc = mpmath.mpc(0)
-        for e, wi, w0i, li in zip(exps, w, w0, logs):
-            acc += e * (li + mpmath.log(wi / w0i))
-        return mpmath.exp(acc)
 
-    with mpmath.workprec(precision_bits + GUARD):
-        value, error = mpmath.quad(
-            integrand, [t0, t1], method="gauss-legendre", error=True
-        )
-    if error > mpmath.mpf(2) ** (-precision_bits):
-        raise PrecisionLoss("contour quadrature did not converge on a chord")
-    total = total + value
-    new_logs = [
-        li + mpmath.log(wi / w0i) for li, wi, w0i in zip(logs, w1, w0)
-    ]
-    return total, new_logs
+def _hyp_step(shifts, h, exps, tol, prec):
+    """f(end) / f(start) and the integral of f / f(start) over one step.
+
+    The scalar analogue of _taylor_step.  With w the displacement from
+    the step's start and s_i its offsets from the poles, f'/f = C(w)/q(w)
+    for q(w) = prod_i (w + s_i) and C(w) = sum_i e_i prod_{l != i} (w + s_l).
+    So the terms a_k = g_k h^k of f / f(start) = sum_k g_k w^k obey
+
+        b_(k+1) = sum_i (C_i h^(i+1) / q_0) a_(k-i)
+                  - sum_{i>=1} (q_i h^i / q_0) b_(k+1-i),   b_k = k a_k,
+
+    and the step gives sum_k a_k and h sum_k a_k / (k + 1), stopping
+    after three terms a_k in a row below tol (see _below).  Arguments and
+    results are kernel values; the reciprocal 1/q_0 is mpc_mpf_div's.
+    """
+    q = _poly_from_roots(shifts, prec)
+    c_coeffs = [_ZERO] * (len(q) - 1)
+    for i, e in enumerate(exps):
+        others = _poly_from_roots(shifts[:i] + shifts[i + 1:], prec)
+        c_coeffs = [_cadd(acc, _cmul(e, x, prec), prec)
+                    for acc, x in zip(c_coeffs, others)]
+    # h^i / q_0 for i = 0 .. len(q) - 1
+    scales = [_from_libmp(mpc_mpf_div(fone, _to_libmp(q[0]), prec, "n"))]
+    for _ in c_coeffs:
+        scales.append(_cmul(scales[-1], h, prec))
+    c_hat = [_cmul(c, s, prec) for c, s in zip(c_coeffs, scales[1:])]
+    q_hat = [(-m, e, -k, f) for m, e, k, f in
+             (_cmul(x, s, prec) for x, s in zip(q, scales))]
+    recip = _reciprocals(MAX_SERIES_TERMS + 1, prec)
+    tol_top = tol[2] + tol[3]
+    terms = [_ONE]
+    weighted = [_ZERO]
+    grow = area = _ONE
+    quiet = 0
+    for k in range(MAX_SERIES_TERMS):
+        acc = _cmul(c_hat[0], terms[k], prec)
+        for i in range(1, min(k, len(c_hat) - 1) + 1):
+            acc = _cadd(acc, _cmul(c_hat[i], terms[k - i], prec), prec)
+        for i in range(1, min(k, len(q_hat) - 1) + 1):
+            acc = _cadd(acc, _cmul(q_hat[i], weighted[k + 1 - i], prec), prec)
+        weighted.append(acc)
+        term = _cmul(acc, recip[k + 1], prec)
+        terms.append(term)
+        grow = _cadd(grow, term, prec)
+        area = _cadd(area, _cmul(term, recip[k + 2], prec), prec)
+        if _below(term, tol, tol_top, prec):
+            quiet += 1
+            if quiet >= 3:
+                return grow, _cmul(area, h, prec)
+        else:
+            quiet = 0
+    raise PrecisionLoss("hypergeometric step did not converge within the term cap")

@@ -1,13 +1,14 @@
 import json
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 import sympy
 
-from aomoto_lab import linalg
+from aomoto_lab import arrangement, linalg
 from aomoto_lab.arrangement import (
-    AffineForm, WeightedArrangement, _augmented_row, _system_rref,
+    AffineForm, WeightedArrangement, _augmented_row, _form_key, _system_rref,
     arrangement_from_json, arrangement_to_json, color_group,
     intersection_lattice, is_general_position, os_dimension,
 )
@@ -165,6 +166,53 @@ def test_lattice_meets_and_defining_sets_match_direct_elimination(case):
             if want is not None:
                 walked.add(want)
         assert enumerate_flags(lattice, p) == sorted(walked)
+
+
+def _random_arrangement(rng, dimension, size, symbolic):
+    forms = []
+    while len(forms) < size:
+        gradient = tuple(F(rng.randint(-3, 3), rng.randint(1, 2))
+                         for _ in range(dimension))
+        if not any(gradient):
+            continue
+        form = AffineForm(F(rng.randint(-4, 4), rng.randint(1, 3)), gradient)
+        if not any(form.proportional_to(f) for f in forms):
+            forms.append(form)
+    weights = [F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+               for _ in forms]
+    if symbolic:
+        weights = [w / RatFuncKappa.kappa() for w in weights]
+    return WeightedArrangement(dimension, forms, weights)
+
+
+def _lattice_record(lattice, size):
+    edges = [(e.codim, e.key, [type(v) for row in e.key for v in row],
+              e.defining) for e in lattice.edges]
+    levels = [lattice.by_codim(p) for p in range(len(lattice.edges))]
+    meets = [lattice.meet(k, i)
+             for k in range(len(lattice.edges)) for i in range(size)]
+    return edges, levels, meets
+
+
+def test_codim_one_keys_match_single_row_elimination(monkeypatch):
+    # the lattice scales each form by its leading entry where the
+    # reference row-reduces it; every edge, key entry type, defining set,
+    # level and meet must agree, for rational and symbolic weights
+    rng = random.Random(1523)
+    cases = [*corpus(), build_arrangement([1, 1, 1, 1], list(ACCEPTANCE_POINTS))]
+    for dimension, size in ((2, 5), (2, 7), (3, 6), (3, 7)):
+        for symbolic in (False, True):
+            cases.append(_random_arrangement(rng, dimension, size, symbolic))
+    assert any(isinstance(arr.weights[0], RatFuncKappa) for arr in cases)
+    rows = [_augmented_row(f) for arr in cases for f in arr.forms]
+    for row in rows + [[F(0), F(0), F(3)]]:
+        assert _form_key(row) == _system_rref([row])
+    fast = [_lattice_record(intersection_lattice(arr), arr.size) for arr in cases]
+    monkeypatch.setattr(arrangement, "_form_key",
+                        lambda row: _system_rref([row]))
+    reference = [_lattice_record(intersection_lattice(arr), arr.size)
+                 for arr in cases]
+    assert fast == reference
 
 
 def test_defining_sets_are_saturated():

@@ -477,13 +477,21 @@ def test_hypergeometric_outside_unit_disc_closed_form():
             assert abs(abs(got) - 1) < tol, bits
 
 
-def test_hypergeometric_quadrature_guard(monkeypatch):
-    # a chord whose error estimate exceeds 2^-precision_bits is refused
-    def unconverged(f, interval, **kwargs):
-        return mpmath.mpc(0), mpmath.mpf(2) ** -100
+def test_hypergeometric_series_guard(monkeypatch):
+    # a step whose series does not fall below 2^-(precision_bits + 16)
+    # within the term cap is refused
+    monkeypatch.setattr(kz, "MAX_SERIES_TERMS", 20)
+    with pytest.raises(PrecisionLoss, match="term cap"):
+        hyp2f1(F(1, 3), F(-1, 3), F(1, 3), 2, precision_bits=128)
 
-    monkeypatch.setattr(mpmath, "quad", unconverged)
-    with pytest.raises(PrecisionLoss):
+
+def test_hypergeometric_closure_guard(monkeypatch):
+    # around one loop about t = 1 the integrand picks up exp(2 pi i (c-b)),
+    # so it does not come back to its start value
+    loop1 = ContourPath.loop_around(complex(0.5, -0.35), 1.0, radius=0.25,
+                                    depth=0.35)
+    monkeypatch.setattr(kz, "_pochhammer_contour", lambda: loop1)
+    with pytest.raises(PrecisionLoss, match="close up"):
         hyp2f1(F(1, 3), F(-1, 3), F(1, 3), 2, precision_bits=128)
 
 
@@ -492,3 +500,125 @@ def test_hypergeometric_guards():
         hyp2f1(F(1, 2), 1, F(3, 2), F(1, 3))
     with pytest.raises(ValueError):
         hyp2f1(F(1, 2), F(1, 3), F(4, 3), F(1, 3))
+
+
+@pytest.mark.parametrize("u", [F(11, 10), F(5)])
+def test_hypergeometric_refuses_a_pole_inside_a_loop(u):
+    # 1/u is 10/11 inside the loop about t = 1, or 1/5 inside the loop
+    # about t = 0, where the contour would not give the closed form
+    with pytest.raises(ValueError):
+        hyp2f1(F(1, 3), F(-1, 3), F(1, 3), u, precision_bits=64)
+
+
+@pytest.mark.parametrize("u", [F(3, 2), F(-3)])
+def test_hypergeometric_pole_outside_the_loops(u):
+    # with c = a the value is (1 - u)^(1/3) on the principal branch
+    got = hyp2f1(F(1, 3), F(-1, 3), F(1, 3), u, precision_bits=128)
+    with mpmath.workprec(192):
+        expected = mpmath.mpc(1 - _ref_mpc(u)) ** (mpmath.mpf(1) / 3)
+        assert abs(got - expected) < mpmath.mpf(2) ** -128
+
+
+# ---------------------------------------------------------------------------
+# hyp2f1 against an independent quadrature of the same contour integral
+
+
+def _quad_chord(t0, t1, factors, exps, logs, precision_bits, depth=0):
+    """Integral over one chord and the factors' logs at its end.
+
+    Gauss-Legendre quadrature at 16 guard bits, with the branch of each
+    factor continued from the chord's start by the principal log of
+    its ratio; a chord over which a factor turns by more than 1.2
+    radians is halved first.
+    """
+    w0, w1 = factors(t0), factors(t1)
+    assert depth <= 24 and all(abs(w) != 0 for w in w0 + w1)
+    if any(abs(mpmath.arg(x / y)) > 1.2 for x, y in zip(w1, w0)):
+        mid = (t0 + t1) / 2
+        first, logs = _quad_chord(t0, mid, factors, exps, logs,
+                                  precision_bits, depth + 1)
+        second, logs = _quad_chord(mid, t1, factors, exps, logs,
+                                   precision_bits, depth + 1)
+        return first + second, logs
+
+    def integrand(t):
+        return mpmath.exp(sum(
+            e * (li + mpmath.log(wi / w0i))
+            for e, wi, w0i, li in zip(exps, factors(t), w0, logs)
+        ))
+
+    with mpmath.workprec(precision_bits + 16):
+        value, error = mpmath.quad(
+            integrand, [t0, t1], method="gauss-legendre", error=True
+        )
+    assert error <= mpmath.mpf(2) ** -precision_bits
+    return value, [li + mpmath.log(wi / w0i)
+                   for li, wi, w0i in zip(logs, w1, w0)]
+
+
+def _quad_hyp2f1(a, b, c, u, precision_bits):
+    """The Euler contour integral of hyp2f1, chord by chord by quadrature."""
+    with mpmath.workprec(precision_bits + 64):
+        aa, bb, cc, uu = (_ref_mpc(x) for x in (a, b, c, u))
+        exps = (bb - 1, cc - bb - 1, -aa)
+
+        def factors(t):
+            return (t, 1 - t, 1 - uu * t)
+
+        path = kz._pochhammer_contour()
+        logs = [mpmath.log(w) for w in factors(_ref_mpc(path.waypoints[0]))]
+        total = mpmath.mpc(0)
+        for t0, t1 in path.segments():
+            value, logs = _quad_chord(_ref_mpc(t0), _ref_mpc(t1), factors,
+                                      exps, logs, precision_bits)
+            total += value
+        denom = ((1 - mpmath.exp(2j * mpmath.pi * bb))
+                 * (1 - mpmath.exp(2j * mpmath.pi * (cc - bb))))
+        return (mpmath.gamma(cc) / (mpmath.gamma(bb) * mpmath.gamma(cc - bb))
+                * total / denom)
+
+
+def _oracle_cases():
+    # seeded (a, b, c) with b and c - b at least 1/5 away from an integer
+    # and c no pole of gamma; u is zero, negative, inside the unit disc,
+    # and beyond 1, the self-test's side of the cut
+    rng = random.Random(1517)
+
+    def rational():
+        den = rng.choice((3, 4, 5, 7))
+        while True:
+            x = F(rng.randint(-2 * den, 2 * den), den)
+            if F(1, 5) <= x - (x.numerator // x.denominator) <= F(4, 5):
+                return x
+
+    cases = []
+    for u in (F(0), -F(rng.randint(1, 5), rng.randint(2, 3)), F(1, 2), F(2)):
+        a, b = rational(), rational()
+        c = b + rational()
+        while c.denominator == 1 and c <= 0:
+            c = b + rational()
+        cases.append((a, b, c, u))
+    return cases
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("case", range(4))
+def test_hypergeometric_contour_against_quadrature(case, bits):
+    a, b, c, u = _oracle_cases()[case]
+    got = hyp2f1(a, b, c, u, precision_bits=bits)
+    ref = _quad_hyp2f1(a, b, c, u, bits)
+    assert abs(got - ref) < mpmath.mpf(2) ** -bits, (a, b, c, u)
+    if u < 1:
+        with mpmath.workprec(bits + 64):
+            series = mpmath.hyp2f1(*(_ref_mpc(x) for x in (a, b, c, u)))
+        assert abs(got - series) < mpmath.mpf(2) ** -bits, (a, b, c, u)
+
+
+def test_hypergeometric_does_not_call_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath.quad called")
+
+    monkeypatch.setattr(mpmath, "quad", refuse)
+    got = hyp2f1(F(1, 3), F(-1, 3), F(1, 3), 2, precision_bits=128)
+    with mpmath.workprec(192):
+        assert abs(got - mpmath.exp(1j * mpmath.pi / 3)) < mpmath.mpf(2) ** -128
