@@ -872,6 +872,8 @@ def diagonalizability_report(mat):
 
 
 _LOOP_RADIUS = 0.25
+_LOOP_BASE = complex(0.5, -0.35)
+_LOOP_DEPTH = 0.35
 
 
 def _pochhammer_contour():
@@ -881,11 +883,32 @@ def _pochhammer_contour():
     the third singular point 1/u of the integrand (u = 2 puts it at 1/2)
     is neither approached nor encircled for the u that hyp2f1 accepts.
     """
-    base = complex(0.5, -0.35)
-    loop1 = ContourPath.loop_around(base, 1.0, radius=_LOOP_RADIUS, depth=0.35)
-    loop0 = ContourPath.loop_around(base, 0.0, radius=_LOOP_RADIUS, depth=0.35)
+    loop1 = ContourPath.loop_around(_LOOP_BASE, 1.0, radius=_LOOP_RADIUS,
+                                    depth=_LOOP_DEPTH)
+    loop0 = ContourPath.loop_around(_LOOP_BASE, 0.0, radius=_LOOP_RADIUS,
+                                    depth=_LOOP_DEPTH)
     path = loop1.concat(loop0).concat(loop1.reversed()).concat(loop0.reversed())
     return path
+
+
+def _pole_blocks_the_contour(pole, path):
+    """Whether the pole 1/u keeps the contour from giving the principal value.
+
+    It does inside a loop, within KEEP_OUT_RADIUS of the path, and below
+    [0, 1] inside the pentagon 0, -d i, base - d i, 1 - d i, 1 (d the loop
+    depth) that the loops' legs sweep when the contour shrinks onto
+    [0, 1].  A pole on [0, 1] itself gives the value from below the cut.
+    """
+    if min(abs(pole), abs(pole - 1)) < _LOOP_RADIUS \
+            or path.min_distance([pole]) <= KEEP_OUT_RADIUS:
+        return True
+    depth = 1j * _LOOP_DEPTH
+    corners = [0, -depth, _LOOP_BASE - depth, 1 - depth, 1]
+    # counterclockwise, so the inside is to the left of every edge
+    return pole.imag < 0 and all(
+        ((q - p).conjugate() * (pole - p)).imag >= 0
+        for p, q in zip(corners, corners[1:] + corners[:1])
+    )
 
 
 def hyp2f1(a, b, c, u, precision_bits=DEFAULT_PRECISION_BITS):
@@ -896,26 +919,27 @@ def hyp2f1(a, b, c, u, precision_bits=DEFAULT_PRECISION_BITS):
     the endpoint monodromy factors.  f is carried around the contour by
     the Taylor steps of transport, on the integer kernel (see _hyp_step),
     which continue its branches analytically from their principal values
-    at the start.  Needs b and c - b nonintegral, and 1/u (u != 0)
-    outside both loops and the keep-out radius of the contour; raises
-    ValueError otherwise.  Raises PrecisionLoss if a step's series does
-    not fall below 2^-(precision_bits + 16) within MAX_SERIES_TERMS, or
-    if f does not come back to its start value around the contour to a
-    relative 2^-(precision_bits // 4).
+    at the start.  Needs b and c - b nonintegral, and 1/u (u != 0) where
+    the contour can shrink onto [0, 1] without crossing it (see
+    _pole_blocks_the_contour), so that the value is the principal one;
+    raises ValueError otherwise.  Raises PrecisionLoss if a step's series
+    does not fall below 2^-(precision_bits + 16) within its term cap,
+    MAX_SERIES_TERMS for each 256 bits of precision (the terms shrink
+    about as STEP_RATIO^k, so the terms needed grow with the precision:
+    about 190 at 256 bits and 750 at 1024), or if f does not come back to
+    its start value around the contour to a relative
+    2^-(precision_bits // 4).
     """
     for name, val in (("b", b), ("c-b", Fraction(c) - Fraction(b))):
         frac = Fraction(val)
         if frac.denominator == 1:
             raise ValueError(f"{name} must not be an integer for the contour")
     path = _pochhammer_contour()
-    if u != 0:
-        pole = 1 / complex(u)
-        if min(abs(pole), abs(pole - 1)) < _LOOP_RADIUS \
-                or path.min_distance([pole]) <= KEEP_OUT_RADIUS:
-            raise ValueError(
-                f"the pole 1/u = {pole} lies inside a loop of the contour "
-                "or within the keep-out radius of it"
-            )
+    if u != 0 and _pole_blocks_the_contour(1 / complex(u), path):
+        raise ValueError(
+            f"the pole 1/u = {1 / complex(u)} keeps the contour from "
+            "shrinking onto [0, 1]"
+        )
     with mpmath.workprec(precision_bits + 64):
         aa, bb, cc, uu = (_to_mpc(x) for x in (a, b, c, u))
         start = _to_mpc(path.waypoints[0])
@@ -929,13 +953,14 @@ def hyp2f1(a, b, c, u, precision_bits=DEFAULT_PRECISION_BITS):
         kexps = [_from_libmp(e._mpc_) for e in exps[:len(poles)]]
         prec = mpmath.mp.prec
         tol = (mpmath.mpf(2) ** -(precision_bits + 16))._mpf_
+        cap = MAX_SERIES_TERMS * max(256, precision_bits) // 256
         value = _from_libmp(f_start._mpc_)
         total = _ZERO
         for seg_a, seg_b in path.segments():
             for shifts, h in _steps(_to_mpc(seg_a), _to_mpc(seg_b), poles):
                 grow, area = _hyp_step(
                     [_from_libmp(s._mpc_) for s in shifts],
-                    _from_libmp(h._mpc_), kexps, tol, prec,
+                    _from_libmp(h._mpc_), kexps, tol, cap, prec,
                 )
                 total = _cadd(total, _cmul(value, area, prec), prec)
                 value = _cmul(value, grow, prec)
@@ -958,7 +983,7 @@ def _reciprocals(count, prec):
                       for k in range(1, count + 1)]
 
 
-def _hyp_step(shifts, h, exps, tol, prec):
+def _hyp_step(shifts, h, exps, tol, cap, prec):
     """f(end) / f(start) and the integral of f / f(start) over one step.
 
     The scalar analogue of _taylor_step.  With w the displacement from
@@ -970,8 +995,9 @@ def _hyp_step(shifts, h, exps, tol, prec):
                   - sum_{i>=1} (q_i h^i / q_0) b_(k+1-i),   b_k = k a_k,
 
     and the step gives sum_k a_k and h sum_k a_k / (k + 1), stopping
-    after three terms a_k in a row below tol (see _below).  Arguments and
-    results are kernel values; the reciprocal 1/q_0 is mpc_mpf_div's.
+    after three terms a_k in a row below tol (see _below), or raising
+    PrecisionLoss after cap terms.  Arguments and results are kernel
+    values; the reciprocal 1/q_0 is mpc_mpf_div's.
     """
     q = _poly_from_roots(shifts, prec)
     c_coeffs = [_ZERO] * (len(q) - 1)
@@ -986,13 +1012,13 @@ def _hyp_step(shifts, h, exps, tol, prec):
     c_hat = [_cmul(c, s, prec) for c, s in zip(c_coeffs, scales[1:])]
     q_hat = [(-m, e, -k, f) for m, e, k, f in
              (_cmul(x, s, prec) for x, s in zip(q, scales))]
-    recip = _reciprocals(MAX_SERIES_TERMS + 1, prec)
+    recip = _reciprocals(cap + 1, prec)
     tol_top = tol[2] + tol[3]
     terms = [_ONE]
     weighted = [_ZERO]
     grow = area = _ONE
     quiet = 0
-    for k in range(MAX_SERIES_TERMS):
+    for k in range(cap):
         acc = _cmul(c_hat[0], terms[k], prec)
         for i in range(1, min(k, len(c_hat) - 1) + 1):
             acc = _cadd(acc, _cmul(c_hat[i], terms[k - i], prec), prec)

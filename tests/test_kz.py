@@ -13,7 +13,7 @@ from aomoto_lab.errors import (
     StepUnderflow,
     ZeroKappa,
 )
-from aomoto_lab import kz
+from aomoto_lab import cli, kz
 from aomoto_lab.kz import (
     ContourPath,
     KzSystem,
@@ -485,6 +485,17 @@ def test_hypergeometric_series_guard(monkeypatch):
         hyp2f1(F(1, 3), F(-1, 3), F(1, 3), 2, precision_bits=128)
 
 
+def test_hypergeometric_at_the_largest_kz_precision():
+    # a step's terms shrink about as STEP_RATIO^k, so 1024 bits takes
+    # about 750 terms a step, beyond MAX_SERIES_TERMS itself; the cap
+    # grows with the precision
+    bits = cli.MAX_PRECISION_BITS
+    got = hyp2f1(*cli._HYP2F1_ARGS, precision_bits=bits)
+    with mpmath.workprec(bits + 64):
+        expected = mpmath.exp(1j * mpmath.pi / 3)
+        assert abs(got - expected) < mpmath.mpf(2) ** -bits
+
+
 def test_hypergeometric_closure_guard(monkeypatch):
     # around one loop about t = 1 the integrand picks up exp(2 pi i (c-b)),
     # so it does not come back to its start value
@@ -502,21 +513,53 @@ def test_hypergeometric_guards():
         hyp2f1(F(1, 2), F(1, 3), F(4, 3), F(1, 3))
 
 
-@pytest.mark.parametrize("u", [F(11, 10), F(5)])
-def test_hypergeometric_refuses_a_pole_inside_a_loop(u):
-    # 1/u is 10/11 inside the loop about t = 1, or 1/5 inside the loop
-    # about t = 0, where the contour would not give the closed form
+@pytest.mark.parametrize("u", [F(11, 10), F(5), complex(0.8, 1.6),
+                               complex(2, 1)])
+def test_hypergeometric_refuses_a_pole_that_blocks_the_contour(u):
+    # 1/u is 10/11 inside the loop about t = 1, 1/5 inside the loop about
+    # t = 0, or 1/4 - i/2 or 2/5 - i/5 below [0, 1] between the loops'
+    # legs, which cross it when the contour shrinks onto [0, 1]; the
+    # contour would not give the closed form
     with pytest.raises(ValueError):
         hyp2f1(F(1, 3), F(-1, 3), F(1, 3), u, precision_bits=64)
 
 
-@pytest.mark.parametrize("u", [F(3, 2), F(-3)])
+@pytest.mark.parametrize("u", [F(3, 2), F(-3), complex(0.25, 1.5)])
 def test_hypergeometric_pole_outside_the_loops(u):
-    # with c = a the value is (1 - u)^(1/3) on the principal branch
+    # with c = a the value is (1 - u)^(1/3) on the principal branch;
+    # 1/u = 0.108 - 0.649i lies below the left leg
     got = hyp2f1(F(1, 3), F(-1, 3), F(1, 3), u, precision_bits=128)
     with mpmath.workprec(192):
         expected = mpmath.mpc(1 - _ref_mpc(u)) ** (mpmath.mpf(1) / 3)
         assert abs(got - expected) < mpmath.mpf(2) ** -128
+
+
+# poles 1/u a little inside and a little outside each edge of the pentagon
+# below [0, 1] that the loops' legs sweep
+_LEG_REGION_EDGES = [
+    (complex(0.28, -0.485), complex(0.22, -0.565)),  # the leg to t = 0
+    (complex(0.72, -0.485), complex(0.78, -0.565)),  # the leg to t = 1
+    (complex(0.04, -0.3), complex(-0.04, -0.3)),     # below t = 0
+    (complex(0.5, -0.04), complex(0.5, 0.04)),       # [0, 1] itself
+]
+
+
+@pytest.mark.parametrize("inside, outside", _LEG_REGION_EDGES)
+def test_hypergeometric_refuses_exactly_where_the_value_is_not_principal(
+        inside, outside, monkeypatch):
+    args = (F(1, 3), F(1, 5), F(7, 10))
+
+    def principal(u):
+        with mpmath.workprec(128):
+            return mpmath.hyp2f1(*(_ref_mpc(x) for x in (*args, u)))
+
+    got = hyp2f1(*args, 1 / outside, precision_bits=64)
+    assert abs(got - principal(1 / outside)) < mpmath.mpf(2) ** -64
+    with pytest.raises(ValueError):
+        hyp2f1(*args, 1 / inside, precision_bits=64)
+    monkeypatch.setattr(kz, "_pole_blocks_the_contour", lambda pole, path: False)
+    got = hyp2f1(*args, 1 / inside, precision_bits=64)
+    assert abs(got - principal(1 / inside)) > 1e-3
 
 
 # ---------------------------------------------------------------------------
