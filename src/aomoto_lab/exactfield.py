@@ -283,9 +283,11 @@ def specialize_kappa(value, kappa):
 def random_point_avoiding(forms, bound=10**6, seed=0, dimension=None, max_tries=1000):
     """A random integer point where none of the given affine forms vanish.
 
-    Coordinates are drawn uniformly from [-bound, bound] with the seeded
-    Mersenne generator, so results are reproducible bit for bit.  Raises
-    ExhaustedRetries after max_tries failed draws.
+    Coordinates are ints drawn uniformly from [-bound, bound] with the
+    seeded Mersenne generator, so results are reproducible bit for bit.
+    A form is anything with evaluate(point) and, when dimension is not
+    given, a gradient.  Raises ExhaustedRetries after max_tries failed
+    draws.
     """
     if dimension is None:
         if not forms:
@@ -293,7 +295,7 @@ def random_point_avoiding(forms, bound=10**6, seed=0, dimension=None, max_tries=
         dimension = len(forms[0].gradient)
     rng = random.Random(seed)
     for _ in range(max_tries):
-        point = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(dimension))
+        point = tuple(rng.randint(-bound, bound) for _ in range(dimension))
         if all(form.evaluate(point) != 0 for form in forms):
             return point
     raise ExhaustedRetries(

@@ -371,6 +371,7 @@ def transport(sys, path, tol=None, moving=0):
                 raise ValueError("tol must be positive")
         quarter_tol = (tol / 4)._mpf_
         minus_inv_kappa = _to_mpc(Fraction(-1, 1) / sys.kappa)._mpc_
+        cap = _term_cap(sys.precision_bits)
         known = sys.segment_transports
         context = (moving, tuple(p._mpc_ for p in punctures), quarter_tol)
         total = _identity(sys.d)
@@ -379,18 +380,18 @@ def transport(sys, path, tol=None, moving=0):
             if key not in known:
                 known[key] = _segment_transport(
                     _to_mpc(a), _to_mpc(b), punctures, omegas,
-                    minus_inv_kappa, quarter_tol, prec,
+                    minus_inv_kappa, quarter_tol, cap, prec,
                 )
             total = _kmat_mul(known[key], total, prec)
         return [[mpmath.mp.make_mpc(_to_libmp(x)) for x in row] for row in total]
 
 
 def _segment_transport(a, b, punctures, omegas, minus_inv_kappa, quarter_tol,
-                       prec):
+                       cap, prec):
     result = _identity(len(omegas[0]))
     for shifts, h in _steps(a, b, punctures):
         step = _taylor_step([s._mpc_ for s in shifts], h._mpc_, omegas,
-                            minus_inv_kappa, quarter_tol, prec)
+                            minus_inv_kappa, quarter_tol, cap, prec)
         result = _kmat_mul(_kmat(step), result, prec)
     return result
 
@@ -536,9 +537,44 @@ def _far_addends(p, ep, q, eq, gap, prec):
     return p, ep, q, eq
 
 
+def _rmul(x, r, prec):
+    """x * r for a real kernel value r = (c, ec), the value c 2^ec.
+
+    Each part's one exact product is rounded once, as mpc_mul rounds it
+    when the imaginary part of r is zero.
+    """
+    a, ea, b, eb = x
+    c, ec = r
+    m, e = a * c, ea + ec
+    n = m.bit_length() - prec
+    if n > 0:
+        t = m >> (n - 1)
+        m = (t >> 1) + 1 if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)) \
+            else t >> 1
+        e += n
+    k, f = b * c, eb + ec
+    n = k.bit_length() - prec
+    if n > 0:
+        t = k >> (n - 1)
+        k = (t >> 1) + 1 if t & 1 and (t & 2 or k & ((1 << (n - 1)) - 1)) \
+            else t >> 1
+        f += n
+    return m, e, k, f
+
+
 def _cmul_int(x, n, prec):
     """x * n for an integer n, as mpc_mul_int gives it."""
-    return _cmul(x, (n, 0, 0, 0), prec)
+    return _rmul(x, (n, 0), prec)
+
+
+def _term_cap(precision_bits):
+    """The most series terms a Taylor step may take at this precision.
+
+    MAX_SERIES_TERMS for each 256 bits: a step's terms shrink about as
+    STEP_RATIO^k, so the terms needed grow with the bits asked for, about
+    190 at 256 bits and 750 at 1024.
+    """
+    return MAX_SERIES_TERMS * max(256, precision_bits) // 256
 
 
 def _identity(d):
@@ -604,7 +640,7 @@ def _poly_from_roots(shifts, prec):
     return coeffs
 
 
-def _taylor_step(shifts, h, omegas, minus_inv_kappa, quarter_tol, prec):
+def _taylor_step(shifts, h, omegas, minus_inv_kappa, quarter_tol, cap, prec):
     """Transport matrix over one step of length h, as libmp tuples.
 
     With w the displacement from the step's start, the evolution matrix
@@ -616,7 +652,8 @@ def _taylor_step(shifts, h, omegas, minus_inv_kappa, quarter_tol, prec):
                               - sum_{i>=1} (s + 1 - i) q_i U_{s+1-i},
 
     and the sum stops after three terms in a row below quarter_tol (see
-    _below).  The arguments and the result are libmp tuples; the
+    _below), or raises PrecisionLoss after cap terms (see _term_cap).
+    The arguments and the result are libmp tuples; the
     arithmetic runs on the integer kernel, except the reciprocal
     1/((s + 1) q_0), which is mpc_mpf_div's.
     """
@@ -644,7 +681,7 @@ def _taylor_step(shifts, h, omegas, minus_inv_kappa, quarter_tol, prec):
     value = _identity(d)
     h_power = _ONE
     quiet = 0
-    for s in range(MAX_SERIES_TERMS):
+    for s in range(cap):
         acc = _kmat_mul(c_coeffs[0], terms[s], prec)
         for i in range(1, min(s, len(c_coeffs) - 1) + 1):
             acc = _kmat_add(
@@ -923,12 +960,9 @@ def hyp2f1(a, b, c, u, precision_bits=DEFAULT_PRECISION_BITS):
     the contour can shrink onto [0, 1] without crossing it (see
     _pole_blocks_the_contour), so that the value is the principal one;
     raises ValueError otherwise.  Raises PrecisionLoss if a step's series
-    does not fall below 2^-(precision_bits + 16) within its term cap,
-    MAX_SERIES_TERMS for each 256 bits of precision (the terms shrink
-    about as STEP_RATIO^k, so the terms needed grow with the precision:
-    about 190 at 256 bits and 750 at 1024), or if f does not come back to
-    its start value around the contour to a relative
-    2^-(precision_bits // 4).
+    does not fall below 2^-(precision_bits + 16) within _term_cap terms,
+    or if f does not come back to its start value around the contour to
+    a relative 2^-(precision_bits // 4).
     """
     for name, val in (("b", b), ("c-b", Fraction(c) - Fraction(b))):
         frac = Fraction(val)
@@ -953,7 +987,7 @@ def hyp2f1(a, b, c, u, precision_bits=DEFAULT_PRECISION_BITS):
         kexps = [_from_libmp(e._mpc_) for e in exps[:len(poles)]]
         prec = mpmath.mp.prec
         tol = (mpmath.mpf(2) ** -(precision_bits + 16))._mpf_
-        cap = MAX_SERIES_TERMS * max(256, precision_bits) // 256
+        cap = _term_cap(precision_bits)
         value = _from_libmp(f_start._mpc_)
         total = _ZERO
         for seg_a, seg_b in path.segments():
@@ -978,9 +1012,9 @@ def hyp2f1(a, b, c, u, precision_bits=DEFAULT_PRECISION_BITS):
 
 @functools.lru_cache(maxsize=8)
 def _reciprocals(count, prec):
-    """[0, 1/1, ..., 1/count], each rounded to prec bits, as kernel values."""
-    return [_ZERO] + [_from_libmp((from_rational(1, k, prec, "n"), fzero))
-                      for k in range(1, count + 1)]
+    """[0, 1/1, ..., 1/count], each rounded to prec bits, as real kernel values."""
+    return [(0, 0)] + [_from_libmp((from_rational(1, k, prec, "n"), fzero))[:2]
+                       for k in range(1, count + 1)]
 
 
 def _hyp_step(shifts, h, exps, tol, cap, prec):
@@ -1025,10 +1059,10 @@ def _hyp_step(shifts, h, exps, tol, cap, prec):
         for i in range(1, min(k, len(q_hat) - 1) + 1):
             acc = _cadd(acc, _cmul(q_hat[i], weighted[k + 1 - i], prec), prec)
         weighted.append(acc)
-        term = _cmul(acc, recip[k + 1], prec)
+        term = _rmul(acc, recip[k + 1], prec)
         terms.append(term)
         grow = _cadd(grow, term, prec)
-        area = _cadd(area, _cmul(term, recip[k + 2], prec), prec)
+        area = _cadd(area, _rmul(term, recip[k + 2], prec), prec)
         if _below(term, tol, tol_top, prec):
             quiet += 1
             if quiet >= 3:

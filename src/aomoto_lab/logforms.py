@@ -22,9 +22,32 @@ satisfy the boundary identity
 
 which verify_grundlegend checks at sampled points.
 
+It checks it on integers.  dlog f does not change when f is scaled, so
+each form f_i and each F_q is replaced by its primitive integer
+multiple, and at an integer point every value v is an int.  Let W be
+the lcm of the weights' denominators, A_i = W a_i, P the product of the
+values of all f_i at x and at y, Q that of the values of
+F_q(x) - F_q(y) for q <= k, b = M - k, and g_i(x), g_i(y) the gradient
+of f_i as a covector on either copy.  Then
+
+    W P (eta(x) - eta(y)) = sum_i A_i (P/v_i(x) g_i(x) - P/v_i(y) g_i(y)),
+    W P Omega             = sum_i A_i P/(v_i(x) v_i(y)) g_i(x) ^ g_i(y),
+    Q dlog (F_q(x) - F_q(y)) = Q/d_q (g_q(x) - g_q(y)),  d_q its value,
+
+all with integer coefficients, and both sides of the identity times
+the nonzero integer C = (W P)^(b+1) (b+1)! Q^k are
+
+    Q sum_j (-1)^(j+1) (W P Omega)^(b+1) ^ wedge_{q != j} Q dlog(..)_q
+    (b+1) W P (eta(x) - eta(y)) ^ (W P Omega)^b ^ wedge_q Q dlog(..)_q,
+
+so comparing these decides the identity exactly, without a division.
+Symbolic (RatFuncKappa) weights enter as they are: W takes the
+denominators of the rational weights only, and is 1 when there are none.
+
 The two expressions for S^(b) agree for any scalar type: the omega_i have
-even degree, so they commute, and each squares to zero.  The package
-builds S^(b) as powers of Omega; the subset sum is the tests' oracle.
+even degree, so they commute, and each squares to zero.  The Fraction
+kernel forms build S^(b) as powers of Omega; the subset sum is the
+tests' oracle for them and for the integer sides.
 
 expand_top_form writes a top form given only by its values in the
 wedge-monomial basis, by exact interpolation.  The package builds its
@@ -35,12 +58,14 @@ for them.
 import random
 from fractions import Fraction
 from functools import reduce
+from math import gcd, lcm, prod
+from operator import mul
 
 from . import linalg
 from .aomoto import AomotoSpace, monomials
-from .arrangement import AffineForm, WeightedArrangement
+from .arrangement import AffineForm
 from .errors import NotInSpan, OnDiagonalSlice, OnHyperplane
-from .exactfield import random_point_avoiding
+from .exactfield import RatFuncKappa, random_point_avoiding
 
 
 class ExteriorElement:
@@ -92,8 +117,9 @@ class ExteriorElement:
             raise ValueError("mixing exterior algebras of different rank")
         out = {}
         for sa, ca in self.terms.items():
+            used = set(sa)
             for sb, cb in other.terms.items():
-                if set(sa) & set(sb):
+                if not used.isdisjoint(sb):
                     continue
                 sign, merged = _merge_sign(sa, sb)
                 coeff = ca * cb * sign
@@ -208,86 +234,181 @@ def eval_S_mixed(arr, F_list, q_indices, xy):
                   _difference_dlogs(F_list, q_indices, M, xy), kernel)
 
 
-def _sampling_forms(arr, F_list, upto):
-    M = arr.dimension
-    forms = [doubled_form(f, M, 0) for f in arr.forms]
-    forms += [doubled_form(f, M, 1) for f in arr.forms]
-    forms += [difference_form(F_list[q], M) for q in range(upto)]
-    return forms
+class IntegerForm:
+    """An affine form with integer coefficients, evaluated at integer points."""
+
+    __slots__ = ("constant", "gradient")
+
+    def __init__(self, constant, gradient):
+        self.constant = constant
+        self.gradient = gradient
+
+    @classmethod
+    def primitive(cls, form):
+        """The AffineForm's primitive integer multiple, which has the same dlog."""
+        coeffs = (form.constant, *form.gradient)
+        scale = lcm(*(c.denominator for c in coeffs))
+        ints = [int(c * scale) for c in coeffs]
+        common = gcd(*ints)
+        return cls(ints[0] // common, tuple(c // common for c in ints[1:]))
+
+    def evaluate(self, point):
+        return self.constant + sum(map(mul, self.gradient, point))
 
 
-def _boundary_sides(arr, rhs_arr, F_list, k, xy, forms=None):
-    """Both sides of the boundary identity for F_1..F_k at a doubled point.
+class BoundaryKernel:
+    """The integer data that the boundary-identity checks of one request share.
 
-    The right side is built from rhs_arr: arr itself, or the control's
-    arrangement with a perturbed weight.  forms, when given, is
-    _kernel_forms(arr, xy, top) for some top >= M - k + 1.
+    forms are the primitive integer multiples of the arrangement's forms,
+    avoid their copies on x and on y in the doubled space, differences
+    the primitive forms of F_q(x) - F_q(y), and scaled the weights
+    A_i = W a_i.  points maps a doubled point to the scaled kernel forms
+    there (see _scaled_kernel_forms), built once.
     """
-    M = arr.dimension
-    eta, kernels = forms or _kernel_forms(arr, xy, M - k + 1)
-    upper, lower = kernels[M - k + 1], kernels[M - k]
-    if rhs_arr is not arr:
-        eta, kernels = _kernel_forms(rhs_arr, xy, M - k)
-        lower = kernels[M - k]
-    diffs = _difference_dlogs(F_list, range(k), M, xy)
-    lhs = ExteriorElement(2 * M)
+
+    def __init__(self, arr, F_list):
+        M = arr.dimension
+        pad = (0,) * M
+        self.dimension = M
+        self.forms = [IntegerForm.primitive(f) for f in arr.forms]
+        self.avoid = ([IntegerForm(f.constant, f.gradient + pad) for f in self.forms]
+                      + [IntegerForm(f.constant, pad + f.gradient) for f in self.forms])
+        self.differences = [IntegerForm.primitive(difference_form(F, M))
+                            for F in F_list]
+        (self.scaled,) = _scaled_weights(arr.weights)
+        self.points = {}
+
+    def sample(self, k, seed, bound):
+        """A doubled integer point off every hyperplane and the first k slices."""
+        return random_point_avoiding(
+            self.avoid + self.differences[:k], bound=bound, seed=seed,
+            dimension=2 * self.dimension,
+        )
+
+    def at(self, xy):
+        if xy not in self.points:
+            self.points[xy] = _scaled_kernel_forms(
+                self.forms, self.scaled, xy, self.dimension)
+        return self.points[xy]
+
+
+def _scaled_weights(*weight_lists):
+    """Each list times W, the lcm of every rational weight's denominator.
+
+    Rational weights become ints; RatFuncKappa weights are kept as they
+    are times W.
+    """
+    W = lcm(*(w.denominator for ws in weight_lists for w in ws
+              if not isinstance(w, RatFuncKappa)))
+    return [[w * W if isinstance(w, RatFuncKappa) else int(w * W) for w in ws]
+            for ws in weight_lists]
+
+
+def _scaled_kernel_forms(forms, weights, xy, top):
+    """W P (eta(x) - eta(y)) and (W P Omega)^0..top at an integer point.
+
+    forms are IntegerForms on one copy, weights the scaled A_i, and P
+    the product of the forms' values at x and at y.
+    """
+    M = len(xy) // 2
+    x, y = xy[:M], xy[M:]
+    vx = [f.evaluate(x) for f in forms]
+    vy = [f.evaluate(y) for f in forms]
+    P = prod(vx) * prod(vy)
+    eta, omega = {}, {}
+    for f, a, u, v in zip(forms, weights, vx, vy):
+        ax, ay, axy = a * (P // u), a * (P // v), a * (P // (u * v))
+        for j, g in enumerate(f.gradient):
+            if not g:
+                continue
+            eta[(j,)] = eta.get((j,), 0) + ax * g
+            eta[(M + j,)] = eta.get((M + j,), 0) - ay * g
+            for l, h in enumerate(f.gradient):
+                if h:
+                    key = (j, M + l)
+                    omega[key] = omega.get(key, 0) + axy * g * h
+    omega = ExteriorElement(2 * M, omega)
+    powers = [ExteriorElement(2 * M, {(): 1})]
+    for _ in range(top):
+        powers.append(powers[-1].wedge(omega))
+    return ExteriorElement(2 * M, eta), powers
+
+
+def _scaled_sides(lhs_forms, rhs_forms, differences, k, xy):
+    """Both sides of the boundary identity for F_1..F_k at xy, times C.
+
+    lhs_forms and rhs_forms are _scaled_kernel_forms at xy, with one W,
+    for the weights of the left and of the right side.  C is
+    (W P)^(b+1) (b+1)! Q^k, with b = M - k and Q the product of the
+    values of the k difference forms (see the module docstring).
+    """
+    b = len(xy) // 2 - k
+    values = [d.evaluate(xy) for d in differences[:k]]
+    Q = prod(values)
+    deltas = [
+        ExteriorElement(len(xy), {(j,): Q // u * g
+                                  for j, g in enumerate(d.gradient) if g})
+        for d, u in zip(differences, values)
+    ]
+    upper = lhs_forms[1][b + 1]
+    eta, lower = rhs_forms[0], rhs_forms[1][b]
+    lhs = ExteriorElement(len(xy))
     for j in range(k):
-        term = reduce(ExteriorElement.wedge, diffs[:j] + diffs[j + 1:], upper)
-        lhs = lhs + term.scale(1 if j % 2 == 0 else -1)
-    return lhs, eta.wedge(reduce(ExteriorElement.wedge, diffs, lower))
+        term = reduce(ExteriorElement.wedge, deltas[:j] + deltas[j + 1:], upper)
+        lhs = lhs + term if j % 2 == 0 else lhs - term
+    rhs = eta.wedge(reduce(ExteriorElement.wedge, deltas, lower)).scale(b + 1)
+    return lhs.scale(Q), rhs
 
 
 def verify_grundlegend(arr, F_list, k, num_points=5, seed=0, bound=10**6,
-                       kernels=None):
+                       kernel=None):
     """Check the boundary identity for the first k comparison functions.
 
     Samples num_points doubled integer points away from all hyperplanes
-    and diagonal slices, then compares both sides exactly.  Returns True
-    iff the identity holds at every sampled point.
+    and diagonal slices, then compares both sides, scaled to integers,
+    exactly.  Returns True iff the identity holds at every sampled point.
 
-    kernels maps a doubled point to eta and S^(0..M) there.  The calls
-    for k = 1..M with one seed mostly draw the same points, so passing
-    them one dict builds the kernel forms once per distinct point.
+    kernel is the BoundaryKernel of arr and F_list.  The calls for
+    k = 1..M with one seed mostly draw the same points, so passing them
+    one kernel builds the kernel forms once per distinct point.
     """
     if not 1 <= k <= arr.dimension:
         raise ValueError("k must lie between 1 and the dimension")
-    if kernels is None:
-        kernels = {}
-    avoid = _sampling_forms(arr, F_list, k)
+    if kernel is None:
+        kernel = BoundaryKernel(arr, F_list)
     rng = random.Random(seed)
     for _ in range(num_points):
-        xy = random_point_avoiding(
-            avoid, bound=bound, seed=rng.randrange(2**32), dimension=2 * arr.dimension
-        )
-        if xy not in kernels:
-            kernels[xy] = _kernel_forms(arr, xy, arr.dimension)
-        lhs, rhs = _boundary_sides(arr, arr, F_list, k, xy, kernels[xy])
+        xy = kernel.sample(k, rng.randrange(2**32), bound)
+        forms = kernel.at(xy)
+        lhs, rhs = _scaled_sides(forms, forms, kernel.differences, k, xy)
         if lhs != rhs:
             return False
     return True
 
 
-def grundlegend_control(arr, F_list, k=None, seed=0, bound=10**6):
+def grundlegend_control(arr, F_list, k=None, seed=0, bound=10**6, kernel=None):
     """Mismatched-weight control for the boundary identity.
 
     Evaluates the left side with the given weights and the right side
-    with one weight perturbed; returns True when the mismatch is
+    with weight 0 raised by 1/5; returns True when the mismatch is
     detected (the two sides differ at a sampled point).  A checker that
-    cannot fail this control would be vacuous.
+    cannot fail this control would be vacuous.  kernel is as for
+    verify_grundlegend.
     """
     if k is None:
         k = arr.dimension
-    perturbed = WeightedArrangement(
-        arr.dimension,
-        arr.forms,
-        [w + Fraction(1, 5) if i == 0 else w for i, w in enumerate(arr.weights)],
-        coloring=arr.coloring,
+    if kernel is None:
+        kernel = BoundaryKernel(arr, F_list)
+    M = arr.dimension
+    perturbed = [w + Fraction(1, 5) if i == 0 else w
+                 for i, w in enumerate(arr.weights)]
+    weights, shifted = _scaled_weights(arr.weights, perturbed)
+    xy = kernel.sample(k, seed, bound)
+    lhs, rhs = _scaled_sides(
+        _scaled_kernel_forms(kernel.forms, weights, xy, M - k + 1),
+        _scaled_kernel_forms(kernel.forms, shifted, xy, M - k),
+        kernel.differences, k, xy,
     )
-    xy = random_point_avoiding(
-        _sampling_forms(arr, F_list, k), bound=bound, seed=seed,
-        dimension=2 * arr.dimension,
-    )
-    lhs, rhs = _boundary_sides(arr, perturbed, F_list, k, xy)
     return lhs != rhs
 
 

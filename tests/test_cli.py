@@ -2,13 +2,15 @@
 
 import json
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from aomoto_lab import cli, logforms
+from aomoto_lab import cli, kz, logforms
 from aomoto_lab.aomoto import (
     MAX_TOP_MONOMIALS, AomotoComplex, check_top_size, chi_fixed_dim,
     rational_split, shapovalov_image,
@@ -30,6 +32,7 @@ from aomoto_lab.exactfield import (
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -129,6 +132,22 @@ def test_verify_forms_report():
     assert report["num_points"] == 5
 
 
+def test_exact_commands_leave_kz_and_mpmath_unloaded():
+    # a fresh interpreter, since this one has imported kz for other tests
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import aomoto_lab.cli as cli\n"
+        "cli.run('egregium', {'weights': [1, 1, 1, 1], "
+        "'points': ['-1/2', '0', '1/2', '1'], 'kappa': '7'})\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'aomoto_lab.kz' or m.split('.')[0] == 'mpmath'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 def test_kz_report_reduced_precision():
     config = {"schema": "1", "kappa": "3/1", "precision_bits": 96, "seed": 0}
     report = run("kz", config)
@@ -160,13 +179,13 @@ KZ_QUICK = {"schema": "1", "precision_bits": 64, "kappa": "-7/3", "loop": [2, 3]
 def test_kz_hyp2f1_self_test_runs_once_per_precision(
         monkeypatch, fresh_hyp2f1_memo):
     calls = []
-    hyp2f1 = cli.hyp2f1
+    hyp2f1 = kz.hyp2f1
 
     def counted(*args, precision_bits):
         calls.append(precision_bits)
         return hyp2f1(*args, precision_bits=precision_bits)
 
-    monkeypatch.setattr(cli, "hyp2f1", counted)
+    monkeypatch.setattr(kz, "hyp2f1", counted)
     first, second = (json.dumps(run("kz", KZ_QUICK), sort_keys=True, indent=2)
                      for _ in range(2))
     assert first == second
@@ -183,7 +202,7 @@ def test_kz_hyp2f1_failure_is_not_remembered(
         calls.append(precision_bits)
         raise PrecisionLoss("contour quadrature did not converge on a chord")
 
-    monkeypatch.setattr(cli, "hyp2f1", unconverged)
+    monkeypatch.setattr(kz, "hyp2f1", unconverged)
     for _ in range(2):
         with pytest.raises(PrecisionLoss):
             run("kz", KZ_QUICK)
@@ -206,7 +225,7 @@ def test_kz_flat_sections_apply_at_kappa_3_only(monkeypatch):
     def always_on_cut(zs):
         raise BranchCut("forced")
 
-    monkeypatch.setattr(cli, "_check_branch", always_on_cut)
+    monkeypatch.setattr(kz, "_check_branch", always_on_cut)
     flat = run("kz", {**config, "kappa": "-7/3"})["flat_sections"]
     assert flat == {"applies": False,
                     "reason": "closed-form exponents hold at kappa 3/1 only"}
@@ -522,7 +541,7 @@ def test_kz_flat_sampling_exhaustion_is_a_domain_error(
     def always_on_cut(zs):
         raise BranchCut("forced")
 
-    monkeypatch.setattr(cli, "_check_branch", always_on_cut)
+    monkeypatch.setattr(kz, "_check_branch", always_on_cut)
     config = {"schema": "1", "precision_bits": 64}
     with pytest.raises(ExhaustedRetries):
         run("kz", config)
@@ -857,13 +876,13 @@ def test_verify_forms_builds_kernel_forms_once_per_point(monkeypatch):
     # every k of one request draws its points from the same seed; the
     # kernel forms at a point are built once and read by every k
     built = []
-    original = logforms._kernel_forms
+    original = logforms._scaled_kernel_forms
 
-    def counting(arr, xy, top):
+    def counting(forms, weights, xy, top):
         built.append(xy)
-        return original(arr, xy, top)
+        return original(forms, weights, xy, top)
 
-    monkeypatch.setattr(logforms, "_kernel_forms", counting)
+    monkeypatch.setattr(logforms, "_scaled_kernel_forms", counting)
     for name in ("verify_forms_sl2.json", "verify_forms_three_variable.json"):
         built.clear()
         report = run("verify-forms", _load(name))

@@ -300,7 +300,8 @@ def test_taylor_step_is_bit_identical_to_the_object_recurrence(bits):
             got = kz._taylor_step(
                 [(pos - p)._mpc_ for p in punctures], h._mpc_,
                 [[[x._mpc_ for x in row] for row in om] for om in omegas],
-                minus_inv_kappa._mpc_, (tol / 4)._mpf_, mpmath.mp.prec,
+                minus_inv_kappa._mpc_, (tol / 4)._mpf_, kz._term_cap(bits),
+                mpmath.mp.prec,
             )
         assert got == [[x._mpc_ for x in row] for row in expected], trial
 
@@ -348,6 +349,23 @@ def test_transport_is_bit_identical_to_the_object_recurrence(kappa):
     got = transport(sys, loop)
     assert [[x._mpc_ for x in row] for row in got] == \
         [[x._mpc_ for x in row] for row in expected]
+
+
+def test_transport_meets_a_small_tolerance_at_the_largest_precision():
+    # a 0.3 step about 0.38 of the way to the nearest puncture needs about
+    # 650 terms to fall below 2^-900, beyond MAX_SERIES_TERMS itself; the
+    # cap grows with the precision.  Halving the steps must agree.
+    bits = cli.MAX_PRECISION_BITS
+    a, b = complex(-0.5, -0.6), complex(-0.2, -0.6)
+    with mpmath.workprec(bits + 64):
+        tol = mpmath.mpf(2) ** -900
+    one = transport(KzSystem(POINTS, 3, precision_bits=bits),
+                    ContourPath([a, b]), tol=tol)
+    halves = transport(KzSystem(POINTS, 3, precision_bits=bits),
+                       ContourPath([a, (a + b) / 2, b]), tol=tol)
+    with mpmath.workprec(bits + 64):
+        assert max(abs(x - y) for row, other in zip(one, halves)
+                   for x, y in zip(row, other)) < mpmath.mpf(2) ** -890
 
 
 def test_transport_does_not_depend_on_the_callers_precision():

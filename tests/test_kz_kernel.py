@@ -1,11 +1,11 @@
 """The integer kernel of the KZ transport against libmp, value for value.
 
 Every kernel operation must return the value of the libmp call an mpc
-operator makes at the same precision: mpc_mul, mpc_add and mpc_mul_int,
-rounded to nearest.  Operands are rounded to the precision, as every
-value the transport adds is.  The precisions run from the benchmark's
-working precision (128 + 64 bits) up to the highest one a kz request
-may ask for.
+operator makes at the same precision: mpc_mul (with a complex or a real
+second operand), mpc_add and mpc_mul_int, rounded to nearest.  Operands
+are rounded to the precision, as every value the transport adds is.  The
+precisions run from the benchmark's working precision (128 + 64 bits) up
+to the highest one a kz request may ask for.
 """
 
 import itertools
@@ -55,6 +55,11 @@ def _add(x, y, prec):
 
 def _mul_int(x, n, prec):
     return kz._to_libmp(kz._cmul_int(kz._from_libmp(x), n, prec))
+
+
+def _mul_real(x, r, prec):
+    real = kz._from_libmp((r, fzero))[:2]
+    return kz._to_libmp(kz._rmul(kz._from_libmp(x), real, prec))
 
 
 def _check(x, y, prec):
@@ -113,6 +118,34 @@ def test_exact_ties_round_to_even_both_ways(prec):
         else:
             downs += 1
     assert ups and downs
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+def test_real_scalar_product_agrees_with_libmp(prec):
+    rng = random.Random(prec + 6)
+    scalars = [from_rational(1, k, prec, "n") for k in (1, 3, 7, 10, 641)]
+    for _ in range(300):
+        x = _random_mpc(rng, prec)
+        for r in (_random_mpf(rng, prec), rng.choice(scalars), fzero):
+            assert _mul_real(x, r, prec) == mpc_mul(x, (r, fzero), prec, "n")
+    ups = downs = 0
+    while not (ups and downs):
+        # 3 (tie / 3) = tie sits halfway between two neighbours at prec
+        # bits, in both parts, with either sign
+        kept = rng.getrandbits(prec - 1) | (1 << (prec - 1))
+        tie = 2 * kept + 1
+        if tie % 3:
+            continue
+        x = (_mpf(tie // 3, 0, prec), _mpf(-(tie // 3), 0, prec))
+        r = _mpf(3, 0, prec)
+        got = _mul_real(x, r, prec)
+        assert got == mpc_mul(x, (r, fzero), prec, "n")
+        even = _mpf(kept + (kept & 1), 1, prec)
+        assert got == (even, mpc_neg((even, fzero))[0])
+        if kept & 1:
+            ups += 1
+        else:
+            downs += 1
 
 
 @pytest.mark.parametrize("prec", PRECISIONS)

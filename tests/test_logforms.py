@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import factorial, gcd, lcm, prod
 
 import pytest
 
@@ -12,6 +13,7 @@ from aomoto_lab.arrangement import (
     AffineForm, WeightedArrangement, intersection_lattice,
 )
 from aomoto_lab.errors import NotInSpan, OnDiagonalSlice, OnHyperplane
+from aomoto_lab.exactfield import RatFuncKappa, random_point_avoiding
 from aomoto_lab.logforms import (
     ExteriorElement,
     _merge_sign,
@@ -222,11 +224,31 @@ POWER_FORM_CASES = [
 ]
 
 
+def _primitive_scale(form):
+    """The s for which s * form has coprime integer coefficients."""
+    coeffs = (form.constant, *form.gradient)
+    den = lcm(*(c.denominator for c in coeffs))
+    return F(den, gcd(*(int(c * den) for c in coeffs)))
+
+
+def _scale_factor(arr, weight_lists, F_list, k, xy):
+    """C = (W P)^(b+1) (b+1)! Q^k, worked out from the AffineForms."""
+    M = arr.dimension
+    b = M - k
+    W = lcm(*(w.denominator for ws in weight_lists for w in ws
+              if not isinstance(w, RatFuncKappa)))
+    P = prod(_primitive_scale(f) * f.evaluate(pt)
+             for f in arr.forms for pt in (xy[:M], xy[M:]))
+    Q = prod(_primitive_scale(d) * d.evaluate(xy)
+             for d in (difference_form(F_list[q], M) for q in range(k)))
+    return (W * P) ** (b + 1) * factorial(b + 1) * Q ** k
+
+
 @pytest.mark.parametrize("arr", POWER_FORM_CASES)
 def test_power_form_matches_subset_sum(arr, monkeypatch):
-    # S^(b) = Omega^b / b! against the subset sum, and the two sides that
-    # verify_grundlegend and grundlegend_control build at their own sample
-    # points against the ones built from the subset sums
+    # S^(b) = Omega^b / b! against the subset sum, and the integer sides
+    # that verify_grundlegend and grundlegend_control build at their own
+    # sample points against C times the ones built from the subset sums
     M = arr.dimension
     coords = coordinate_functions(M)
     for xy in _doubled_points(arr, 2, seed=M * 100 + arr.size):
@@ -235,24 +257,69 @@ def test_power_form_matches_subset_sum(arr, monkeypatch):
         assert eval_eta_difference(arr, xy) == _reference_eta(arr, xy)
 
     built = []
-    sides = logforms._boundary_sides
+    sides = logforms._scaled_sides
 
-    def recording(lhs_arr, rhs_arr, F_list, k, xy, *forms):
-        out = sides(lhs_arr, rhs_arr, F_list, k, xy, *forms)
+    def recording(lhs_forms, rhs_forms, differences, k, xy):
+        out = sides(lhs_forms, rhs_forms, differences, k, xy)
         built.append((k, xy, out))
         return out
 
-    monkeypatch.setattr(logforms, "_boundary_sides", recording)
+    monkeypatch.setattr(logforms, "_scaled_sides", recording)
     for k in range(1, M + 1):
         assert verify_grundlegend(arr, coords, k, num_points=2, seed=k)
     checked = len(built)
     assert grundlegend_control(arr, coords, seed=3)
     assert checked == 2 * M and len(built) == checked + 1
-    perturbed = WeightedArrangement(
-        M, arr.forms, [arr.weights[0] + F(1, 5), *arr.weights[1:]])
+    shifted = [arr.weights[0] + F(1, 5), *arr.weights[1:]]
+    perturbed = WeightedArrangement(M, arr.forms, shifted)
+    symbolic = isinstance(arr.zero, RatFuncKappa)
     for n, (k, xy, got) in enumerate(built):
         rhs_arr = arr if n < checked else perturbed
-        assert got == _reference_sides(arr, rhs_arr, coords, k, xy), n
+        weight_lists = [arr.weights] + ([shifted] if n == checked else [])
+        C = _scale_factor(arr, weight_lists, coords, k, xy)
+        expect = _reference_sides(arr, rhs_arr, coords, k, xy)
+        for side, ref in zip(got, expect):
+            assert side.terms == ref.scale(C).terms, n
+            assert symbolic or all(type(c) is int for c in side.terms.values())
+
+
+@pytest.mark.parametrize("arr", [
+    sl2_four_point(),
+    build_arrangement([2, 1, 1], [F(-7, 3), F(1, 2), F(5, 4)], kappa=F(-9, 4)),
+    random_m3(),
+])
+def test_kernel_draws_the_points_of_the_affine_sampler(arr, monkeypatch):
+    # the kernel decides admissibility on primitive integer forms; a
+    # small bound makes many draws land on a hyperplane or a slice, so
+    # every rejection must match the one on the rational forms
+    M = arr.dimension
+    coords = coordinate_functions(M)
+    drawn = []
+    sides = logforms._scaled_sides
+
+    def recording(lhs_forms, rhs_forms, differences, k, xy):
+        drawn.append(xy)
+        return sides(lhs_forms, rhs_forms, differences, k, xy)
+
+    monkeypatch.setattr(logforms, "_scaled_sides", recording)
+    bound, seed = 4, 17
+    expected = []
+    for k in range(1, M + 1):
+        avoid = ([doubled_form(f, M, 0) for f in arr.forms]
+                 + [doubled_form(f, M, 1) for f in arr.forms]
+                 + [difference_form(coords[q], M) for q in range(k)])
+        rng = random.Random(seed)
+        expected += [random_point_avoiding(avoid, bound=bound,
+                                           seed=rng.randrange(2**32),
+                                           dimension=2 * M)
+                     for _ in range(3)]
+        assert verify_grundlegend(arr, coords, k, num_points=3, seed=seed,
+                                  bound=bound)
+    expected.append(random_point_avoiding(avoid, bound=bound, seed=seed,
+                                          dimension=2 * M))
+    assert grundlegend_control(arr, coords, seed=seed, bound=bound)
+    assert drawn == expected
+    assert all(type(c) is int for xy in drawn for c in xy)
 
 
 def test_monomial_value_examples():
