@@ -39,15 +39,13 @@ from .errors import (
 from .exactfield import (
     DEFAULT_PRECISION_BITS, RatFuncKappa, format_rational, parse_rational,
 )
-from .liealg import (
-    TensorSpace, conformal_block_dim, invariant_functionals, invariants_dim,
-)
+from .liealg import conformal_block_dim, invariants_dim
 from .logforms import (
     BoundaryKernel, coordinate_functions, grundlegend_control,
     verify_grundlegend,
 )
 from .svmap import (
-    build_arrangement, egregium_check, num_variables, omega_sv,
+    build_arrangement, egregium_check, num_variables, sv_classes,
 )
 
 COMMANDS = (
@@ -317,26 +315,31 @@ def _cmd_invariants(config):
     return report, echo
 
 
-def _cmd_sv(config):
+def _recipe(config):
+    """The sl2 data of sv and egregium requests, and its echo.
+
+    Fields are validated in the order algebra, weights, points, kappa,
+    seed and beta.
+    """
     algebra_echo = _parse_algebra(config)
     weights = _parse_weights(config)
     points = _parse_points(config, len(weights))
     kappa = _parse_kappa(config)
-    seed = _seed(config)
-    beta = _parse_beta(config, num_variables(weights)) if "beta" in config else None
-    space = TensorSpace(weights)
-    arr = build_arrangement(weights, points, kappa=kappa)
-    check_top_size(arr)
-    lattice = intersection_lattice(arr)
-    quotient = AomotoComplex(arr, lattice).top_quotient()
-    psis = invariant_functionals(space)
-    classes = []
-    rows = []
-    for psi in psis:
-        cls = omega_sv(arr, lattice, space, psi, points,
-                       aomoto_space=quotient.space)
-        classes.append(cls)
-        rows.append(quotient.coords(list(cls.rep)))
+    echo = {
+        "algebra": algebra_echo,
+        "weights": list(config["weights"]),
+        "points": [format_rational(p) for p in points],
+        "kappa": format_rational(kappa),
+        "seed": _seed(config),
+    }
+    if "beta" in config:
+        echo["beta"] = _parse_beta(config, num_variables(weights))
+    return weights, points, kappa, echo
+
+
+def _cmd_sv(config):
+    weights, points, kappa, echo = _recipe(config)
+    quotient, psis, classes, rows = sv_classes(weights, points, kappa)
     report = {
         "functional_count": len(psis),
         "functionals": [_fmt_vector(psi) for psi in psis],
@@ -344,36 +347,12 @@ def _cmd_sv(config):
         "rank": linalg.rank(rows) if rows else 0,
         "top_cohomology_dim": quotient.dim,
     }
-    echo = {
-        "algebra": algebra_echo,
-        "weights": list(config["weights"]),
-        "points": [format_rational(p) for p in points],
-        "kappa": format_rational(kappa),
-        "seed": seed,
-    }
-    if beta is not None:
-        echo["beta"] = beta
     return report, echo
 
 
 def _cmd_egregium(config):
-    algebra_echo = _parse_algebra(config)
-    weights = _parse_weights(config)
-    points = _parse_points(config, len(weights))
-    kappa = _parse_kappa(config)
-    seed = _seed(config)
-    beta = _parse_beta(config, num_variables(weights)) if "beta" in config else None
-    report = egregium_check(weights, points, kappa)
-    echo = {
-        "algebra": algebra_echo,
-        "weights": list(config["weights"]),
-        "points": [format_rational(p) for p in points],
-        "kappa": format_rational(kappa),
-        "seed": seed,
-    }
-    if beta is not None:
-        echo["beta"] = beta
-    return report, echo
+    weights, points, kappa, echo = _recipe(config)
+    return egregium_check(weights, points, kappa), echo
 
 
 def _cmd_verify_forms(config):

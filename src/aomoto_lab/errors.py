@@ -29,10 +29,6 @@ class OnHyperplane(AomotoLabError):
     """A point to be used for evaluation lies on one of the arrangement hyperplanes."""
 
 
-class OnDiagonalSlice(AomotoLabError):
-    """A paired point (x, y) satisfies F_q(x) = F_q(y) for a compared coordinate q."""
-
-
 class NotInSpan(AomotoLabError):
     """A top form could not be written in the logarithmic monomial basis."""
 

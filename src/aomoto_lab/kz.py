@@ -7,7 +7,13 @@ horizontal section satisfies
 
     (d/dz_j + (1/kappa) sum_{k != j} Omega_{jk} / (z_j - z_k)) u = 0,
 
-so the evolution matrix in z_j is minus the connection coefficient.
+so the evolution matrix in z_j is minus the connection matrix that
+_connection_at builds.  The connection is flat at every kappa, because
+the Omegas satisfy the infinitesimal braid relations
+[Omega_ij, Omega_ik + Omega_jk] = 0 and [Omega_ij, Omega_kl] = 0 (Kohno,
+Ann. Inst. Fourier 37, 1987); the tests check these exactly on
+casimir_matrices.
+
 Transport moves one coordinate along a piecewise-linear path while the
 others stay put, integrating with Taylor series recentered at each step:
 the series radius equals the distance to the nearest puncture and the
@@ -23,7 +29,9 @@ takes for addends far apart (see _far_addends), so every value is
 bit-identical to the same recurrence on mpc objects; only additions of
 an exact zero are left out.  The reciprocal 1/((s + 1) q_0) stays a
 libmp call, and so does the size test of a Taylor term where the
-exponents of its entries do not decide it.  tests/test_kz_kernel.py
+exponents of its entries do not decide it.  Both Taylor steps,
+_taylor_step and _hyp_step, take and return kernel values.
+tests/test_kz_kernel.py
 checks the kernel operations against libmp value for value, and the
 bit-identity tests of tests/test_kz.py check single steps and whole
 loops against the recurrence on mpc objects.  hyp2f1 walks its contour
@@ -194,59 +202,6 @@ def _mat_inv(a):
 
 
 # ---------------------------------------------------------------------------
-# connection coefficients
-
-
-def kz_rhs(sys, zs, j):
-    """Evolution matrix -(1/kappa) sum_{k != j} Omega_{jk}/(z_j - z_k)."""
-    with mpmath.workprec(sys.precision_bits):
-        zj = _to_mpc(zs[j])
-        acc = _mat_zero(sys.d)
-        for k in range(sys.n):
-            if k == j:
-                continue
-            dz = zj - _to_mpc(zs[k])
-            if dz == 0:
-                raise CollidingPoints("points collide in the connection")
-            acc = _mat_add(acc, _mat_scale(_frac_matrix(sys.omega(j, k)), 1 / dz))
-        return _mat_scale(acc, _to_mpc(Fraction(-1, 1) / sys.kappa))
-
-
-def connection_coefficient(sys, zs, j):
-    """(1/kappa) sum_{k != j} Omega_{jk}/(z_j - z_k); minus the evolution."""
-    return _mat_scale(kz_rhs(sys, zs, j), mpmath.mpc(-1))
-
-
-def kz_curvature(sys, zs, i, j, step=mpmath.mpf("1e-12")):
-    """Finite-difference curvature of the connection in directions i, j.
-
-    Returns dA_i/dz_j - dA_j/dz_i difference ordered as
-    [nabla_i, nabla_j] = dA_j/dz_i - dA_i/dz_j + [A_i, A_j]; flatness
-    makes this numerically tiny.
-    """
-    with mpmath.workprec(sys.precision_bits):
-        h = mpmath.mpf(step)
-
-        def shifted(vals, idx, delta):
-            out = [_to_mpc(z) for z in vals]
-            out[idx] = out[idx] + delta
-            return out
-
-        a_i = connection_coefficient(sys, zs, i)
-        a_j = connection_coefficient(sys, zs, j)
-        dj_plus = connection_coefficient(sys, shifted(zs, i, h), j)
-        dj_minus = connection_coefficient(sys, shifted(zs, i, -h), j)
-        di_plus = connection_coefficient(sys, shifted(zs, j, h), i)
-        di_minus = connection_coefficient(sys, shifted(zs, j, -h), i)
-        d_aj = _mat_scale(_mat_add(dj_plus, _mat_scale(dj_minus, -1)), 1 / (2 * h))
-        d_ai = _mat_scale(_mat_add(di_plus, _mat_scale(di_minus, -1)), 1 / (2 * h))
-        bracket = _mat_add(
-            _mat_mul(a_i, a_j), _mat_scale(_mat_mul(a_j, a_i), -1)
-        )
-        return _mat_add(_mat_add(d_aj, _mat_scale(d_ai, -1)), bracket)
-
-
-# ---------------------------------------------------------------------------
 # paths
 
 
@@ -345,8 +300,9 @@ def transport(sys, path, tol=None, moving=0):
     puncture, and raises StepUnderflow inside the keep-out radius.  The
     step matrices and their products run on the integer kernel (see the
     module docstring), where every sum and product is the exact value
-    rounded once, as mpc arithmetic rounds it at the same precision; the
-    result becomes mpc once, here.  Each segment's
+    rounded once, as mpc arithmetic rounds it at the same precision.  The
+    Omegas and -1/kappa become kernel values once, here, and the result
+    becomes mpc once, here.  Each segment's
     transport is kept in sys.segment_transports, keyed on everything it
     depends on besides the system itself, so a leg that two paths share
     (the way out of and back to the base of a commutator's two loops) is
@@ -359,7 +315,8 @@ def transport(sys, path, tol=None, moving=0):
             _to_mpc(sys.points[k]) for k in range(sys.n) if k != moving
         ]
         omegas = [
-            [[x._mpc_ for x in row] for row in _frac_matrix(sys.omega(moving, k))]
+            [[_from_libmp(x._mpc_) for x in row]
+             for row in _frac_matrix(sys.omega(moving, k))]
             for k in range(sys.n) if k != moving
         ]
         prec = mpmath.mp.prec
@@ -370,7 +327,7 @@ def transport(sys, path, tol=None, moving=0):
             if not tol > 0:
                 raise ValueError("tol must be positive")
         quarter_tol = (tol / 4)._mpf_
-        minus_inv_kappa = _to_mpc(Fraction(-1, 1) / sys.kappa)._mpc_
+        minus_inv_kappa = _from_libmp(_to_mpc(Fraction(-1, 1) / sys.kappa)._mpc_)
         cap = _term_cap(sys.precision_bits)
         known = sys.segment_transports
         context = (moving, tuple(p._mpc_ for p in punctures), quarter_tol)
@@ -390,9 +347,10 @@ def _segment_transport(a, b, punctures, omegas, minus_inv_kappa, quarter_tol,
                        cap, prec):
     result = _identity(len(omegas[0]))
     for shifts, h in _steps(a, b, punctures):
-        step = _taylor_step([s._mpc_ for s in shifts], h._mpc_, omegas,
-                            minus_inv_kappa, quarter_tol, cap, prec)
-        result = _kmat_mul(_kmat(step), result, prec)
+        step = _taylor_step([_from_libmp(s._mpc_) for s in shifts],
+                            _from_libmp(h._mpc_), omegas, minus_inv_kappa,
+                            quarter_tol, cap, prec)
+        result = _kmat_mul(step, result, prec)
     return result
 
 
@@ -430,8 +388,9 @@ def _steps(a, b, punctures):
 # which is how libmp rounds mpc_add, mpc_mul and mpc_mul_int, up to one
 # shortcut that _cmul copies (see _far_addends): so each value is the one
 # the libmp call gives.  The rounding is written out in _cadd
-# and _cmul, which run in the innermost loop.  libmp tuples enter and
-# leave once per Taylor step.
+# and _cmul, which run in the innermost loop.  A step's offsets and
+# length enter from libmp tuples once per Taylor step; everything else
+# enters and leaves once per transport.
 
 _ONE = (1, 0, 0, 0)
 _ZERO = (0, 0, 0, 0)
@@ -445,10 +404,6 @@ def _from_libmp(z):
 def _to_libmp(x):
     m, e, k, f = x
     return from_man_exp(m, e), from_man_exp(k, f)
-
-
-def _kmat(mat):
-    return [[_from_libmp(z) for z in row] for row in mat]
 
 
 def _cadd(x, y, prec):
@@ -641,7 +596,7 @@ def _poly_from_roots(shifts, prec):
 
 
 def _taylor_step(shifts, h, omegas, minus_inv_kappa, quarter_tol, cap, prec):
-    """Transport matrix over one step of length h, as libmp tuples.
+    """Transport matrix over one step of length h.
 
     With w the displacement from the step's start, the evolution matrix
     is C(w) / q(w), where q(w) = prod_k (w + shift_k) and
@@ -653,15 +608,11 @@ def _taylor_step(shifts, h, omegas, minus_inv_kappa, quarter_tol, cap, prec):
 
     and the sum stops after three terms in a row below quarter_tol (see
     _below), or raises PrecisionLoss after cap terms (see _term_cap).
-    The arguments and the result are libmp tuples; the
-    arithmetic runs on the integer kernel, except the reciprocal
-    1/((s + 1) q_0), which is mpc_mpf_div's.
+    The arguments and the result are kernel values, as for _hyp_step,
+    except quarter_tol, which is a libmp mpf; the reciprocal
+    1/((s + 1) q_0) is mpc_mpf_div's.
     """
     d = len(omegas[0])
-    shifts = [_from_libmp(s) for s in shifts]
-    h = _from_libmp(h)
-    omegas = [_kmat(omega) for omega in omegas]
-    minus_inv_kappa = _from_libmp(minus_inv_kappa)
     q = _poly_from_roots(shifts, prec)
     minus_q = [(-m, e, -k, f) for m, e, k, f in q]
     scales = [
@@ -704,7 +655,7 @@ def _taylor_step(shifts, h, omegas, minus_inv_kappa, quarter_tol, cap, prec):
                for row in contribution for x in row):
             quiet += 1
             if quiet >= 3:
-                return [[_to_libmp(x) for x in row] for row in value]
+                return value
         else:
             quiet = 0
     raise PrecisionLoss("Taylor step did not converge within the term cap")

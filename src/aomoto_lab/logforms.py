@@ -45,9 +45,9 @@ Symbolic (RatFuncKappa) weights enter as they are: W takes the
 denominators of the rational weights only, and is 1 when there are none.
 
 The two expressions for S^(b) agree for any scalar type: the omega_i have
-even degree, so they commute, and each squares to zero.  The Fraction
-kernel forms build S^(b) as powers of Omega; the subset sum is the
-tests' oracle for them and for the integer sides.
+even degree, so they commute, and each squares to zero.  The integer
+sides build S^(b) as powers of W P Omega; the subset sum times C is the
+tests' oracle for them.
 
 expand_top_form writes a top form given only by its values in the
 wedge-monomial basis, by exact interpolation.  The package builds its
@@ -64,7 +64,7 @@ from operator import mul
 from . import linalg
 from .aomoto import AomotoSpace, monomials
 from .arrangement import AffineForm
-from .errors import NotInSpan, OnDiagonalSlice, OnHyperplane
+from .errors import NotInSpan, OnHyperplane
 from .exactfield import RatFuncKappa, random_point_avoiding
 
 
@@ -175,63 +175,6 @@ def difference_form(form, dimension):
     """F(x) - F(y) as an affine form on the doubled space."""
     grad = list(form.gradient) + [-g for g in form.gradient]
     return AffineForm(0, tuple(grad))
-
-
-def _kernel_forms(arr, xy, top):
-    """eta(x) - eta(y) and S^(0), ..., S^(top) at xy, from one dlog pass."""
-    M = arr.dimension
-    eta = omega = ExteriorElement(2 * M)
-    for form, weight in zip(arr.forms, arr.weights):
-        first = eval_dlog(form, xy[:M], 2 * M)
-        second = eval_dlog(form, xy[M:], 2 * M, M)
-        eta = eta + (first - second).scale(weight)
-        omega = omega + first.wedge(second).scale(weight)
-    powers = [ExteriorElement.one(2 * M)]
-    for b in range(1, top + 1):
-        powers.append(powers[-1].wedge(omega).scale(Fraction(1, b)))
-    return eta, powers
-
-
-def _difference_dlogs(F_list, q_indices, dimension, xy):
-    """dlog (F_q(x) - F_q(y)) for each q; OnDiagonalSlice where it vanishes."""
-    out = []
-    for q in q_indices:
-        diff = difference_form(F_list[q], dimension)
-        if diff.evaluate(xy) == 0:
-            raise OnDiagonalSlice(f"F_{q} takes equal values on both copies")
-        out.append(eval_dlog(diff, xy))
-    return out
-
-
-def eval_eta_difference(arr, xy):
-    """eta(x) - eta(y) on the doubled space, evaluated at xy."""
-    return _kernel_forms(arr, xy, 0)[0]
-
-
-def eval_S_b(arr, b, xy):
-    """The degree-2b kernel form S^(b) = Omega^b / b! at a doubled point.
-
-    The omega_i are 2-forms, so they commute and square to zero, and
-    Omega^b is b! times the sum over b-subsets of prod a_i omega_i.
-    """
-    if not 0 <= b <= arr.dimension:
-        raise ValueError("b must lie between 0 and the dimension")
-    return _kernel_forms(arr, xy, b)[1][b]
-
-
-def eval_S_mixed(arr, F_list, q_indices, xy):
-    """The mixed form S_{q_1..q_w} evaluated at a doubled point.
-
-    q_indices picks comparison functions out of F_list; w = len(q_indices)
-    and the kernel part has b = M - w.  Raises OnDiagonalSlice when some
-    F_q takes equal values on the two copies.
-    """
-    M = arr.dimension
-    if len(q_indices) > M:
-        raise ValueError("more comparison indices than the dimension allows")
-    kernel = eval_S_b(arr, M - len(q_indices), xy)
-    return reduce(ExteriorElement.wedge,
-                  _difference_dlogs(F_list, q_indices, M, xy), kernel)
 
 
 class IntegerForm:

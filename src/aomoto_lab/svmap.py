@@ -226,6 +226,26 @@ def omega_sv(arr, lattice, space, psi, zs, aomoto_space=None):
     return CohomologyClass(M, tuple(aomoto_space.reduce(vector)))
 
 
+def sv_classes(weights, points, kappa):
+    """The class of every invariant functional in top cohomology.
+
+    Builds the arrangement of the sl2 data, its lattice and top quotient,
+    and omega_sv of each functional of invariant_functionals.  Returns
+    (quotient, functionals, classes, rows), rows being the classes'
+    coordinates in the quotient.
+    """
+    space = TensorSpace([_sl2_weight_int(w) for w in weights])
+    arr = build_arrangement(weights, points, kappa=kappa)
+    check_top_size(arr)
+    lattice = intersection_lattice(arr)
+    quotient = AomotoComplex(arr, lattice).top_quotient()
+    psis = invariant_functionals(space)
+    classes = [omega_sv(arr, lattice, space, psi, points,
+                        aomoto_space=quotient.space) for psi in psis]
+    rows = [quotient.coords(list(cls.rep)) for cls in classes]
+    return quotient, psis, classes, rows
+
+
 def egregium_check(weights, points, kappa):
     """Compare tensor invariants with both realizations in top cohomology.
 
@@ -234,19 +254,8 @@ def egregium_check(weights, points, kappa):
     image, whether those two subspaces of top cohomology coincide exactly,
     and the overall verdict.
     """
-    space = TensorSpace([_sl2_weight_int(w) for w in weights])
+    quotient, _, _, sv_rows = sv_classes(weights, points, kappa)
     inv_dim = invariants_dim(weights)
-    arr = build_arrangement(weights, points, kappa=kappa)
-    check_top_size(arr)
-    lattice = intersection_lattice(arr)
-    quotient = AomotoComplex(arr, lattice).top_quotient()
-    psis = invariant_functionals(space)
-    sv_rows = []
-    for psi in psis:
-        cls = omega_sv(
-            arr, lattice, space, psi, points, aomoto_space=quotient.space
-        )
-        sv_rows.append(quotient.coords(list(cls.rep)))
     image_rank, image_classes = shapovalov_image(quotient, use_chi=True)
     image_rows = [quotient.coords(list(cls.rep)) for cls in image_classes]
     sv_rank = linalg.rank(sv_rows) if sv_rows else 0

