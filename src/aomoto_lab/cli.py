@@ -3,7 +3,8 @@
 One JSON config in, one JSON report out.  Rationals travel as "p/q"
 strings in both directions so no float ever touches the exact pipeline;
 floating results from the connection module are serialized as decimal
-strings at a fixed display precision.  Reports embed the resolved
+strings, the hyp2f1 self-test at a fixed display precision and the other
+kz numbers to the digits their error bounds support.  Reports embed the resolved
 config, including every defaulted field, and are byte-stable for a
 given config: identical inputs give identical bytes.
 
@@ -54,6 +55,12 @@ COMMANDS = (
 )
 
 DISPLAY_DIGITS = 30
+# A kz report prints each pochhammer and flat_sections number rounded to
+# the decade KZ_GUARD_DIGITS above its error bound (see _cmd_kz), so that
+# two runs whose errors stay below the bounds print the same digits
+# unless a value lies within an error of a rounding boundary: for a
+# random value, at most 2 * 10^-KZ_GUARD_DIGITS of the time.
+KZ_GUARD_DIGITS = 4
 # Most verify-forms sample points: at this bound a four-doublet request
 # takes about 0.3 s of CPU on one core of a 2-vCPU x86-64 (Xeon) VM, and
 # a [2,1,1,2] request, in three variables, about 1.2 s.
@@ -213,8 +220,18 @@ def _fmt_complex(x):
     return [_fmt_mpf(mpmath.re(z)), _fmt_mpf(mpmath.im(z))]
 
 
-def _fmt_cmatrix(mat):
-    return [[_fmt_complex(entry) for entry in row] for row in mat]
+def _fmt_known(x, error):
+    """x rounded to the decade KZ_GUARD_DIGITS above error; 0 below it."""
+    import mpmath
+    step = mpmath.mpf(10) ** (int(mpmath.ceil(mpmath.log10(error)))
+                              + KZ_GUARD_DIGITS)
+    return _fmt_mpf(mpmath.nint(mpmath.mpf(x) / step) * step)
+
+
+def _fmt_known_complex(x, error):
+    import mpmath
+    z = mpmath.mpc(x)
+    return [_fmt_known(mpmath.re(z), error), _fmt_known(mpmath.im(z), error)]
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +489,40 @@ def _cmd_kz(config):
              for r in range(sys_obj.d)]
         )
         det = matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
+        # Error bounds of the printed numbers.  The transport resolves
+        # each entry to about tol times the matrix norm N, and a tol
+        # below the default 2^-(precision_bits / 2) makes the digits
+        # surer, not more numerous, so the bytes of a report do not move
+        # when the transport tightens.  An eigenvalue moves by about
+        # err * N / sep (sep the gap between the two), at most by the
+        # split sqrt(err * N) of a defective pair, and at least by err.
+        # The determinant, ad - bc, sums four products of an entry's
+        # error with an entry.  The flat-section residuals are
+        # normalized, so their scale is 1.
+        accuracy = mpmath.mpf(2) ** -(precision_bits // 2)
+        if tol is not None and tol > accuracy:
+            accuracy = tol
+        norm = max(mpmath.mpf(1), _mat_norm(matrix))
+        err = accuracy * norm
+        split = mpmath.sqrt(err * norm)
+        sep = abs(eigs[0] - eigs[1])
+        eig_err = max(err, split if sep * split <= err * norm
+                      else err * norm / sep)
         pochhammer = {
-            "matrix": _fmt_cmatrix(matrix),
-            "eigenvalues": [_fmt_complex(e) for e in eigs],
-            "unipotence_residual": _fmt_mpf(max(abs(e - 1) for e in eigs)),
-            "identity_distance": _fmt_mpf(distance),
-            "a21_abs": _fmt_mpf(abs(matrix[1][0])),
-            "det_defect": _fmt_mpf(abs(det - 1)),
+            "matrix": [[_fmt_known_complex(x, err) for x in row]
+                       for row in matrix],
+            # largest real part first, then largest imaginary part: the
+            # order the two square roots come in is noise when the pair
+            # is close to conjugate
+            "eigenvalues": sorted(
+                (_fmt_known_complex(e, eig_err) for e in eigs),
+                key=lambda pair: [Fraction(x) for x in pair], reverse=True,
+            ),
+            "unipotence_residual":
+                _fmt_known(max(abs(e - 1) for e in eigs), eig_err),
+            "identity_distance": _fmt_known(distance, err),
+            "a21_abs": _fmt_known(abs(matrix[1][0]), err),
+            "det_defect": _fmt_known(abs(det - 1), 4 * norm * err),
         }
         flat = {"applies": False,
                 "reason": "closed-form exponents hold at kappa 3/1 only"}
@@ -491,8 +535,8 @@ def _cmd_kz(config):
                     worst_fv, flat_section_residual(sys_obj, z, section="fv")
                 )
             flat = {
-                "phi_max_residual": _fmt_mpf(worst_phi),
-                "fv_max_residual": _fmt_mpf(worst_fv),
+                "phi_max_residual": _fmt_known(worst_phi, accuracy),
+                "fv_max_residual": _fmt_known(worst_fv, accuracy),
                 "samples": len(samples),
             }
         value = _hyp2f1_self_test(precision_bits)

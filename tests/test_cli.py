@@ -231,6 +231,26 @@ def test_kz_flat_sections_apply_at_kappa_3_only(monkeypatch):
                     "reason": "closed-form exponents hold at kappa 3/1 only"}
 
 
+def _seeded_kz_config():
+    rng = random.Random(19)
+    kappa = Fraction(rng.choice((-1, 1)) * rng.randint(1, 24), rng.randint(1, 3))
+    return {"schema": "1", "kappa": format_rational(kappa),
+            "loop": sorted(rng.sample((2, 3, 4), 2)), "precision_bits": 128}
+
+
+@pytest.mark.parametrize("config", [
+    _load("kz_kappa3.json"), _load("kz_kappa_m7_3.json"), _seeded_kz_config(),
+], ids=["kappa3", "kappa_m7_3", "seeded"])
+def test_kz_digits_do_not_move_when_the_transport_tightens(config):
+    # a report prints what its default tolerance resolves: a transport
+    # 2^32 times tighter changes no printed digit
+    bits = config["precision_bits"]
+    tight = {**config, "tol": 2.0 ** -(bits // 2 + 32)}
+    blocks = [{key: run("kz", c)[key] for key in ("pochhammer", "flat_sections")}
+              for c in (config, tight)]
+    assert blocks[0] == blocks[1]
+
+
 def test_run_rejects_bad_inputs():
     with pytest.raises(ConfigError):
         run("no-such-command", {})
