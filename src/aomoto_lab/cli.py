@@ -4,9 +4,9 @@ One JSON config in, one JSON report out.  Rationals travel as "p/q"
 strings in both directions so no float ever touches the exact pipeline;
 floating results from the connection module are serialized as decimal
 strings, the hyp2f1 self-test at a fixed display precision and the other
-kz numbers to the digits their error bounds support.  Reports embed the resolved
-config, including every defaulted field, and are byte-stable for a
-given config: identical inputs give identical bytes.
+kz numbers to the digits their error bounds support.  Reports embed the
+resolved config, including every defaulted field, and are byte-stable
+for a given config: identical inputs give identical bytes.
 
 Exit codes: 0 success, 1 domain error (a computation refused its
 input), 2 config error (the job never started).
@@ -65,16 +65,17 @@ KZ_GUARD_DIGITS = 4
 # takes about 0.3 s of CPU on one core of a 2-vCPU x86-64 (Xeon) VM, and
 # a [2,1,1,2] request, in three variables, about 1.2 s.
 MAX_NUM_POINTS = 1000
-# Highest kz precision: the cost of a request about triples per doubling
-# of the bits, and at this bound a kappa-3 request takes about 100 s of
-# CPU on the same VM.
+# Highest kz precision: the cost of a request grows about threefold per
+# doubling of the bits, and at this bound a kappa-3 request takes about
+# 13 s of CPU on the same VM.
 MAX_PRECISION_BITS = 1024
 # Largest absolute value of a kz point or base.  The Taylor steps of a
-# loop grow with the log of the distance between the base and the points:
-# with the base at -10^6 a 64-bit request takes 221 steps, against 77 at
-# the default base, and about 1.2 s of CPU on the same VM; its 1024-bit
-# transport takes about 66 s.  The bound also keeps every coordinate a
-# finite float, which the flat samples and the loop base pass through.
+# loop's way out grow with the log of the distance between the base and
+# the points: with the base at -10^6 a 64-bit request takes 76 steps,
+# against 18 at the default base, and about 0.6 s of CPU on the same VM;
+# its 1024-bit commutator takes about 17 s.  The bound also keeps every
+# coordinate a finite float, which the flat samples and the loop base
+# pass through.
 MAX_KZ_COORDINATE = 10**6
 
 

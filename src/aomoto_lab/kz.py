@@ -18,9 +18,17 @@ Transport moves one coordinate along a piecewise-linear path while the
 others stay put, integrating with Taylor series recentered at each step:
 the series radius equals the distance to the nearest puncture and the
 step stays well inside it, so the truncation error is controlled by a
-geometric tail.  Floating arithmetic runs through mpmath at the
-system's precision, except that the Taylor recurrence and the step
-products run on an integer kernel: a real number is an integer mantissa and a binary
+geometric tail.  A loop around one puncture is the way out from its
+base, a circle about the puncture and the way back, so its monodromy is
+the circle's conjugated by the transport along the way out.  The circle
+comes from the Frobenius series of the solution at the puncture, whose
+local exponents are exact rationals, and from Taylor steps only where
+the exponents are resonant or do not diagonalize over the rationals, or
+where the circle is too wide for the series (see _frobenius_circle).
+
+Floating arithmetic runs through mpmath at the system's precision,
+except that the Taylor recurrence and the step products run on an
+integer kernel: a real number is an integer mantissa and a binary
 exponent, and each complex sum or product is formed exactly from those
 integers and rounded once to the precision, to nearest with ties to
 even.  That is how libmp's mpc_add, mpc_mul and mpc_mul_int round the
@@ -48,6 +56,7 @@ from mpmath.libmp import (
     fone, from_man_exp, from_rational, fzero, mpc_abs, mpc_mpf_div, mpf_lt,
 )
 
+from . import linalg
 from .errors import (
     BranchCut, CollidingPoints, LoopEnclosesPuncture, PrecisionLoss,
     StepUnderflow, ZeroKappa,
@@ -58,6 +67,14 @@ from .liealg import TensorSpace, coinvariants_quotient
 KEEP_OUT_RADIUS = 0.01
 STEP_RATIO = 0.38
 MAX_SERIES_TERMS = 400
+# A loop's circle comes from the Frobenius series at its puncture (see
+# _frobenius_circle) unless an eigenvalue difference of the residue lies
+# within RESONANCE_GAP of a nonzero integer, where a divisor n + r_b - r_a
+# of the recurrence comes near 0, or the circle's radius exceeds
+# FROBENIUS_RADIUS_RATIO times the distance to the nearest other
+# puncture, where the series terms would shrink more slowly than 2^-n.
+RESONANCE_GAP = Fraction(1, 8)
+FROBENIUS_RADIUS_RATIO = 0.5
 
 
 def casimir_matrices(weights=(1, 1, 1, 1)):
@@ -264,17 +281,21 @@ class ContourPath:
         return cls(pts)
 
     @classmethod
-    def loop_around(cls, base, center, radius=0.15, depth=0.6):
-        """Loop from base around center, routed through the lower half-plane."""
+    def way_out(cls, base, center, radius=0.15, depth=0.6):
+        """From base down by depth, across to below center, and up to the
+        entry point center - i radius of the circle about center."""
         base = complex(base)
         center = complex(center)
-        below_base = complex(base.real, base.imag - depth)
-        below_center = complex(center.real, center.imag - depth)
-        entry = center - 1j * radius
-        approach = [base, below_base, below_center, entry]
-        circle = cls.circle(center, radius).waypoints
-        back = [entry, below_center, below_base, base]
-        return cls(approach + circle[1:] + back[1:])
+        return cls([base, complex(base.real, base.imag - depth),
+                    complex(center.real, center.imag - depth),
+                    center - 1j * radius])
+
+    @classmethod
+    def loop_around(cls, base, center, radius=0.15, depth=0.6):
+        """Loop from base around center, routed through the lower half-plane:
+        the way out, the circle from its entry point, and the way back."""
+        out = cls.way_out(base, center, radius=radius, depth=depth)
+        return out.concat(cls.circle(center, radius)).concat(out.reversed())
 
 
 def _segment_distance(a, b, p):
@@ -305,8 +326,9 @@ def transport(sys, path, tol=None, moving=0):
     becomes mpc once, here.  Each segment's
     transport is kept in sys.segment_transports, keyed on everything it
     depends on besides the system itself, so a leg that two paths share
-    (the way out of and back to the base of a commutator's two loops) is
-    integrated once; the products run in the same order either way.
+    (the first leg of the way out of the base of a commutator's two
+    loops) is integrated once; the products run in the same order either
+    way.
     """
     with mpmath.workprec(sys.precision_bits + 64):
         # converted here, so the result does not depend on the caller's
@@ -320,13 +342,7 @@ def transport(sys, path, tol=None, moving=0):
             for k in range(sys.n) if k != moving
         ]
         prec = mpmath.mp.prec
-        if tol is None:
-            tol = mpmath.mpf(2) ** (-(sys.precision_bits // 2))
-        else:
-            tol = mpmath.mpf(tol)
-            if not tol > 0:
-                raise ValueError("tol must be positive")
-        quarter_tol = (tol / 4)._mpf_
+        quarter_tol = (_tolerance(sys, tol) / 4)._mpf_
         minus_inv_kappa = _from_libmp(_to_mpc(Fraction(-1, 1) / sys.kappa)._mpc_)
         cap = _term_cap(sys.precision_bits)
         known = sys.segment_transports
@@ -341,6 +357,16 @@ def transport(sys, path, tol=None, moving=0):
                 )
             total = _kmat_mul(known[key], total, prec)
         return [[mpmath.mp.make_mpc(_to_libmp(x)) for x in row] for row in total]
+
+
+def _tolerance(sys, tol):
+    """tol as an mpf, 2^-(precision_bits / 2) by default."""
+    if tol is None:
+        return mpmath.mpf(2) ** (-(sys.precision_bits // 2))
+    tol = mpmath.mpf(tol)
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    return tol
 
 
 def _segment_transport(a, b, punctures, omegas, minus_inv_kappa, quarter_tol,
@@ -684,10 +710,162 @@ def simple_loop(sys, around, base=None, radius=0.15, depth=0.6, moving=0):
 
 def simple_loop_monodromy(sys, around, base=None, tol=None, radius=0.15,
                           depth=0.6, moving=0):
-    """Monodromy along the counterclockwise loop around one puncture."""
+    """Monodromy along the counterclockwise loop around one puncture.
+
+    The loop of simple_loop goes out from the base to the entry point of
+    the circle, once around it, and back the way it came, so its
+    monodromy is L^-1 C L, with L the transport along the way out and C
+    the circle's.  C comes from the Frobenius series at the puncture
+    (see _frobenius_circle), or, where that series is not used, from
+    the Taylor steps of transport around the circle's chord polygon.
+    """
     loop = simple_loop(sys, around, base=base, radius=radius, depth=depth,
                        moving=moving)
-    return transport(sys, loop, tol=tol, moving=moving)
+    center = complex(sys.points[around])
+    way_out = ContourPath.way_out(loop.waypoints[0], center, radius=radius,
+                                  depth=depth)
+    out = transport(sys, way_out, tol=tol, moving=moving)
+    entry = way_out.waypoints[-1]
+    circle = _frobenius_circle(sys, around, entry, tol, moving)
+    if circle is None:
+        circle = _taylor_circle(sys, center, entry, radius, tol, moving)
+    with mpmath.workprec(sys.precision_bits + 64):
+        return _mat_mul(_mat_inv(out), _mat_mul(circle, out))
+
+
+def _taylor_circle(sys, center, entry, radius, tol, moving):
+    """Transport around the chord polygon of the circle, from entry back to
+    entry: the polygon's own first and last vertices differ from entry
+    by a rounding of the cosine."""
+    chords = ContourPath.circle(center, radius).waypoints
+    return transport(sys, ContourPath([entry, *chords[1:-1], entry]), tol=tol,
+                     moving=moving)
+
+
+def _frobenius_circle(sys, around, entry, tol, moving):
+    """Transport once counterclockwise around the puncture from entry.
+
+    With x = z - z_p for the puncture p = around, the system reads
+    u' = (R / x + B(x)) u with R = -Omega_(moving, p) / kappa and B
+    holomorphic for |x| < rho, the distance from z_p to the nearest
+    other puncture.  When no two eigenvalues of R differ by a nonzero
+    integer, it has the fundamental solution H(x) x^R with H(0) = I
+    (the Frobenius method; Coddington & Levinson, Theory of Ordinary
+    Differential Equations, 1955, ch. 4), so the circle from w = entry -
+    z_p is H(w) exp(2 pi i R) H(w)^-1.  In the eigenbasis S of R, with
+    R = S diag(r) S^-1, write Q(x) = prod_l (x + d_l) over the other
+    punctures l, d_l = z_p - z_l, and Q(x) B(x) = S P(x) S^-1 with
+    P(x) = sum_k Omega'_k prod_(l != k) (x + d_l) and Omega'_k the
+    conjugated -Omega_(moving, k) / kappa.  The terms K_n = H_n w^n then
+    obey the finite recurrence
+        q_0 L_n(K_n) = sum_(i>=1) P_(i-1) w^i K_(n-i)
+                       - sum_(i>=1) q_i w^i L_(n-i)(K_(n-i)),
+    with L_n(X)_ab = (n + r_b - r_a) X_ab, and the sum stops after three
+    terms in a row below tol / 4, or raises PrecisionLoss after
+    _term_cap terms.  The series runs on mpc values at precision_bits +
+    64; the eigenvalues r, and so the divisors n + r_b - r_a, are exact.
+    Returns None, and leaves the circle to the Taylor steps, where R
+    does not diagonalize over the rationals (see _rational_eigenbasis),
+    where an eigenvalue difference lies within RESONANCE_GAP of a
+    nonzero integer, or where |w| exceeds FROBENIUS_RADIUS_RATIO rho.
+    """
+    minus_inv_kappa = -1 / sys.kappa
+    residue = [[x * minus_inv_kappa for x in row]
+               for row in sys.omega(moving, around)]
+    # matrices= may hold floating entries, which have no exact eigenvalues
+    if not all(isinstance(x, Fraction) for row in residue for x in row):
+        return None
+    eigen = _rational_eigenbasis(residue)
+    if eigen is None:
+        return None
+    r, s = eigen
+    if any(round(b - a) != 0 and abs(b - a - round(b - a)) < RESONANCE_GAP
+           for a in r for b in r):
+        return None
+    others = [k for k in range(sys.n) if k not in (moving, around)]
+    with mpmath.workprec(sys.precision_bits + 64):
+        center = _to_mpc(sys.points[around])
+        w = _to_mpc(entry) - center
+        shifts = [center - _to_mpc(sys.points[k]) for k in others]
+        if others and \
+                abs(w) > FROBENIUS_RADIUS_RATIO * min(abs(x) for x in shifts):
+            return None
+        quarter_tol = _tolerance(sys, tol) / 4
+        s_mat = _frac_matrix(s)
+        s_inv = _mat_inv(s_mat)
+        q = _mpc_poly(shifts)
+        # P_j w^(j+1) / q_0 and q_i w^i / q_0
+        p_hat = [_mat_zero(sys.d) for _ in others]
+        for k, other in enumerate(others):
+            conj = _mat_mul(s_inv, _mat_mul(_frac_matrix(
+                [[x * minus_inv_kappa for x in row]
+                 for row in sys.omega(moving, other)]), s_mat))
+            for j, c in enumerate(_mpc_poly(shifts[:k] + shifts[k + 1:])):
+                p_hat[j] = _mat_add(p_hat[j], _mat_scale(conj, c))
+        p_hat = [_mat_scale(p, w ** (j + 1) / q[0]) for j, p in enumerate(p_hat)]
+        q_hat = [q[i] * w ** i / q[0] for i in range(len(q))]
+        terms = [_mat_identity(sys.d)]
+        images = [_mat_zero(sys.d)]  # L_n(K_n)
+        total = _mat_identity(sys.d)
+        quiet = 0
+        for n in range(1, _term_cap(sys.precision_bits) + 1):
+            image = _mat_zero(sys.d)
+            for j in range(min(n, len(p_hat))):
+                image = _mat_add(image, _mat_mul(p_hat[j], terms[n - 1 - j]))
+            for i in range(1, min(n, len(q_hat))):
+                image = _mat_add(image, _mat_scale(images[n - i], -q_hat[i]))
+            divisors = [[n + rb - ra for rb in r] for ra in r]
+            term = [[x * f.denominator / f.numerator for x, f in zip(row, fs)]
+                    for row, fs in zip(image, divisors)]
+            images.append(image)
+            terms.append(term)
+            total = _mat_add(total, term)
+            if _mat_norm(term) < quarter_tol:
+                quiet += 1
+                if quiet >= 3:
+                    frame = _mat_mul(s_mat, total)
+                    turns = [mpmath.expjpi(mpmath.mpf(2 * x.numerator)
+                                           / x.denominator) for x in r]
+                    return _mat_mul([[x * t for x, t in zip(row, turns)]
+                                     for row in frame], _mat_inv(frame))
+            else:
+                quiet = 0
+    raise PrecisionLoss("Frobenius series did not converge within the term cap")
+
+
+def _rational_eigenbasis(mat):
+    """(r, S) with mat = S diag(r) S^-1 and r rational, or None.
+
+    The entries of mat are Fractions.  The rational eigenvalues of the
+    integer matrix m mat, m the least common denominator, are integers.
+    Floating eigenvalues propose them, rounded to integers, and
+    linalg.nullspace keeps each with its exact eigenvectors; mat
+    diagonalizes over the rationals when these are as many as its
+    dimension.
+    """
+    d = len(mat)
+    scale = math.lcm(*(x.denominator for row in mat for x in row))
+    ints = [[int(x * scale) for x in row] for row in mat]
+    with mpmath.workprec(53):
+        approx = mpmath.eig(mpmath.matrix(ints), left=False, right=False)
+    values, columns = [], []
+    for k in sorted({int(mpmath.nint(mpmath.re(e))) for e in approx}):
+        shifted = [[Fraction(x - (k if r == c else 0)) for c, x in enumerate(row)]
+                   for r, row in enumerate(ints)]
+        for vec in linalg.nullspace(shifted, d):
+            values.append(Fraction(k, scale))
+            columns.append(vec)
+    if len(columns) < d:
+        return None
+    return values, [list(row) for row in zip(*columns)]
+
+
+def _mpc_poly(shifts):
+    """Coefficients of prod (x + shift) in increasing powers of x, as mpc."""
+    coeffs = [mpmath.mpc(1)]
+    for s in shifts:
+        coeffs = [a * s + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
 
 
 def pochhammer_monodromy(sys, p, q, base=None, tol=None, radius=0.15,
@@ -696,8 +874,9 @@ def pochhammer_monodromy(sys, p, q, base=None, tol=None, radius=0.15,
 
     The loop runs around p, then q, then backwards around p, then q; the
     transport matrix is the corresponding commutator T_q^-1 T_p^-1 T_q T_p.
-    Both loops leave the base and return to it along the same leg, which
-    the system's segment table transports once.
+    Both loops leave the base along the same leg, which the system's
+    segment table transports once, and each returns along the inverse of
+    its way out (see simple_loop_monodromy).
     """
     t_p = simple_loop_monodromy(sys, p, base=base, tol=tol, radius=radius,
                                 depth=depth, moving=moving)
@@ -813,7 +992,7 @@ def _connection_at(sys, z, j, inv_kappa):
 
 
 # ---------------------------------------------------------------------------
-# eigen decompositions for 2x2 monodromies
+# eigenvalues of 2x2 monodromies
 
 
 def eigenvalues_2x2(mat):
@@ -821,38 +1000,6 @@ def eigenvalues_2x2(mat):
     det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
     disc = mpmath.sqrt(tr * tr - 4 * det)
     return [(tr + disc) / 2, (tr - disc) / 2]
-
-
-def diagonalizability_report(mat):
-    """Eigenvalues, their separation, and the eigenvector condition number.
-
-    For a 2x2 matrix with distinct eigenvalues the condition number is
-    1/|det| of the matrix of normalized eigenvectors; near-defective
-    matrices blow it up.  A multiple eigenvalue reports infinity unless
-    the matrix is (numerically) scalar.
-    """
-    eigs = eigenvalues_2x2(mat)
-    sep = abs(eigs[0] - eigs[1])
-    scale = max(mpmath.mpf(1), _mat_norm(mat))
-    if sep < mpmath.mpf("1e-40") * scale:
-        off = max(abs(mat[0][1]), abs(mat[1][0]),
-                  abs(mat[0][0] - mat[1][1]))
-        cond = mpmath.inf if off > mpmath.mpf("1e-30") * scale else mpmath.mpf(1)
-        return {"eigenvalues": eigs, "separation": sep, "condition": cond}
-    vecs = []
-    for lam in eigs:
-        shifted = [[mat[0][0] - lam, mat[0][1]], [mat[1][0], mat[1][1] - lam]]
-        if abs(shifted[0][0]) + abs(shifted[0][1]) >= \
-           abs(shifted[1][0]) + abs(shifted[1][1]):
-            row = shifted[0]
-        else:
-            row = shifted[1]
-        vec = [-row[1], row[0]]
-        norm = mpmath.sqrt(abs(vec[0]) ** 2 + abs(vec[1]) ** 2)
-        vecs.append([vec[0] / norm, vec[1] / norm])
-    det = vecs[0][0] * vecs[1][1] - vecs[0][1] * vecs[1][0]
-    cond = mpmath.inf if det == 0 else 1 / abs(det)
-    return {"eigenvalues": eigs, "separation": sep, "condition": cond}
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from aomoto_lab.flags import contravariant_form, enumerate_flags, flag_relations
 from aomoto_lab.kz import (
     KzSystem,
     casimir_matrices,
-    diagonalizability_report,
     eigenvalues_2x2,
     flat_section_residual,
     hyp2f1,
@@ -58,6 +57,7 @@ from conftest import (
     sl2_four_point,
     two_points,
 )
+from oracles import diagonalizability_report
 
 from itertools import combinations, permutations
 

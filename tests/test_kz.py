@@ -19,7 +19,6 @@ from aomoto_lab.kz import (
     ContourPath,
     KzSystem,
     casimir_matrices,
-    diagonalizability_report,
     eigenvalues_2x2,
     flat_section_residual,
     hyp2f1,
@@ -27,6 +26,7 @@ from aomoto_lab.kz import (
     simple_loop_monodromy,
     transport,
 )
+from oracles import diagonalizability_report, loop_channels
 
 F = Fraction
 
@@ -209,6 +209,173 @@ def test_simple_loop_trace_and_det_at_every_kappa(kappa):
             got_det = mono[0][0] * mono[1][1] - mono[0][1] * mono[1][0]
             assert abs(got_trace - trace) < tol, j
             assert abs(got_det - det) < tol, j
+
+
+# An oracle that does not use the transport: the spectra of loops around
+# one or two punctures from Clebsch-Gordan channels (tests/oracles.py).
+# kappa 3, 4, 5/2 and -7/3 take the Frobenius circle, 1 and 2 the Taylor
+# circle.
+
+ORACLE_KAPPAS = [F(3), F(4), F(5, 2), F(-7, 3), F(1), F(2)]
+LOOP_PAIRS = [(1, 2), (1, 3), (2, 3)]
+
+
+def _mpf(x):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _channel_power_trace(channels, kappa, power):
+    """sum of mult * exp(-2 pi i power lambda / kappa) over the channels."""
+    return sum(mult * mpmath.expjpi(-2 * power * _mpf(lam / kappa))
+               for lam, mult in channels)
+
+
+def _trace(mat):
+    return sum(mat[i][i] for i in range(len(mat)))
+
+
+@pytest.mark.parametrize("weights, kappa, bits", [
+    *(((1, 1, 1, 1), kappa, 128) for kappa in ORACLE_KAPPAS),
+    ((2, 1, 1, 2), F(-7, 3), 64), ((2, 2, 2, 2), F(5, 2), 64),
+    ((2, 2, 2, 2), F(2), 64),
+])
+def test_pair_loops_match_the_clebsch_gordan_channels(weights, kappa, bits):
+    # T_q T_p is a loop of z_1 around {z_p, z_q}, conjugate to
+    # exp(-2 pi i (Omega_1p + Omega_1q) / kappa): its power traces
+    # tr (T_q T_p)^k, k = 1..d, are the channel sums
+    sys = KzSystem(POINTS, kappa, matrices=casimir_matrices(weights),
+                   precision_bits=bits)
+    loops = {j: simple_loop_monodromy(sys, j) for j in (1, 2, 3)}
+    with mpmath.workprec(bits + 64):
+        bound = mpmath.mpf(2) ** -(bits // 2 - 6)
+        for p, q in LOOP_PAIRS:
+            channels = loop_channels(weights, (p, q))
+            assert sum(mult for _, mult in channels) == sys.d
+            pair = kz._mat_mul(loops[q], loops[p])
+            power = pair
+            for k in range(1, sys.d + 1):
+                expected = _channel_power_trace(channels, kappa, k)
+                assert abs(_trace(power) - expected) < bound, (p, q, k)
+                power = kz._mat_mul(pair, power)
+
+
+@pytest.mark.parametrize("kappa", ORACLE_KAPPAS)
+def test_commutator_trace_matches_the_fricke_identity(kappa):
+    # for 2x2 A and B of determinant 1, tr[A, B] = x^2 + y^2 + z^2 - xyz - 2
+    # with x = tr A, y = tr B, z = tr AB (Goldman, Handbook of Teichmueller
+    # Theory II, 2009); the channels give the traces and determinants of
+    # T_p, T_q and T_q T_p, and a commutator is unchanged by scaling
+    bits = 128
+    sys = KzSystem(POINTS, kappa, precision_bits=bits)
+    with mpmath.workprec(bits + 64):
+        bound = mpmath.mpf(2) ** -(bits // 2 - 6)
+
+        def normalized_trace(cluster, root):
+            channels = loop_channels((1, 1, 1, 1), cluster)
+            return _channel_power_trace(channels, kappa, 1) / root
+
+        for p, q in LOOP_PAIRS:
+            # a square root of each loop's determinant exp(-2 pi i tr / kappa)
+            roots = [mpmath.expjpi(-_mpf(sum(
+                lam * mult for lam, mult in loop_channels((1, 1, 1, 1), (j,))
+            ) / kappa)) for j in (p, q)]
+            x = normalized_trace((p,), roots[0])
+            y = normalized_trace((q,), roots[1])
+            z = normalized_trace((p, q), roots[0] * roots[1])
+            mono = pochhammer_monodromy(sys, p, q)
+            fricke = x * x + y * y + z * z - x * y * z - 2
+            assert abs(_trace(mono) - fricke) < bound, (p, q)
+
+
+# The two circles of a loop: the Frobenius series at the puncture and,
+# where that is not used, Taylor steps around the chord polygon.
+
+
+@pytest.mark.parametrize("bits, tol_bits", [(64, 32), (128, 64), (256, 128),
+                                            (1024, 900)])
+def test_frobenius_circle_agrees_with_the_taylor_circle(bits, tol_bits,
+                                                         monkeypatch):
+    sys = KzSystem(POINTS, F(-7, 3), precision_bits=bits)
+    with mpmath.workprec(bits + 64):
+        tol = mpmath.mpf(2) ** -tol_bits
+    for around in ((1, 2, 3) if bits < 1024 else (2,)):
+        center = complex(POINTS[around])
+        entry = center - 0.15j
+        frobenius = kz._frobenius_circle(sys, around, entry, tol, 0)
+        taylor = kz._taylor_circle(sys, center, entry, 0.15, tol, 0)
+        with mpmath.workprec(bits + 64):
+            assert _dist(frobenius, taylor) < tol, around
+    if bits == 1024:
+        # at |w| / rho = 0.3 the series takes about 520 terms to fall
+        # below 2^-900, more than MAX_SERIES_TERMS: the cap scales
+        monkeypatch.setattr(kz, "_term_cap", lambda bits: kz.MAX_SERIES_TERMS)
+        with pytest.raises(PrecisionLoss, match="term cap"):
+            kz._frobenius_circle(sys, 2, entry, tol, 0)
+
+
+def _record_taylor_steps(monkeypatch):
+    """A list that collects the arguments of every _taylor_step call."""
+    steps = []
+    taylor_step = kz._taylor_step
+
+    def counted(*args):
+        steps.append(args)
+        return taylor_step(*args)
+
+    monkeypatch.setattr(kz, "_taylor_step", counted)
+    return steps
+
+
+def _circle_steps(points, kappa, around, monkeypatch, bits=64):
+    """Taylor steps a loop makes beyond those of its way out."""
+    steps = _record_taylor_steps(monkeypatch)
+    simple_loop_monodromy(KzSystem(points, kappa, precision_bits=bits), around)
+    loop_steps = len(steps)
+    steps.clear()
+    way_out = ContourPath.way_out(complex(points[0]), complex(points[around]))
+    transport(KzSystem(points, kappa, precision_bits=bits), way_out)
+    return loop_steps - len(steps)
+
+
+@pytest.mark.parametrize("kappa, chords", [
+    (F(1), 18), (F(-1), 18), (F(2), 18), (F(-2), 18), (F(5, 2), 0),
+])
+def test_resonant_kappa_takes_the_taylor_circle(kappa, chords, monkeypatch):
+    # the eigenvalues 1/(2 kappa) and -3/(2 kappa) of the residue differ
+    # by 2 / kappa, an integer but at kappa = 5/2; a 20-degree chord is
+    # one step
+    assert _circle_steps(POINTS, kappa, 2, monkeypatch) == chords
+
+
+def test_wide_circle_takes_the_taylor_circle(monkeypatch):
+    # the circle about 0 has radius 0.15 and a neighbour at 1/5, beyond
+    # FROBENIUS_RADIUS_RATIO; the one about 1 has its neighbour at 4/5
+    points = (F(-1, 2), F(0), F(1, 5), F(1))
+    assert _circle_steps(points, F(3), 1, monkeypatch) >= 18
+    assert _circle_steps(points, F(3), 3, monkeypatch) == 0
+
+
+def test_non_resonant_commutator_makes_few_taylor_steps(monkeypatch):
+    # the way out of the base, shared, and the two legs below the
+    # punctures: no circle and no way back is integrated by Taylor steps
+    steps = _record_taylor_steps(monkeypatch)
+    for p, q in LOOP_PAIRS:
+        steps.clear()
+        pochhammer_monodromy(KzSystem(POINTS, F(-7, 3), precision_bits=128),
+                             p, q)
+        assert len(steps) <= 20, (p, q)
+
+
+def test_residue_without_rational_eigenbasis_takes_the_taylor_circle():
+    # a Jordan block and an irrational spectrum do not diagonalize over Q
+    assert kz._rational_eigenbasis([[F(1), F(1)], [F(0), F(1)]]) is None
+    assert kz._rational_eigenbasis([[F(0), F(2)], [F(1), F(0)]]) is None
+    omega = OMEGA_EXPECTED[(0, 1)]
+    values, basis = kz._rational_eigenbasis(omega)
+    assert values == [F(-3, 2), F(1, 2)]
+    assert linalg.matmul(omega, basis) == \
+        linalg.matmul(basis, [[values[0], 0], [0, values[1]]])
+    assert linalg.rank(basis) == 2
 
 
 # The Taylor recurrence on mpc objects, as the transport computed it before
