@@ -66,14 +66,14 @@ KZ_GUARD_DIGITS = 4
 # a [2,1,1,2] request, in three variables, about 1.2 s.
 MAX_NUM_POINTS = 1000
 # Highest kz precision: the cost of a request grows about threefold per
-# doubling of the bits, and at this bound a kappa-3 request takes about
-# 13 s of CPU on the same VM.
+# doubling of the bits, and at this bound a kappa-3 request takes 10-13 s
+# of CPU on the same VM, two thirds of it in the hyp2f1 self-test.
 MAX_PRECISION_BITS = 1024
 # Largest absolute value of a kz point or base.  The Taylor steps of a
 # loop's way out grow with the log of the distance between the base and
 # the points: with the base at -10^6 a 64-bit request takes 76 steps,
-# against 18 at the default base, and about 0.6 s of CPU on the same VM;
-# its 1024-bit commutator takes about 17 s.  The bound also keeps every
+# against 18 at the default base, and about 0.5 s of CPU on the same VM;
+# its 1024-bit commutator takes 9-14 s.  The bound also keeps every
 # coordinate a finite float, which the flat samples and the loop base
 # pass through.
 MAX_KZ_COORDINATE = 10**6

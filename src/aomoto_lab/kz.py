@@ -18,12 +18,15 @@ Transport moves one coordinate along a piecewise-linear path while the
 others stay put, integrating with Taylor series recentered at each step:
 the series radius equals the distance to the nearest puncture and the
 step stays well inside it, so the truncation error is controlled by a
-geometric tail.  A loop around one puncture is the way out from its
+geometric tail.  A step's series comes from the partial-fraction form
+of the connection, one first-order recurrence per puncture (see
+_taylor_step).  A loop around one puncture is the way out from its
 base, a circle about the puncture and the way back, so its monodromy is
-the circle's conjugated by the transport along the way out.  The circle
-comes from the Frobenius series of the solution at the puncture, whose
-local exponents are exact rationals, and from Taylor steps only where
-the exponents are resonant or do not diagonalize over the rationals, or
+the circle's conjugated by the transport along the way out (see
+MAX_LOOP_ERROR_GROWTH for when that is refused).  The circle comes from
+the Frobenius series of the solution at the puncture, whose local
+exponents are exact rationals, and from Taylor steps only where the
+exponents are resonant or do not diagonalize over the rationals, or
 where the circle is too wide for the series (see _frobenius_circle).
 
 Floating arithmetic runs through mpmath at the system's precision,
@@ -31,14 +34,15 @@ except that the Taylor recurrence and the step products run on an
 integer kernel: a real number is an integer mantissa and a binary
 exponent, and each complex sum or product is formed exactly from those
 integers and rounded once to the precision, to nearest with ties to
-even.  That is how libmp's mpc_add, mpc_mul and mpc_mul_int round the
-same exact expressions, and the kernel copies the one shortcut libmp
-takes for addends far apart (see _far_addends), so every value is
-bit-identical to the same recurrence on mpc objects; only additions of
-an exact zero are left out.  The reciprocal 1/((s + 1) q_0) stays a
-libmp call, and so does the size test of a Taylor term where the
-exponents of its entries do not decide it.  Both Taylor steps,
-_taylor_step and _hyp_step, take and return kernel values.
+even.  That is how libmp's mpc_add and mpc_mul round the same exact
+expressions, and the kernel copies the one shortcut libmp takes for
+addends far apart (see _far_addends), so every value is bit-identical
+to the same recurrence on mpc objects; only additions of an exact zero
+are left out.  The quotients h / s_k of a step stay libmp calls
+(mpc_div), and so do _hyp_step's reciprocal 1/q_0 and the size test of
+a Taylor term where the exponents of its entries do not decide it.
+Both Taylor steps, _taylor_step and _hyp_step, take and return kernel
+values.
 tests/test_kz_kernel.py
 checks the kernel operations against libmp value for value, and the
 bit-identity tests of tests/test_kz.py check single steps and whole
@@ -53,7 +57,8 @@ from fractions import Fraction
 
 import mpmath
 from mpmath.libmp import (
-    fone, from_man_exp, from_rational, fzero, mpc_abs, mpc_mpf_div, mpf_lt,
+    fone, from_man_exp, from_rational, fzero, mpc_abs, mpc_div, mpc_mpf_div,
+    mpf_lt,
 )
 
 from . import linalg
@@ -75,6 +80,12 @@ MAX_SERIES_TERMS = 400
 # puncture, where the series terms would shrink more slowly than 2^-n.
 RESONANCE_GAP = Fraction(1, 8)
 FROBENIUS_RADIUS_RATIO = 0.5
+# A loop's monodromy M = L^-1 C L can carry the transport's errors of L
+# and C, relative to their norms, into an error |L| |L^-1| |C| / |M| times
+# larger relative to |M|.  A kz report prints its numbers 10^4
+# (cli.KZ_GUARD_DIGITS decades) above a bound of tol times the matrix
+# norm, so a larger growth is refused with PrecisionLoss.
+MAX_LOOP_ERROR_GROWTH = 10**4
 
 
 def casimir_matrices(weights=(1, 1, 1, 1)):
@@ -122,7 +133,7 @@ def _omega(space, j, k, vec):
 
 
 class KzSystem:
-    """Marked points, kappa, and the Casimir matrices they act through.
+    """Marked points, kappa, and the real Casimir matrices they act through.
 
     A system remembers every segment transport it has computed (see
     transport), so it is not to be modified after construction.
@@ -140,6 +151,8 @@ class KzSystem:
         self.n = len(self.points)
         if len(self.matrices) != self.n * (self.n - 1) // 2:
             raise ValueError("one Casimir matrix is needed per pair of points")
+        if any(x.imag for m in self.matrices.values() for row in m for x in row):
+            raise ValueError("the Casimir matrices must be real")
         self.d = len(next(iter(self.matrices.values())))
         self.precision_bits = precision_bits
         self.segment_transports = {}
@@ -543,11 +556,6 @@ def _rmul(x, r, prec):
     return m, e, k, f
 
 
-def _cmul_int(x, n, prec):
-    """x * n for an integer n, as mpc_mul_int gives it."""
-    return _rmul(x, (n, 0), prec)
-
-
 def _term_cap(precision_bits):
     """The most series terms a Taylor step may take at this precision.
 
@@ -560,21 +568,6 @@ def _term_cap(precision_bits):
 
 def _identity(d):
     return [[_ONE if r == c else _ZERO for c in range(d)] for r in range(d)]
-
-
-def _ksum(values, prec):
-    acc = values[0]
-    for v in values[1:]:
-        acc = _cadd(acc, v, prec)
-    return acc
-
-
-def _kmat_add(a, b, prec):
-    return [[_cadd(x, y, prec) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _kmat_scale(a, s, prec):
-    return [[_cmul(s, x, prec) for x in row] for row in a]
 
 
 def _kmat_mul(a, b, prec):
@@ -625,60 +618,55 @@ def _taylor_step(shifts, h, omegas, minus_inv_kappa, quarter_tol, cap, prec):
     """Transport matrix over one step of length h.
 
     With w the displacement from the step's start, the evolution matrix
-    is C(w) / q(w), where q(w) = prod_k (w + shift_k) and
-    C(w) = -(1/kappa) sum_k Omega_k prod_{l != k} (w + shift_l).  The
-    Taylor coefficients U_s of the solution obey
+    is A(w) = sum_k M_k / (w + s_k), for s_k = shifts[k] and the real
+    M_k = -Omega_k / kappa.  Expanding each 1 / (w + s_k) about w = 0,
+    the terms T_n = U_n h^n of the solution sum_n U_n w^n, T_0 = I, obey
 
-        (s + 1) q_0 U_{s+1} = sum_i C_i U_{s-i}
-                              - sum_{i>=1} (s + 1 - i) q_i U_{s+1-i},
+        W_(k,n) = (T_n - W_(k,n-1)) g_k,   g_k = h / s_k,   W_(k,-1) = 0,
+        T_(n+1) = sum_k M_k W_(k,n) / (n + 1),
 
-    and the sum stops after three terms in a row below quarter_tol (see
-    _below), or raises PrecisionLoss after cap terms (see _term_cap).
-    The arguments and the result are kernel values, as for _hyp_step,
-    except quarter_tol, which is a libmp mpf; the reciprocal
-    1/((s + 1) q_0) is mpc_mpf_div's.
+    where W_(k,n) = h^(n+1) sum_(j<=n) (-s_k)^-j U_(n-j) / s_k.  Each
+    |g_k| is at most STEP_RATIO, so each W recurrence contracts.  The sum
+    stops after three terms in a row below quarter_tol (see _below), or
+    raises PrecisionLoss after cap terms (see _term_cap).  The arguments
+    and the result are kernel values, as for _hyp_step, except
+    quarter_tol, which is a libmp mpf; each g_k is mpc_div's.
     """
     d = len(omegas[0])
-    q = _poly_from_roots(shifts, prec)
-    minus_q = [(-m, e, -k, f) for m, e, k, f in q]
-    scales = [
-        [_cmul(c, minus_inv_kappa, prec)
-         for c in _poly_from_roots(shifts[:k] + shifts[k + 1:], prec)]
-        for k in range(len(shifts))
+    # per row r, the nonzero entries of the M_k as (k, i, M_k[r][i])
+    rows = [
+        [(k, i, _cmul(omega[r][i], minus_inv_kappa, prec)[:2])
+         for k, omega in enumerate(omegas) for i in range(d) if omega[r][i][0]]
+        for r in range(d)
     ]
-    c_coeffs = [
-        [[_ksum([_cmul(scale[i], omega[r][c], prec)
-                 for scale, omega in zip(scales, omegas)], prec)
-          for c in range(d)]
-         for r in range(d)]
-        for i in range(len(shifts))
-    ]
+    ratios = [_from_libmp(mpc_div(_to_libmp(h), _to_libmp(s), prec, "n"))
+              for s in shifts]
+    recip = _reciprocals(cap + 1, prec)
     tol_top = quarter_tol[2] + quarter_tol[3]
-    terms = [_identity(d)]
-    value = _identity(d)
-    h_power = _ONE
+    term = value = _identity(d)
+    partial = [[[_ZERO] * d for _ in range(d)] for _ in shifts]
     quiet = 0
-    for s in range(cap):
-        acc = _kmat_mul(c_coeffs[0], terms[s], prec)
-        for i in range(1, min(s, len(c_coeffs) - 1) + 1):
-            acc = _kmat_add(
-                acc, _kmat_mul(c_coeffs[i], terms[s - i], prec), prec
-            )
-        # the i = s + 1 term has the factor 0 and is left out
-        for i in range(1, min(s, len(q) - 1) + 1):
-            factor = _cmul_int(minus_q[i], s - i + 1, prec)
-            acc = _kmat_add(
-                acc, _kmat_scale(terms[s - i + 1], factor, prec), prec
-            )
-        inv = mpc_mpf_div(fone, _to_libmp(_cmul_int(q[0], s + 1, prec)),
-                          prec, "n")
-        nxt = _kmat_scale(acc, _from_libmp(inv), prec)
-        terms.append(nxt)
-        h_power = _cmul(h_power, h, prec)
-        contribution = _kmat_scale(nxt, h_power, prec)
-        value = _kmat_add(value, contribution, prec)
+    for n in range(cap):
+        partial = [
+            [[_cmul(_cadd(t, (-a, ea, -b, eb), prec), g, prec)
+              for t, (a, ea, b, eb) in zip(t_row, w_row)]
+             for t_row, w_row in zip(term, w)]
+            for w, g in zip(partial, ratios)
+        ]
+        term = []
+        for row in rows:
+            out = []
+            for c in range(d):
+                acc = _ZERO
+                for j, (k, i, m) in enumerate(row):
+                    x = _rmul(partial[k][i][c], m, prec)
+                    acc = _cadd(acc, x, prec) if j else x
+                out.append(_rmul(acc, recip[n + 1], prec))
+            term.append(out)
+        value = [[_cadd(x, y, prec) for x, y in zip(v_row, t_row)]
+                 for v_row, t_row in zip(value, term)]
         if all(_below(x, quarter_tol, tol_top, prec)
-               for row in contribution for x in row):
+               for row in term for x in row):
             quiet += 1
             if quiet >= 3:
                 return value
@@ -718,6 +706,8 @@ def simple_loop_monodromy(sys, around, base=None, tol=None, radius=0.15,
     the circle's.  C comes from the Frobenius series at the puncture
     (see _frobenius_circle), or, where that series is not used, from
     the Taylor steps of transport around the circle's chord polygon.
+    Raises PrecisionLoss where the conjugation can grow the transport's
+    error more than MAX_LOOP_ERROR_GROWTH times.
     """
     loop = simple_loop(sys, around, base=base, radius=radius, depth=depth,
                        moving=moving)
@@ -730,7 +720,14 @@ def simple_loop_monodromy(sys, around, base=None, tol=None, radius=0.15,
     if circle is None:
         circle = _taylor_circle(sys, center, entry, radius, tol, moving)
     with mpmath.workprec(sys.precision_bits + 64):
-        return _mat_mul(_mat_inv(out), _mat_mul(circle, out))
+        back = _mat_inv(out)
+        monodromy = _mat_mul(back, _mat_mul(circle, out))
+        growth = (_mat_norm(out) * _mat_norm(back) * _mat_norm(circle)
+                  / _mat_norm(monodromy))
+    if growth > MAX_LOOP_ERROR_GROWTH:
+        raise PrecisionLoss(f"the loop around point {around + 1} can grow the "
+                            f"transport's error {mpmath.nstr(growth, 3)} times")
+    return monodromy
 
 
 def _taylor_circle(sys, center, entry, radius, tol, moving):
@@ -1118,10 +1115,11 @@ def _reciprocals(count, prec):
 def _hyp_step(shifts, h, exps, tol, cap, prec):
     """f(end) / f(start) and the integral of f / f(start) over one step.
 
-    The scalar analogue of _taylor_step.  With w the displacement from
-    the step's start and s_i its offsets from the poles, f'/f = C(w)/q(w)
-    for q(w) = prod_i (w + s_i) and C(w) = sum_i e_i prod_{l != i} (w + s_l).
-    So the terms a_k = g_k h^k of f / f(start) = sum_k g_k w^k obey
+    With w the displacement from the step's start and s_i its offsets
+    from the poles, f'/f = C(w)/q(w) for q(w) = prod_i (w + s_i) and
+    C(w) = sum_i e_i prod_{l != i} (w + s_l).  Multiplied through by
+    q(w), unlike _taylor_step's partial fractions, the equation gives
+    the terms a_k = g_k h^k of f / f(start) = sum_k g_k w^k by
 
         b_(k+1) = sum_i (C_i h^(i+1) / q_0) a_(k-i)
                   - sum_{i>=1} (q_i h^i / q_0) b_(k+1-i),   b_k = k a_k,

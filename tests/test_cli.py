@@ -462,6 +462,19 @@ def test_kz_accepts_coordinates_at_the_bound():
     assert float(report["pochhammer"]["det_defect"]) < 1e-15
 
 
+def test_kz_refuses_a_kappa_whose_loops_do_not_hold_the_digits(tmp_path):
+    # at kappa 1/50 the conjugation by the way out grows the transport's
+    # error far beyond the report's guard digits: the commutator came out
+    # with an eigenvalue near -3e55, where the Fricke identity gives
+    # trace 2
+    config = {"schema": "1", "kappa": "1/50"}
+    with pytest.raises(PrecisionLoss, match="can grow the transport's error"):
+        run("kz", config)
+    path = tmp_path / "kz.json"
+    path.write_text(json.dumps(config))
+    assert main(["kz", "--config", str(path)]) == 1
+
+
 @pytest.mark.parametrize("third", ["1/10", "1/" + str(10**400)])
 def test_kz_loop_enclosing_two_punctures_is_a_domain_error(
         tmp_path, capsys, third):

@@ -88,6 +88,11 @@ def test_kz_system_guards():
     KzSystem((F(0), F(1, 10**400), F(1), F(2)), 3)
     with pytest.raises(ValueError):
         KzSystem((0, 1, 2, 3, 4), 3, matrices=casimir_matrices())
+    # the transport multiplies by the Casimir matrices as real scalars
+    complex_matrices = casimir_matrices()
+    complex_matrices[(0, 1)][0][1] = 1j
+    with pytest.raises(ValueError):
+        KzSystem(POINTS, 3, matrices=complex_matrices)
     sys = KzSystem(POINTS, 3)
     with pytest.raises(ValueError):
         sys.omega(2, 2)
@@ -213,10 +218,10 @@ def test_simple_loop_trace_and_det_at_every_kappa(kappa):
 
 # An oracle that does not use the transport: the spectra of loops around
 # one or two punctures from Clebsch-Gordan channels (tests/oracles.py).
-# kappa 3, 4, 5/2 and -7/3 take the Frobenius circle, 1 and 2 the Taylor
-# circle.
+# kappa 3, 4, 5/2 and -7/3 take the Frobenius circle, +-1 and +-2 the
+# Taylor circle.
 
-ORACLE_KAPPAS = [F(3), F(4), F(5, 2), F(-7, 3), F(1), F(2)]
+ORACLE_KAPPAS = [F(3), F(4), F(5, 2), F(-7, 3), F(1), F(2), F(-1), F(-2)]
 LOOP_PAIRS = [(1, 2), (1, 3), (2, 3)]
 
 
@@ -235,9 +240,11 @@ def _trace(mat):
 
 
 @pytest.mark.parametrize("weights, kappa, bits", [
-    *(((1, 1, 1, 1), kappa, 128) for kappa in ORACLE_KAPPAS),
+    *(((1, 1, 1, 1), kappa, 128) for kappa in ORACLE_KAPPAS[:6]),
     ((2, 1, 1, 2), F(-7, 3), 64), ((2, 2, 2, 2), F(5, 2), 64),
     ((2, 2, 2, 2), F(2), 64),
+    # after the others, whose ids stay those they had before -1 and -2
+    *(((1, 1, 1, 1), kappa, 128) for kappa in ORACLE_KAPPAS[6:]),
 ])
 def test_pair_loops_match_the_clebsch_gordan_channels(weights, kappa, bits):
     # T_q T_p is a loop of z_1 around {z_p, z_q}, conjugate to
@@ -259,32 +266,67 @@ def test_pair_loops_match_the_clebsch_gordan_channels(weights, kappa, bits):
                 power = kz._mat_mul(pair, power)
 
 
+def _fricke_trace(kappa, p, q):
+    """tr of the commutator of the loops around p and q, from the channels.
+
+    For 2x2 A and B of determinant 1, tr[A, B] = x^2 + y^2 + z^2 - xyz - 2
+    with x = tr A, y = tr B, z = tr AB (Goldman, Handbook of Teichmueller
+    Theory II, 2009); the channels give the traces and determinants of
+    T_p, T_q and T_q T_p, and a commutator is unchanged by scaling.
+    """
+    def normalized_trace(cluster, root):
+        channels = loop_channels((1, 1, 1, 1), cluster)
+        return _channel_power_trace(channels, kappa, 1) / root
+
+    # a square root of each loop's determinant exp(-2 pi i tr / kappa)
+    roots = [mpmath.expjpi(-_mpf(sum(
+        lam * mult for lam, mult in loop_channels((1, 1, 1, 1), (j,))
+    ) / kappa)) for j in (p, q)]
+    x = normalized_trace((p,), roots[0])
+    y = normalized_trace((q,), roots[1])
+    z = normalized_trace((p, q), roots[0] * roots[1])
+    return x * x + y * y + z * z - x * y * z - 2
+
+
 @pytest.mark.parametrize("kappa", ORACLE_KAPPAS)
 def test_commutator_trace_matches_the_fricke_identity(kappa):
-    # for 2x2 A and B of determinant 1, tr[A, B] = x^2 + y^2 + z^2 - xyz - 2
-    # with x = tr A, y = tr B, z = tr AB (Goldman, Handbook of Teichmueller
-    # Theory II, 2009); the channels give the traces and determinants of
-    # T_p, T_q and T_q T_p, and a commutator is unchanged by scaling
     bits = 128
     sys = KzSystem(POINTS, kappa, precision_bits=bits)
     with mpmath.workprec(bits + 64):
         bound = mpmath.mpf(2) ** -(bits // 2 - 6)
-
-        def normalized_trace(cluster, root):
-            channels = loop_channels((1, 1, 1, 1), cluster)
-            return _channel_power_trace(channels, kappa, 1) / root
-
         for p, q in LOOP_PAIRS:
-            # a square root of each loop's determinant exp(-2 pi i tr / kappa)
-            roots = [mpmath.expjpi(-_mpf(sum(
-                lam * mult for lam, mult in loop_channels((1, 1, 1, 1), (j,))
-            ) / kappa)) for j in (p, q)]
-            x = normalized_trace((p,), roots[0])
-            y = normalized_trace((q,), roots[1])
-            z = normalized_trace((p, q), roots[0] * roots[1])
             mono = pochhammer_monodromy(sys, p, q)
-            fricke = x * x + y * y + z * z - x * y * z - 2
-            assert abs(_trace(mono) - fricke) < bound, (p, q)
+            assert abs(_trace(mono) - _fricke_trace(kappa, p, q)) < bound, \
+                (p, q)
+
+
+@pytest.mark.parametrize("kappa, must_refuse", [
+    (F(1, 2), False), (F(1, 5), False), (F(1, 10), False), (F(1, 20), True),
+    (F(1, 50), True),
+])
+def test_small_kappa_is_refused_or_within_the_report_bound(kappa, must_refuse):
+    # the way out grows more ill-conditioned as kappa shrinks, so the
+    # conjugation by it can carry the transport's error far past tol; a
+    # loop [2, 4] commutator is refused, or its trace is within the bound
+    # a kz report gives it, twice its entries' 2^-(bits / 2) N
+    bits = 128
+    sys = KzSystem(POINTS, kappa, precision_bits=bits)
+    try:
+        mono = pochhammer_monodromy(sys, 1, 3)
+    except PrecisionLoss as err:
+        assert "can grow the transport's error" in str(err)
+        return
+    assert not must_refuse
+    with mpmath.workprec(bits + 64):
+        norm = max(mpmath.mpf(1), kz._mat_norm(mono))
+        bound = 2 * mpmath.mpf(2) ** -(bits // 2) * norm
+        assert abs(_trace(mono) - _fricke_trace(kappa, 1, 3)) < bound
+
+
+def test_loop_error_growth_allows_the_report_guard_digits():
+    # the refusal threshold is the factor by which a report's digits sit
+    # above its error bound
+    assert kz.MAX_LOOP_ERROR_GROWTH == 10**cli.KZ_GUARD_DIGITS
 
 
 # The two circles of a loop: the Frobenius series at the puncture and,
@@ -378,9 +420,10 @@ def test_residue_without_rational_eigenbasis_takes_the_taylor_circle():
     assert linalg.rank(basis) == 2
 
 
-# The Taylor recurrence on mpc objects, as the transport computed it before
-# its kernel moved to raw libmp tuples.  The raw kernel must reproduce
-# every rounded value of it.
+# The Taylor step on mpc objects.  The kernel must reproduce every rounded
+# value of _ref_taylor_step, the partial-fraction recurrence it runs; the
+# polynomial recurrence of _poly_taylor_step, which the transport ran
+# before, checks it independently to within the tolerance.
 
 
 def _ref_mat_mul(a, b):
@@ -407,6 +450,32 @@ def _ref_zero(d):
     return [[mpmath.mpc(0) for _ in range(d)] for _ in range(d)]
 
 
+def _ref_taylor_step(pos, h, punctures, omegas, minus_inv_kappa, d, tol):
+    # W_k = (T_n - W_k) h / s_k and T_(n+1) = sum_k M_k W_k / (n + 1), with
+    # M_k = -Omega_k / kappa and s_k the offset from puncture k
+    m = [_ref_mat_scale(omega, minus_inv_kappa) for omega in omegas]
+    ratios = [h / (pos - p) for p in punctures]
+    partial = [_ref_zero(d) for _ in punctures]
+    term = value = _ref_identity(d)
+    quiet = 0
+    for n in range(kz.MAX_SERIES_TERMS):
+        partial = [[[(t - w) * g for t, w in zip(t_row, w_row)]
+                    for t_row, w_row in zip(term, part)]
+                   for part, g in zip(partial, ratios)]
+        term = [[sum((m_k[r][i] * w[i][c]
+                      for m_k, w in zip(m, partial) for i in range(d)),
+                     mpmath.mpc(0)) * (mpmath.mpf(1) / (n + 1))
+                 for c in range(d)] for r in range(d)]
+        value = _ref_mat_add(value, term)
+        if max(abs(x) for row in term for x in row) < tol / 4:
+            quiet += 1
+            if quiet >= 3:
+                return value
+        else:
+            quiet = 0
+    raise AssertionError("reference Taylor step did not converge")
+
+
 def _ref_poly_from_roots(shifts):
     coeffs = [mpmath.mpc(1)]
     for s in shifts:
@@ -418,7 +487,11 @@ def _ref_poly_from_roots(shifts):
     return coeffs
 
 
-def _ref_taylor_step(pos, h, punctures, omegas, minus_inv_kappa, d, tol):
+def _poly_taylor_step(pos, h, punctures, omegas, minus_inv_kappa, d, tol,
+                      cap):
+    # the ODE multiplied through by q(w) = prod_k (w + s_k):
+    # (s + 1) q_0 U_(s+1) = sum_i C_i U_(s-i)
+    #                       - sum_(i>=1) (s + 1 - i) q_i U_(s+1-i)
     shifts = [pos - p for p in punctures]
     q = _ref_poly_from_roots(shifts)
     c_coeffs = [_ref_zero(d) for _ in range(len(punctures))]
@@ -432,7 +505,7 @@ def _ref_taylor_step(pos, h, punctures, omegas, minus_inv_kappa, d, tol):
     value = _ref_identity(d)
     h_power = mpmath.mpc(1)
     quiet = 0
-    for s in range(kz.MAX_SERIES_TERMS):
+    for s in range(cap):
         acc = _ref_zero(d)
         for i, c_i in enumerate(c_coeffs):
             if i <= s:
@@ -453,14 +526,15 @@ def _ref_taylor_step(pos, h, punctures, omegas, minus_inv_kappa, d, tol):
                 return value
         else:
             quiet = 0
-    raise AssertionError("reference Taylor step did not converge")
+    raise AssertionError("polynomial Taylor step did not converge")
 
 
-@pytest.mark.parametrize("bits", [128, 256])
-def test_taylor_step_is_bit_identical_to_the_object_recurrence(bits):
+def _random_steps(bits):
+    """Ten seeded (pos, h, punctures, omegas, minus_inv_kappa) at bits + 64."""
     rng = random.Random(bits)
     sys = KzSystem(POINTS, 3, precision_bits=bits)
-    for trial in range(10):
+    steps = []
+    for _ in range(10):
         kappa = F(rng.choice((-1, 1)) * rng.randint(1, 24), rng.randint(1, 3))
         moving = rng.randrange(4)
         with mpmath.workprec(bits + 64):
@@ -483,21 +557,59 @@ def test_taylor_step_is_bit_identical_to_the_object_recurrence(bits):
             minus_inv_kappa = mpmath.mpc(-1) / (
                 mpmath.mpf(kappa.numerator) / kappa.denominator
             )
-            tol = mpmath.mpf(2) ** (-(bits // 2))
-            expected = _ref_taylor_step(
-                pos, h, punctures, omegas, minus_inv_kappa, 2, tol
-            )
-            # the step takes and returns kernel values
-            got = kz._taylor_step(
-                [kz._from_libmp((pos - p)._mpc_) for p in punctures],
-                kz._from_libmp(h._mpc_),
-                [[[kz._from_libmp(x._mpc_) for x in row] for row in om]
-                 for om in omegas],
-                kz._from_libmp(minus_inv_kappa._mpc_), (tol / 4)._mpf_,
-                kz._term_cap(bits), mpmath.mp.prec,
-            )
-        assert [[kz._to_libmp(x) for x in row] for row in got] == \
+        steps.append((pos, h, punctures, omegas, minus_inv_kappa))
+    return steps
+
+
+def _kernel_step(pos, h, punctures, omegas, minus_inv_kappa, tol, bits):
+    """kz._taylor_step on the kernel values of mpc arguments, as mpc."""
+    with mpmath.workprec(bits + 64):
+        got = kz._taylor_step(
+            [kz._from_libmp((pos - p)._mpc_) for p in punctures],
+            kz._from_libmp(h._mpc_),
+            [[[kz._from_libmp(x._mpc_) for x in row] for row in om]
+             for om in omegas],
+            kz._from_libmp(minus_inv_kappa._mpc_), (tol / 4)._mpf_,
+            kz._term_cap(bits), mpmath.mp.prec,
+        )
+    return [[mpmath.mp.make_mpc(kz._to_libmp(x)) for x in row] for row in got]
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_taylor_step_is_bit_identical_to_the_object_recurrence(bits):
+    tol = mpmath.mpf(2) ** (-(bits // 2))
+    for trial, step in enumerate(_random_steps(bits)):
+        with mpmath.workprec(bits + 64):
+            expected = _ref_taylor_step(*step, 2, tol)
+        # the step takes and returns kernel values
+        got = _kernel_step(*step, tol, bits)
+        assert [[x._mpc_ for x in row] for row in got] == \
             [[x._mpc_ for x in row] for row in expected], trial
+
+
+@pytest.mark.parametrize("bits, tol_bits", [(128, 64), (256, 128),
+                                            (1024, 900)])
+def test_taylor_step_agrees_with_the_polynomial_recurrence(bits, tol_bits):
+    with mpmath.workprec(bits + 64):
+        tol = mpmath.mpf(2) ** -tol_bits
+    if bits < 1024:
+        steps = _random_steps(bits)
+    else:
+        # a full step, 0.38 of the way to the nearest puncture, needs
+        # about 650 terms to fall below 2^-900
+        with mpmath.workprec(bits + 64):
+            punctures = [_ref_mpc(p) for p in POINTS[1:]]
+            pos = mpmath.mpc(-0.5, -0.6)
+            h = mpmath.mpc(kz.STEP_RATIO * abs(pos - punctures[0]))
+            omegas = [[[_ref_mpc(x) for x in row]
+                       for row in OMEGA_EXPECTED[(0, k)]] for k in (1, 2, 3)]
+            steps = [(pos, h, punctures, omegas, _ref_mpc(F(-1, 3)))]
+    for trial, step in enumerate(steps):
+        with mpmath.workprec(bits + 64):
+            expected = _poly_taylor_step(*step, 2, tol, kz._term_cap(bits))
+        got = _kernel_step(*step, tol, bits)
+        with mpmath.workprec(bits + 64):
+            assert _dist(got, expected) < tol, trial
 
 
 def _ref_mpc(x):

@@ -54,7 +54,8 @@ def _add(x, y, prec):
 
 
 def _mul_int(x, n, prec):
-    return kz._to_libmp(kz._cmul_int(kz._from_libmp(x), n, prec))
+    # an integer is the real kernel value (n, 0)
+    return kz._to_libmp(kz._rmul(kz._from_libmp(x), (n, 0), prec))
 
 
 def _mul_real(x, r, prec):
