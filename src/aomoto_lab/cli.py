@@ -66,8 +66,9 @@ KZ_GUARD_DIGITS = 4
 # a [2,1,1,2] request, in three variables, about 1.2 s.
 MAX_NUM_POINTS = 1000
 # Highest kz precision: the cost of a request grows about threefold per
-# doubling of the bits, and at this bound a kappa-3 request takes 10-13 s
-# of CPU on the same VM, two thirds of it in the hyp2f1 self-test.
+# doubling of the bits, and at this bound a cold kappa-3 request takes
+# 7-8 s of CPU on a shared 2-vCPU VM, three quarters of it in the hyp2f1
+# self-test.
 MAX_PRECISION_BITS = 1024
 # Largest absolute value of a kz point or base.  The Taylor steps of a
 # loop's way out grow with the log of the distance between the base and

@@ -18,9 +18,7 @@ Transport moves one coordinate along a piecewise-linear path while the
 others stay put, integrating with Taylor series recentered at each step:
 the series radius equals the distance to the nearest puncture and the
 step stays well inside it, so the truncation error is controlled by a
-geometric tail.  A step's series comes from the partial-fraction form
-of the connection, one first-order recurrence per puncture (see
-_taylor_step).  A loop around one puncture is the way out from its
+geometric tail.  A loop around one puncture is the way out from its
 base, a circle about the puncture and the way back, so its monodromy is
 the circle's conjugated by the transport along the way out (see
 MAX_LOOP_ERROR_GROWTH for when that is refused).  The circle comes from
@@ -28,38 +26,36 @@ the Frobenius series of the solution at the puncture, whose local
 exponents are exact rationals, and from Taylor steps only where the
 exponents are resonant or do not diagonalize over the rationals, or
 where the circle is too wide for the series (see _frobenius_circle).
+hyp2f1 walks its contour with the transport's step rule, on the scalar
+equation its integrand solves.  A Taylor step, a Frobenius circle and a
+hyp2f1 step expand one local series, on the partial-fraction form of
+the equation: one first-order recurrence per puncture (see
+_series_terms).
 
 Floating arithmetic runs through mpmath at the system's precision,
-except that the Taylor recurrence and the step products run on an
-integer kernel: a real number is an integer mantissa and a binary
-exponent, and each complex sum or product is formed exactly from those
-integers and rounded once to the precision, to nearest with ties to
-even.  That is how libmp's mpc_add and mpc_mul round the same exact
-expressions, and the kernel copies the one shortcut libmp takes for
-addends far apart (see _far_addends), so every value is bit-identical
-to the same recurrence on mpc objects; only additions of an exact zero
-are left out.  The quotients h / s_k of a step stay libmp calls
-(mpc_div), and so do _hyp_step's reciprocal 1/q_0 and the size test of
-a Taylor term where the exponents of its entries do not decide it.
-Both Taylor steps, _taylor_step and _hyp_step, take and return kernel
-values.
-tests/test_kz_kernel.py
-checks the kernel operations against libmp value for value, and the
-bit-identity tests of tests/test_kz.py check single steps and whole
-loops against the recurrence on mpc objects.  hyp2f1 walks its contour
-with the same step rule and kernel, on the scalar equation its
-integrand solves.
+except that the series and the step products run on an integer kernel:
+a real number is an integer mantissa and a binary exponent, and each
+complex sum or product is formed exactly from those integers and
+rounded once to the precision, to nearest with ties to even.  That is
+how libmp's mpc_add and mpc_mul round the same exact expressions, and
+the kernel copies the one shortcut libmp takes for addends far apart
+(see _far_addends), so every value is bit-identical to the same
+recurrence on mpc objects; only additions of an exact zero are left
+out.  The quotients h / s_k of a series stay libmp calls (mpc_div), and
+so does the size test of a term where the exponents of its entries do
+not decide it.  tests/test_kz_kernel.py checks the kernel operations
+against libmp value for value, and the bit-identity tests of
+tests/test_kz.py check Taylor steps, hyp2f1 steps, Frobenius circles and
+whole loops against the recurrence on mpc objects.
 """
 
 import functools
 import math
+import numbers
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import (
-    fone, from_man_exp, from_rational, fzero, mpc_abs, mpc_div, mpc_mpf_div,
-    mpf_lt,
-)
+from mpmath.libmp import from_man_exp, from_rational, mpc_abs, mpc_div, mpf_lt
 
 from . import linalg
 from .errors import (
@@ -420,16 +416,16 @@ def _steps(a, b, punctures):
         pos = pos + h
 
 
-# The transport kernel.  A real number is an integer mantissa m and an
+# The series kernel.  A real number is an integer mantissa m and an
 # exponent e, the value m * 2**e, and a complex number is the flat tuple
 # (m_re, e_re, m_im, e_im).  A sum or product is formed exactly from the
 # integers and rounded once to prec bits, to nearest with ties to even,
 # which is how libmp rounds mpc_add, mpc_mul and mpc_mul_int, up to one
 # shortcut that _cmul copies (see _far_addends): so each value is the one
 # the libmp call gives.  The rounding is written out in _cadd
-# and _cmul, which run in the innermost loop.  A step's offsets and
-# length enter from libmp tuples once per Taylor step; everything else
-# enters and leaves once per transport.
+# and _cmul, which run in the innermost loop.  A series' offsets and
+# length enter from libmp tuples once per series; the transport's
+# matrices enter and leave once per transport.
 
 _ONE = (1, 0, 0, 0)
 _ZERO = (0, 0, 0, 0)
@@ -601,17 +597,83 @@ def _below(x, tol, tol_top, prec):
     return mpf_lt(mpc_abs(_to_libmp(x), prec, "n"), tol)
 
 
-def _poly_from_roots(shifts, prec):
-    """Coefficients of prod (w + shift) in increasing powers of w."""
-    coeffs = [_ONE]
-    for s in shifts:
-        coeffs = (
-            [_cmul(coeffs[0], s, prec)]
-            + [_cadd(low, _cmul(c, s, prec), prec)
-               for low, c in zip(coeffs, coeffs[1:])]
-            + [coeffs[-1]]
-        )
-    return coeffs
+def _rational(x, prec):
+    """The Fraction x rounded to prec bits, as a real kernel value."""
+    sign, man, exp, _ = from_rational(x.numerator, x.denominator, prec, "n")
+    return (-man if sign else man), exp
+
+
+@functools.lru_cache(maxsize=16)
+def _reciprocals(count, prec, offset):
+    """[0, 1/(1 + offset), ..., 1/(count + offset)], each rounded to prec
+    bits, as real kernel values; offset is a Fraction or an int."""
+    return [(0, 0)] + [_rational(Fraction(1) / (k + offset), prec)
+                       for k in range(1, count + 1)]
+
+
+def _series_terms(shifts, h, rows, exponents, tol, cap, prec):
+    """The terms T_1, T_2, ... of a local series solution, as kernel values.
+
+    The solution U(x) = K(x) x^R of x U' = (R + x sum_k M_k / (x + s_k)) U,
+    for R = diag(exponents), has the holomorphic factor K = sum_n K_n x^n
+    with K_0 = I.  Expanding each 1 / (x + s_k) about x = 0, the terms
+    T_n = K_n h^n obey
+
+        W_(k,n) = (T_n - W_(k,n-1)) g_k,   g_k = h / s_k,   W_(k,-1) = 0,
+        (n + 1 + r_c - r_r) T_(n+1)[r][c] = (sum_k M_k W_(k,n))[r][c],
+
+    where W_(k,n) = h^(n+1) sum_(j<=n) (-s_k)^-j K_(n-j) / s_k.  rows holds,
+    per row r, the nonzero entries of the real M_k as (k, i, M_k[r][i]),
+    and no r_r - r_c may be a positive integer.  Each caller keeps |g_k|
+    below 1, so each W recurrence contracts.  The terms stop after three
+    in a row below tol (see _below), or raise PrecisionLoss after cap
+    terms (see _term_cap).  The arguments and the terms are kernel values,
+    except tol, which is a libmp mpf, and the exponents, which are exact;
+    each g_k is mpc_div's, and each 1 / (n + 1 + r_c - r_r) comes from
+    _reciprocals.  A term is yielded flat, row after row, so T[r][c] is
+    its entry r d + c.
+    """
+    d = len(rows)
+    ratios = [_from_libmp(mpc_div(_to_libmp(h), _to_libmp(s), prec, "n"))
+              for s in shifts]
+    # per flat entry (r, c): the products (k, flat index of [i][c], M_k[r][i])
+    # and the divisor table
+    sums = [[(k, i * d + c, m) for k, i, m in row]
+            for row in rows for c in range(d)]
+    recips = [_reciprocals(cap + 1, prec, rc - rr)
+              for rr in exponents for rc in exponents]
+    tol_top = tol[2] + tol[3]
+    term = [_ONE if r == c else _ZERO for r in range(d) for c in range(d)]
+    partial = [[_ZERO] * (d * d) for _ in shifts]
+    quiet = 0
+    for n in range(cap):
+        partial = [[_cmul(_cadd(t, (-a, ea, -b, eb), prec), g, prec)
+                    for t, (a, ea, b, eb) in zip(term, w)]
+                   for w, g in zip(partial, ratios)]
+        term = []
+        for products, recip in zip(sums, recips):
+            acc = _ZERO
+            for j, (k, x, m) in enumerate(products):
+                y = _rmul(partial[k][x], m, prec)
+                acc = _cadd(acc, y, prec) if j else y
+            term.append(_rmul(acc, recip[n + 1], prec))
+        yield term
+        if all(_below(x, tol, tol_top, prec) for x in term):
+            quiet += 1
+            if quiet >= 3:
+                return
+        else:
+            quiet = 0
+    raise PrecisionLoss("a local series did not converge within the term cap")
+
+
+def _series_sum(shifts, h, rows, exponents, tol, cap, prec):
+    """I + T_1 + T_2 + ... of _series_terms, as a kernel matrix."""
+    d = len(rows)
+    total = [_ONE if r == c else _ZERO for r in range(d) for c in range(d)]
+    for term in _series_terms(shifts, h, rows, exponents, tol, cap, prec):
+        total = [_cadd(x, y, prec) for x, y in zip(total, term)]
+    return [total[r * d:(r + 1) * d] for r in range(d)]
 
 
 def _taylor_step(shifts, h, omegas, minus_inv_kappa, quarter_tol, cap, prec):
@@ -619,18 +681,9 @@ def _taylor_step(shifts, h, omegas, minus_inv_kappa, quarter_tol, cap, prec):
 
     With w the displacement from the step's start, the evolution matrix
     is A(w) = sum_k M_k / (w + s_k), for s_k = shifts[k] and the real
-    M_k = -Omega_k / kappa.  Expanding each 1 / (w + s_k) about w = 0,
-    the terms T_n = U_n h^n of the solution sum_n U_n w^n, T_0 = I, obey
-
-        W_(k,n) = (T_n - W_(k,n-1)) g_k,   g_k = h / s_k,   W_(k,-1) = 0,
-        T_(n+1) = sum_k M_k W_(k,n) / (n + 1),
-
-    where W_(k,n) = h^(n+1) sum_(j<=n) (-s_k)^-j U_(n-j) / s_k.  Each
-    |g_k| is at most STEP_RATIO, so each W recurrence contracts.  The sum
-    stops after three terms in a row below quarter_tol (see _below), or
-    raises PrecisionLoss after cap terms (see _term_cap).  The arguments
-    and the result are kernel values, as for _hyp_step, except
-    quarter_tol, which is a libmp mpf; each g_k is mpc_div's.
+    M_k = -Omega_k / kappa, so the step is the series of _series_terms
+    with R = 0, where every divisor is n + 1.  The arguments and the
+    result are kernel values, except quarter_tol, which is a libmp mpf.
     """
     d = len(omegas[0])
     # per row r, the nonzero entries of the M_k as (k, i, M_k[r][i])
@@ -639,40 +692,7 @@ def _taylor_step(shifts, h, omegas, minus_inv_kappa, quarter_tol, cap, prec):
          for k, omega in enumerate(omegas) for i in range(d) if omega[r][i][0]]
         for r in range(d)
     ]
-    ratios = [_from_libmp(mpc_div(_to_libmp(h), _to_libmp(s), prec, "n"))
-              for s in shifts]
-    recip = _reciprocals(cap + 1, prec)
-    tol_top = quarter_tol[2] + quarter_tol[3]
-    term = value = _identity(d)
-    partial = [[[_ZERO] * d for _ in range(d)] for _ in shifts]
-    quiet = 0
-    for n in range(cap):
-        partial = [
-            [[_cmul(_cadd(t, (-a, ea, -b, eb), prec), g, prec)
-              for t, (a, ea, b, eb) in zip(t_row, w_row)]
-             for t_row, w_row in zip(term, w)]
-            for w, g in zip(partial, ratios)
-        ]
-        term = []
-        for row in rows:
-            out = []
-            for c in range(d):
-                acc = _ZERO
-                for j, (k, i, m) in enumerate(row):
-                    x = _rmul(partial[k][i][c], m, prec)
-                    acc = _cadd(acc, x, prec) if j else x
-                out.append(_rmul(acc, recip[n + 1], prec))
-            term.append(out)
-        value = [[_cadd(x, y, prec) for x, y in zip(v_row, t_row)]
-                 for v_row, t_row in zip(value, term)]
-        if all(_below(x, quarter_tol, tol_top, prec)
-               for row in term for x in row):
-            quiet += 1
-            if quiet >= 3:
-                return value
-        else:
-            quiet = 0
-    raise PrecisionLoss("Taylor step did not converge within the term cap")
+    return _series_sum(shifts, h, rows, [0] * d, quarter_tol, cap, prec)
 
 
 def simple_loop(sys, around, base=None, radius=0.15, depth=0.6, moving=0):
@@ -704,8 +724,10 @@ def simple_loop_monodromy(sys, around, base=None, tol=None, radius=0.15,
     the circle, once around it, and back the way it came, so its
     monodromy is L^-1 C L, with L the transport along the way out and C
     the circle's.  C comes from the Frobenius series at the puncture
-    (see _frobenius_circle), or, where that series is not used, from
-    the Taylor steps of transport around the circle's chord polygon.
+    (see _frobenius_circle), which the recurrence of the Taylor steps
+    sums on the integer kernel (see _series_terms), or, where that
+    series is not used, from the Taylor steps of transport around the
+    circle's chord polygon.
     Raises PrecisionLoss where the conjugation can grow the transport's
     error more than MAX_LOOP_ERROR_GROWTH times.
     """
@@ -750,27 +772,28 @@ def _frobenius_circle(sys, around, entry, tol, moving):
     (the Frobenius method; Coddington & Levinson, Theory of Ordinary
     Differential Equations, 1955, ch. 4), so the circle from w = entry -
     z_p is H(w) exp(2 pi i R) H(w)^-1.  In the eigenbasis S of R, with
-    R = S diag(r) S^-1, write Q(x) = prod_l (x + d_l) over the other
-    punctures l, d_l = z_p - z_l, and Q(x) B(x) = S P(x) S^-1 with
-    P(x) = sum_k Omega'_k prod_(l != k) (x + d_l) and Omega'_k the
-    conjugated -Omega_(moving, k) / kappa.  The terms K_n = H_n w^n then
-    obey the finite recurrence
-        q_0 L_n(K_n) = sum_(i>=1) P_(i-1) w^i K_(n-i)
-                       - sum_(i>=1) q_i w^i L_(n-i)(K_(n-i)),
-    with L_n(X)_ab = (n + r_b - r_a) X_ab, and the sum stops after three
-    terms in a row below tol / 4, or raises PrecisionLoss after
-    _term_cap terms.  The series runs on mpc values at precision_bits +
-    64; the eigenvalues r, and so the divisors n + r_b - r_a, are exact.
-    Returns None, and leaves the circle to the Taylor steps, where R
-    does not diagonalize over the rationals (see _rational_eigenbasis),
-    where an eigenvalue difference lies within RESONANCE_GAP of a
-    nonzero integer, or where |w| exceeds FROBENIUS_RADIUS_RATIO rho.
+    R = S diag(r) S^-1, the factor S^-1 H(w) S is the sum of the terms of
+    _series_terms with exponents r, h = w, s_k = z_p - z_k over the other
+    punctures k and M_k = S^-1 (-Omega_(moving, k) / kappa) S, conjugated
+    exactly.  The series runs on the kernel at precision_bits + 64 and
+    stops after three terms in a row below tol / 4, or raises
+    PrecisionLoss after _term_cap terms; the eigenvalues r, and so the
+    divisors n + r_c - r_r, are exact until each 1 / (n + r_c - r_r) is
+    rounded.  Returns None, and leaves the circle to the Taylor steps,
+    where R does not diagonalize over the rationals (see
+    _rational_eigenbasis), where an eigenvalue difference lies within
+    RESONANCE_GAP of a nonzero integer, or where |w| exceeds
+    FROBENIUS_RADIUS_RATIO rho.
     """
+    others = [k for k in range(sys.n) if k not in (moving, around)]
     minus_inv_kappa = -1 / sys.kappa
-    residue = [[x * minus_inv_kappa for x in row]
-               for row in sys.omega(moving, around)]
+    residue, *moved = (
+        [[x * minus_inv_kappa for x in row] for row in sys.omega(moving, k)]
+        for k in [around, *others]
+    )
     # matrices= may hold floating entries, which have no exact eigenvalues
-    if not all(isinstance(x, Fraction) for row in residue for x in row):
+    if not all(isinstance(x, Fraction)
+               for mat in [residue, *moved] for row in mat for x in row):
         return None
     eigen = _rational_eigenbasis(residue)
     if eigen is None:
@@ -779,7 +802,6 @@ def _frobenius_circle(sys, around, entry, tol, moving):
     if any(round(b - a) != 0 and abs(b - a - round(b - a)) < RESONANCE_GAP
            for a in r for b in r):
         return None
-    others = [k for k in range(sys.n) if k not in (moving, around)]
     with mpmath.workprec(sys.precision_bits + 64):
         center = _to_mpc(sys.points[around])
         w = _to_mpc(entry) - center
@@ -787,47 +809,30 @@ def _frobenius_circle(sys, around, entry, tol, moving):
         if others and \
                 abs(w) > FROBENIUS_RADIUS_RATIO * min(abs(x) for x in shifts):
             return None
-        quarter_tol = _tolerance(sys, tol) / 4
-        s_mat = _frac_matrix(s)
-        s_inv = _mat_inv(s_mat)
-        q = _mpc_poly(shifts)
-        # P_j w^(j+1) / q_0 and q_i w^i / q_0
-        p_hat = [_mat_zero(sys.d) for _ in others]
-        for k, other in enumerate(others):
-            conj = _mat_mul(s_inv, _mat_mul(_frac_matrix(
-                [[x * minus_inv_kappa for x in row]
-                 for row in sys.omega(moving, other)]), s_mat))
-            for j, c in enumerate(_mpc_poly(shifts[:k] + shifts[k + 1:])):
-                p_hat[j] = _mat_add(p_hat[j], _mat_scale(conj, c))
-        p_hat = [_mat_scale(p, w ** (j + 1) / q[0]) for j, p in enumerate(p_hat)]
-        q_hat = [q[i] * w ** i / q[0] for i in range(len(q))]
-        terms = [_mat_identity(sys.d)]
-        images = [_mat_zero(sys.d)]  # L_n(K_n)
-        total = _mat_identity(sys.d)
-        quiet = 0
-        for n in range(1, _term_cap(sys.precision_bits) + 1):
-            image = _mat_zero(sys.d)
-            for j in range(min(n, len(p_hat))):
-                image = _mat_add(image, _mat_mul(p_hat[j], terms[n - 1 - j]))
-            for i in range(1, min(n, len(q_hat))):
-                image = _mat_add(image, _mat_scale(images[n - i], -q_hat[i]))
-            divisors = [[n + rb - ra for rb in r] for ra in r]
-            term = [[x * f.denominator / f.numerator for x, f in zip(row, fs)]
-                    for row, fs in zip(image, divisors)]
-            images.append(image)
-            terms.append(term)
-            total = _mat_add(total, term)
-            if _mat_norm(term) < quarter_tol:
-                quiet += 1
-                if quiet >= 3:
-                    frame = _mat_mul(s_mat, total)
-                    turns = [mpmath.expjpi(mpmath.mpf(2 * x.numerator)
-                                           / x.denominator) for x in r]
-                    return _mat_mul([[x * t for x, t in zip(row, turns)]
-                                     for row in frame], _mat_inv(frame))
-            else:
-                quiet = 0
-    raise PrecisionLoss("Frobenius series did not converge within the term cap")
+        d = sys.d
+        # [S | M_k S ...] reduces to [I | S^-1 M_k S ...]
+        reduced, _ = linalg.rref([
+            s[j] + [sum(x * s[i][c] for i, x in enumerate(mat[j]))
+                    for mat in moved for c in range(d)]
+            for j in range(d)
+        ])
+        prec = mpmath.mp.prec
+        rows = [
+            [(k, i, _rational(x, prec)) for k in range(len(others))
+             for i, x in enumerate(row[d * (k + 1):d * (k + 2)]) if x]
+            for row in reduced
+        ]
+        total = _series_sum(
+            [_from_libmp(x._mpc_) for x in shifts], _from_libmp(w._mpc_),
+            rows, r, (_tolerance(sys, tol) / 4)._mpf_,
+            _term_cap(sys.precision_bits), prec)
+        frame = _mat_mul(_frac_matrix(s), [
+            [mpmath.mp.make_mpc(_to_libmp(x)) for x in row] for row in total
+        ])
+        turns = [mpmath.expjpi(mpmath.mpf(2 * x.numerator) / x.denominator)
+                 for x in r]
+        return _mat_mul([[x * t for x, t in zip(row, turns)] for row in frame],
+                        _mat_inv(frame))
 
 
 def _rational_eigenbasis(mat):
@@ -855,14 +860,6 @@ def _rational_eigenbasis(mat):
     if len(columns) < d:
         return None
     return values, [list(row) for row in zip(*columns)]
-
-
-def _mpc_poly(shifts):
-    """Coefficients of prod (x + shift) in increasing powers of x, as mpc."""
-    coeffs = [mpmath.mpc(1)]
-    for s in shifts:
-        coeffs = [a * s + b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    return coeffs
 
 
 def pochhammer_monodromy(sys, p, q, base=None, tol=None, radius=0.15,
@@ -1048,17 +1045,24 @@ def hyp2f1(a, b, c, u, precision_bits=DEFAULT_PRECISION_BITS):
 
     Integrates f(t) = t^(b-1) (1-t)^(c-b-1) (1-ut)^(-a) along a commutator
     contour around t = 0 and t = 1, then normalizes by gamma factors and
-    the endpoint monodromy factors.  f is carried around the contour by
-    the Taylor steps of transport, on the integer kernel (see _hyp_step),
+    the endpoint monodromy factors.  f is carried around the contour in
+    steps of the transport's rule, on the integer kernel (see _hyp_step),
     which continue its branches analytically from their principal values
-    at the start.  Needs b and c - b nonintegral, and 1/u (u != 0) where
-    the contour can shrink onto [0, 1] without crossing it (see
-    _pole_blocks_the_contour), so that the value is the principal one;
-    raises ValueError otherwise.  Raises PrecisionLoss if a step's series
-    does not fall below 2^-(precision_bits + 16) within _term_cap terms,
-    or if f does not come back to its start value around the contour to
-    a relative 2^-(precision_bits // 4).
+    at the start.  Needs a, b and c real (an int, Fraction or float),
+    since the series multiplies by the exponents as real scalars, b and
+    c - b nonintegral, and 1/u
+    (u != 0) where the contour can shrink onto [0, 1] without crossing it
+    (see _pole_blocks_the_contour), so that the value is the principal
+    one; raises ValueError otherwise.  Raises PrecisionLoss if a step's
+    series does not fall below 2^-(precision_bits + 16) within _term_cap
+    terms, or if f does not come back to its start value around the
+    contour to a relative 2^-(precision_bits // 4).
     """
+    for name, val in (("a", a), ("b", b), ("c", c)):
+        if not isinstance(val, (numbers.Rational, float)):
+            raise ValueError(
+                f"{name} must be real (an int, Fraction or float), not {val!r}"
+            )
     for name, val in (("b", b), ("c-b", Fraction(c) - Fraction(b))):
         frac = Fraction(val)
         if frac.denominator == 1:
@@ -1079,7 +1083,7 @@ def hyp2f1(a, b, c, u, precision_bits=DEFAULT_PRECISION_BITS):
         ))
         # u = 0 drops the third factor, which is then 1
         poles = [mpmath.mpc(0), mpmath.mpc(1), *([1 / uu] if u != 0 else [])]
-        kexps = [_from_libmp(e._mpc_) for e in exps[:len(poles)]]
+        kexps = [_from_libmp(e._mpc_)[:2] for e in exps[:len(poles)]]
         prec = mpmath.mp.prec
         tol = (mpmath.mpf(2) ** -(precision_bits + 16))._mpf_
         cap = _term_cap(precision_bits)
@@ -1105,64 +1109,21 @@ def hyp2f1(a, b, c, u, precision_bits=DEFAULT_PRECISION_BITS):
         return gamma_factor * mpmath.mp.make_mpc(_to_libmp(total)) / denom
 
 
-@functools.lru_cache(maxsize=8)
-def _reciprocals(count, prec):
-    """[0, 1/1, ..., 1/count], each rounded to prec bits, as real kernel values."""
-    return [(0, 0)] + [_from_libmp((from_rational(1, k, prec, "n"), fzero))[:2]
-                       for k in range(1, count + 1)]
-
-
 def _hyp_step(shifts, h, exps, tol, cap, prec):
     """f(end) / f(start) and the integral of f / f(start) over one step.
 
     With w the displacement from the step's start and s_i its offsets
-    from the poles, f'/f = C(w)/q(w) for q(w) = prod_i (w + s_i) and
-    C(w) = sum_i e_i prod_{l != i} (w + s_l).  Multiplied through by
-    q(w), unlike _taylor_step's partial fractions, the equation gives
-    the terms a_k = g_k h^k of f / f(start) = sum_k g_k w^k by
-
-        b_(k+1) = sum_i (C_i h^(i+1) / q_0) a_(k-i)
-                  - sum_{i>=1} (q_i h^i / q_0) b_(k+1-i),   b_k = k a_k,
-
-    and the step gives sum_k a_k and h sum_k a_k / (k + 1), stopping
-    after three terms a_k in a row below tol (see _below), or raising
-    PrecisionLoss after cap terms.  Arguments and results are kernel
-    values; the reciprocal 1/q_0 is mpc_mpf_div's.
+    from the poles, f'/f = sum_i e_i / (w + s_i): the one-dimensional
+    case of _series_terms, with R = 0 and M_i = e_i.  The step gives
+    sum_n T_n and h sum_n T_n / (n + 1), T_0 = 1.  Arguments and results
+    are kernel values, the e_i real ones, except tol, which is a libmp
+    mpf.
     """
-    q = _poly_from_roots(shifts, prec)
-    c_coeffs = [_ZERO] * (len(q) - 1)
-    for i, e in enumerate(exps):
-        others = _poly_from_roots(shifts[:i] + shifts[i + 1:], prec)
-        c_coeffs = [_cadd(acc, _cmul(e, x, prec), prec)
-                    for acc, x in zip(c_coeffs, others)]
-    # h^i / q_0 for i = 0 .. len(q) - 1
-    scales = [_from_libmp(mpc_mpf_div(fone, _to_libmp(q[0]), prec, "n"))]
-    for _ in c_coeffs:
-        scales.append(_cmul(scales[-1], h, prec))
-    c_hat = [_cmul(c, s, prec) for c, s in zip(c_coeffs, scales[1:])]
-    q_hat = [(-m, e, -k, f) for m, e, k, f in
-             (_cmul(x, s, prec) for x, s in zip(q, scales))]
-    recip = _reciprocals(cap + 1, prec)
-    tol_top = tol[2] + tol[3]
-    terms = [_ONE]
-    weighted = [_ZERO]
+    recip = _reciprocals(cap + 1, prec, 0)
+    rows = [[(i, 0, e) for i, e in enumerate(exps) if e[0]]]
     grow = area = _ONE
-    quiet = 0
-    for k in range(cap):
-        acc = _cmul(c_hat[0], terms[k], prec)
-        for i in range(1, min(k, len(c_hat) - 1) + 1):
-            acc = _cadd(acc, _cmul(c_hat[i], terms[k - i], prec), prec)
-        for i in range(1, min(k, len(q_hat) - 1) + 1):
-            acc = _cadd(acc, _cmul(q_hat[i], weighted[k + 1 - i], prec), prec)
-        weighted.append(acc)
-        term = _rmul(acc, recip[k + 1], prec)
-        terms.append(term)
+    terms = _series_terms(shifts, h, rows, [0], tol, cap, prec)
+    for n, (term,) in enumerate(terms, 1):
         grow = _cadd(grow, term, prec)
-        area = _cadd(area, _rmul(term, recip[k + 2], prec), prec)
-        if _below(term, tol, tol_top, prec):
-            quiet += 1
-            if quiet >= 3:
-                return grow, _cmul(area, h, prec)
-        else:
-            quiet = 0
-    raise PrecisionLoss("hypergeometric step did not converge within the term cap")
+        area = _cadd(area, _rmul(term, recip[n + 1], prec), prec)
+    return grow, _cmul(area, h, prec)

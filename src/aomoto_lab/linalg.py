@@ -158,7 +158,3 @@ def matmul(a, b):
         return []
     bt = list(zip(*b))
     return [[_dot(row, col) for col in bt] for row in a]
-
-
-def identity(n, one=Fraction(1), zero=Fraction(0)):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]

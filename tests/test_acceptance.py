@@ -48,8 +48,7 @@ from aomoto_lab.logforms import (
     verify_grundlegend,
 )
 from aomoto_lab.svmap import egregium_check
-import conftest
-from conftest import (
+from arrangements import (
     ACCEPTANCE_POINTS,
     corpus,
     crossing_lines,
@@ -64,7 +63,7 @@ from itertools import combinations, permutations
 F = Fraction
 
 
-def _conclude(number, name, budget, started, failures):
+def _conclude(number, name, budget, started, failures, record_property):
     elapsed = time.monotonic() - started
     if elapsed >= budget:
         failures.append(
@@ -76,11 +75,11 @@ def _conclude(number, name, budget, started, failures):
         f"({elapsed:.2f}s, budget {budget:.0f}s)"
     )
     print(line)
-    conftest.ACCEPTANCE_LINES.append(line)
+    record_property("acceptance", line)
     assert ok, f"criterion {number} ({name}): " + "; ".join(failures)
 
 
-def test_criterion_1_invariants_match_both_realizations():
+def test_criterion_1_invariants_match_both_realizations(record_property):
     # four sl2 doublets at (-1/2, 0, 1/2, 1), kappa in {3, 7}: the space
     # of tensor invariants (dim 2), the span of the rational top-form
     # classes, and the sign-projected weight-diagonal image must all have
@@ -100,7 +99,7 @@ def test_criterion_1_invariants_match_both_realizations():
         if report != expected:
             failures.append(f"kappa={kappa}: got {report}")
     _conclude(1, "invariants match both cohomology realizations", 10.0,
-              started, failures)
+              started, failures, record_property)
 
 
 def _image_span(arr):
@@ -111,7 +110,7 @@ def _image_span(arr):
     return rank, quotient.free, rref_rows
 
 
-def test_criterion_2_image_scale_invariance():
+def test_criterion_2_image_scale_invariance(record_property):
     # multiplying every weight by 2 and by -5 must leave the image rank
     # and the image subspace unchanged, compared exactly
     started = time.monotonic()
@@ -131,10 +130,10 @@ def test_criterion_2_image_scale_invariance():
         if result != (rank0, free0, span0):
             failures.append(f"scaling by {factor} changed the image")
     _conclude(2, "image invariant under weight rescaling", 5.0,
-              started, failures)
+              started, failures, record_property)
 
 
-def test_criterion_3_boundary_identity_with_control():
+def test_criterion_3_boundary_identity_with_control(record_property):
     # the telescoping identity between mixed kernel forms and
     # (eta(x) - eta(y)) wedge the full mixed form, checked as an exact
     # equality of exterior elements at 5 sampled integer points for every
@@ -157,10 +156,10 @@ def test_criterion_3_boundary_identity_with_control():
     if not grundlegend_control(sl2_four_point(), coordinate_functions(2), seed=1):
         failures.append("control failed to detect the perturbed weight")
     _conclude(3, "boundary identity at sampled points", 30.0,
-              started, failures)
+              started, failures, record_property)
 
 
-def test_criterion_4_conformal_block_dimensions():
+def test_criterion_4_conformal_block_dimensions(record_property):
     # four sl2 doublets: level 1 gives dim 1, level 2 gives dim 2, and
     # the dimension stabilizes (level 5 still 2); exact integers
     started = time.monotonic()
@@ -171,10 +170,10 @@ def test_criterion_4_conformal_block_dimensions():
         if got != dim:
             failures.append(f"level {level}: got {got}, expected {dim}")
     _conclude(4, "conformal block dimensions at levels 1, 2, 5", 5.0,
-              started, failures)
+              started, failures, record_property)
 
 
-def test_criterion_5_casimir_matrices():
+def test_criterion_5_casimir_matrices(record_property):
     # two-site Casimir operators on the coinvariant basis {[v], [w]} of
     # four doublets; all six matrices pinned entrywise, exact
     started = time.monotonic()
@@ -190,10 +189,11 @@ def test_criterion_5_casimir_matrices():
     got = casimir_matrices()
     if got != expected:
         failures.append(f"matrices differ: {got}")
-    _conclude(5, "two-site Casimir matrices", 1.0, started, failures)
+    _conclude(5, "two-site Casimir matrices", 1.0, started, failures,
+              record_property)
 
 
-def test_criterion_6_flat_section_residuals():
+def test_criterion_6_flat_section_residuals(record_property):
     # both candidate flat sections at kappa=3 satisfy the connection
     # equations to better than 1e-10 at 256-bit precision at 5 generic
     # complex points; the wrong-exponent control exceeds 1e-3
@@ -215,10 +215,10 @@ def test_criterion_6_flat_section_residuals():
     if not wrong > mpmath.mpf("1e-3"):
         failures.append(f"wrong-exponent control too small: {wrong}")
     _conclude(6, "flat-section residuals below 1e-10", 30.0,
-              started, failures)
+              started, failures, record_property)
 
 
-def test_criterion_7_commutator_monodromy_unipotent():
+def test_criterion_7_commutator_monodromy_unipotent(record_property):
     # at kappa=3 the commutator-loop monodromy is unipotent but not the
     # identity: both eigenvalues within 1e-6 of 1, distance from the
     # identity above 1e-3, lower-left entry above 1e-3; the contour
@@ -259,10 +259,10 @@ def test_criterion_7_commutator_monodromy_unipotent():
                     f"{mpmath.nstr(report['condition'], 6)}"
                 )
     _conclude(7, "unipotent commutator monodromy at kappa=3", 120.0,
-              started, failures)
+              started, failures, record_property)
 
 
-def test_criterion_8_property_suites():
+def test_criterion_8_property_suites(record_property):
     # compact re-run of the structural property suites: d after d
     # vanishes; combinatorial dimension equals pairing rank in every
     # degree on six arrangements; the flag functionals annihilate all
@@ -383,4 +383,5 @@ def test_criterion_8_property_suites():
                 f"top-form expansion round-trip failed in M={arr.dimension}"
             )
 
-    _conclude(8, "structural property suites", 180.0, started, failures)
+    _conclude(8, "structural property suites", 180.0, started, failures,
+              record_property)

@@ -15,7 +15,7 @@ from aomoto_lab.arrangement import (
 from aomoto_lab.exactfield import RatFuncKappa
 from aomoto_lab.flags import enumerate_flags, flag_of_tuple
 from aomoto_lab.svmap import build_arrangement
-from conftest import (
+from arrangements import (
     ACCEPTANCE_POINTS, corpus, crossing_lines, random_m3, sl2_four_point,
     triple_concurrent, two_points,
 )

@@ -26,7 +26,7 @@ from aomoto_lab.errors import (
 )
 from aomoto_lab.liealg import MAX_ZERO_WEIGHT_DIM, zero_weight_dim
 from aomoto_lab.svmap import build_arrangement
-from conftest import corpus
+from arrangements import corpus
 from aomoto_lab.exactfield import (
     RatFuncKappa, format_rational, parse_rational, specialize_kappa,
 )

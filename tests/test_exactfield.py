@@ -8,7 +8,7 @@ from aomoto_lab.exactfield import (
     RatFuncKappa, format_rational, parse_rational,
     random_point_avoiding, specialize_kappa,
 )
-from conftest import two_points
+from arrangements import two_points
 
 F = Fraction
 

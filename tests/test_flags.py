@@ -9,7 +9,7 @@ from aomoto_lab.arrangement import (
 from aomoto_lab.flags import (
     contravariant_form, enumerate_flags, flag_relations, flag_space_dim, phi,
 )
-from conftest import corpus, crossing_lines, sl2_four_point, two_points
+from arrangements import corpus, crossing_lines, sl2_four_point, two_points
 
 F = Fraction
 

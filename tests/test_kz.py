@@ -6,6 +6,7 @@ from itertools import permutations
 
 import mpmath
 import pytest
+import sympy
 
 from aomoto_lab.errors import (
     BranchCut,
@@ -657,6 +658,204 @@ def test_transport_is_bit_identical_to_the_object_recurrence(kappa):
         [[x._mpc_ for x in row] for row in expected]
 
 
+# A Frobenius circle and a hyp2f1 step sum the Taylor step's recurrence
+# with other data and divisors.  Each must reproduce every rounded value
+# of _ref_series, the same recurrence on mpc objects; _poly_hyp_step, the
+# polynomial recurrence that hyp2f1 ran before, checks the hyp2f1 step
+# independently to within the tolerance, as _poly_taylor_step checks the
+# Taylor step.
+
+
+def _ref_series(h, shifts, m, exponents, tol, cap):
+    """The terms T_1, T_2, ... of kz._series_terms, on mpc objects.
+
+    m holds the M_k as mpc matrices; each 1 / (n + 1 + r_c - r_r) is
+    rounded once from its exact value.
+    """
+    d = len(exponents)
+    ratios = [h / s for s in shifts]
+    partial = [_ref_zero(d) for _ in shifts]
+    term = _ref_identity(d)
+    quiet = 0
+    for n in range(cap):
+        partial = [[[(t - w) * g for t, w in zip(t_row, w_row)]
+                    for t_row, w_row in zip(term, part)]
+                   for part, g in zip(partial, ratios)]
+        term = []
+        for r in range(d):
+            row = []
+            for c in range(d):
+                q = 1 / (n + 1 + F(exponents[c]) - exponents[r])
+                row.append(sum((m_k[r][i] * w[i][c]
+                                for m_k, w in zip(m, partial)
+                                for i in range(d)), mpmath.mpc(0))
+                           * (mpmath.mpf(q.numerator) / q.denominator))
+            term.append(row)
+        yield term
+        if max(abs(x) for row in term for x in row) < tol:
+            quiet += 1
+            if quiet >= 3:
+                return
+        else:
+            quiet = 0
+    raise AssertionError("reference series did not converge")
+
+
+def _ref_hyp_step(pos, h, poles, exps, tol, cap):
+    grow = area = mpmath.mpc(1)
+    terms = _ref_series(h, [pos - p for p in poles], [[[e]] for e in exps],
+                        [0], tol, cap)
+    for n, ((term,),) in enumerate(terms, 1):
+        grow += term
+        area += term * (mpmath.mpf(1) / (n + 1))
+    return [grow, area * h]
+
+
+def _poly_hyp_step(pos, h, poles, exps, tol, cap):
+    # f'/f = C(w) / q(w) multiplied through by q(w) = prod_i (w + s_i),
+    # with C(w) = sum_i e_i prod_(l != i) (w + s_l), for the coefficients
+    # g_k of f / f(start) = sum_k g_k w^k:
+    # (k + 1) q_0 g_(k+1) = sum_i C_i g_(k-i)
+    #                       - sum_(i>=1) (k + 1 - i) q_i g_(k+1-i)
+    shifts = [pos - p for p in poles]
+    q = _ref_poly_from_roots(shifts)
+    c_coeffs = [mpmath.mpc(0)] * (len(q) - 1)
+    for i, e in enumerate(exps):
+        partial = _ref_poly_from_roots(shifts[:i] + shifts[i + 1:])
+        c_coeffs = [acc + e * x for acc, x in zip(c_coeffs, partial)]
+    coeffs = [mpmath.mpc(1)]
+    grow = area = mpmath.mpc(1)
+    h_power = mpmath.mpc(1)
+    quiet = 0
+    for k in range(cap):
+        acc = sum((c_coeffs[i] * coeffs[k - i]
+                   for i in range(min(k + 1, len(c_coeffs)))), mpmath.mpc(0))
+        acc -= sum(((k + 1 - i) * q[i] * coeffs[k + 1 - i]
+                    for i in range(1, min(k + 1, len(q)))), mpmath.mpc(0))
+        coeffs.append(acc / (q[0] * (k + 1)))
+        h_power *= h
+        term = coeffs[-1] * h_power
+        grow += term
+        area += term / (k + 2)
+        if abs(term) < tol:
+            quiet += 1
+            if quiet >= 3:
+                return [grow, area * h]
+        else:
+            quiet = 0
+    raise AssertionError("polynomial hypergeometric step did not converge")
+
+
+def _random_hyp_steps(bits):
+    """Ten seeded (pos, h, poles, exps) of hyp2f1 steps at bits + 64."""
+    rng = random.Random(bits + 1)
+    steps = []
+    for _ in range(10):
+        u = rng.choice((F(0), F(2), F(-3), F(1, 2)))
+        with mpmath.workprec(bits + 64):
+            poles = [mpmath.mpc(0), mpmath.mpc(1)]
+            if u:
+                poles.append(1 / _ref_mpc(u))
+            exps = [_ref_mpc(F(rng.randint(-9, 9), rng.randint(2, 7)))
+                    for _ in poles]
+            while True:
+                pos = mpmath.mpc(rng.uniform(-1, 2), rng.uniform(-1, 1))
+                rho = min(abs(pos - p) for p in poles)
+                if rho > 0.05:
+                    break
+            angle = mpmath.mpf(rng.uniform(0, 6.283))
+            h = kz.STEP_RATIO * rho * rng.uniform(0.2, 1) * mpmath.expj(angle)
+        steps.append((pos, h, poles, exps))
+    return steps
+
+
+def _kernel_hyp_step(pos, h, poles, exps, tol, bits):
+    """kz._hyp_step on the kernel values of mpc arguments, as mpc."""
+    with mpmath.workprec(bits + 64):
+        got = kz._hyp_step(
+            [kz._from_libmp((pos - p)._mpc_) for p in poles],
+            kz._from_libmp(h._mpc_),
+            [kz._from_libmp(e._mpc_)[:2] for e in exps], tol._mpf_,
+            kz._term_cap(bits), mpmath.mp.prec,
+        )
+    return [mpmath.mp.make_mpc(kz._to_libmp(x)) for x in got]
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_hyp_step_is_bit_identical_to_the_object_recurrence(bits):
+    with mpmath.workprec(bits + 64):
+        tol = mpmath.mpf(2) ** -(bits + 16)
+    for trial, step in enumerate(_random_hyp_steps(bits)):
+        got = _kernel_hyp_step(*step, tol, bits)
+        with mpmath.workprec(bits + 64):
+            expected = _ref_hyp_step(*step, tol, kz._term_cap(bits))
+        assert [x._mpc_ for x in got] == [x._mpc_ for x in expected], trial
+
+
+@pytest.mark.parametrize("bits", [128, 256, 1024])
+def test_hyp_step_agrees_with_the_polynomial_recurrence(bits):
+    with mpmath.workprec(bits + 64):
+        tol = mpmath.mpf(2) ** -(bits + 16)
+    for trial, step in enumerate(_random_hyp_steps(bits)):
+        got = _kernel_hyp_step(*step, tol, bits)
+        with mpmath.workprec(bits + 64):
+            expected = _poly_hyp_step(*step, tol, kz._term_cap(bits))
+            assert max(abs(x - y) for x, y in zip(got, expected)) \
+                < mpmath.mpf(2) ** -bits, trial
+
+
+def _ref_frobenius_circle(sys, around, entry, tol):
+    """kz._frobenius_circle on mpc objects, for moving point 0.
+
+    The conjugated M_k come from sympy's exact inverse of the eigenbasis.
+    The series is summed by _ref_series; the conjugation by exp(2 pi i R)
+    repeats kz's mpc arithmetic.
+    """
+    others = [k for k in range(sys.n) if k not in (0, around)]
+    minus_inv_kappa = -1 / sys.kappa
+    r, s = kz._rational_eigenbasis(
+        [[x * minus_inv_kappa for x in row] for row in sys.omega(0, around)])
+    s_inv = [[F(int(x.p), int(x.q)) for x in row]
+             for row in sympy.Matrix(s).inv().tolist()]
+    d = sys.d
+    conj = []
+    for k in others:
+        m = [[x * minus_inv_kappa for x in row] for row in sys.omega(0, k)]
+        conj.append([[sum(s_inv[a][i] * m[i][j] * s[j][b]
+                          for i in range(d) for j in range(d))
+                      for b in range(d)] for a in range(d)])
+    with mpmath.workprec(sys.precision_bits + 64):
+        center = _ref_mpc(sys.points[around])
+        w = _ref_mpc(entry) - center
+        shifts = [center - _ref_mpc(sys.points[k]) for k in others]
+        m = [[[_ref_mpc(x) for x in row] for row in mat] for mat in conj]
+        total = _ref_identity(d)
+        for term in _ref_series(w, shifts, m, r, tol / 4,
+                                kz._term_cap(sys.precision_bits)):
+            total = _ref_mat_add(total, term)
+        frame = _ref_mat_mul([[_ref_mpc(x) for x in row] for row in s], total)
+        turns = [mpmath.expjpi(mpmath.mpf(2 * x.numerator) / x.denominator)
+                 for x in r]
+        return _ref_mat_mul([[x * t for x, t in zip(row, turns)]
+                             for row in frame], kz._mat_inv(frame))
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("kappa", [F(3), F(-7, 3), F(5, 2), F(-5)])
+def test_frobenius_circle_is_bit_identical_to_the_object_recurrence(kappa,
+                                                                     bits):
+    sys = KzSystem(POINTS, kappa, precision_bits=bits)
+    with mpmath.workprec(bits + 64):
+        tol = mpmath.mpf(2) ** -(bits // 2)
+    for around in (1, 2, 3):
+        entry = complex(POINTS[around]) - 0.15j
+        got = kz._frobenius_circle(sys, around, entry, None, 0)
+        assert got is not None, around
+        expected = _ref_frobenius_circle(sys, around, entry, tol)
+        assert [[x._mpc_ for x in row] for row in got] == \
+            [[x._mpc_ for x in row] for row in expected], around
+
+
 def test_transport_meets_a_small_tolerance_at_the_largest_precision():
     # a 0.3 step about 0.38 of the way to the nearest puncture needs about
     # 650 terms to fall below 2^-900, beyond MAX_SERIES_TERMS itself; the
@@ -822,6 +1021,21 @@ def test_hypergeometric_guards():
         hyp2f1(F(1, 2), 1, F(3, 2), F(1, 3))
     with pytest.raises(ValueError):
         hyp2f1(F(1, 2), F(1, 3), F(4, 3), F(1, 3))
+
+
+@pytest.mark.parametrize("args", [
+    (complex(1, 1) / 3, F(1, 5), F(7, 10)),
+    (mpmath.mpc(1, 1) / 3, F(1, 5), F(7, 10)),
+    (F(1, 3), mpmath.mpc(0.2, 0), F(7, 10)),
+    (F(1, 3), complex(0.2, 0.1), F(7, 10)),
+    (F(1, 3), F(1, 5), complex(0.7, -0.5)),
+])
+def test_hypergeometric_refuses_non_real_parameters(args):
+    # the series multiplies by the exponents b - 1, c - b - 1 and -a as
+    # real scalars; a complex a used to be accepted, and a complex b or c
+    # raised a raw TypeError
+    with pytest.raises(ValueError, match="must be real"):
+        hyp2f1(*args, F(1, 2), precision_bits=64)
 
 
 @pytest.mark.parametrize("u", [F(11, 10), F(5), complex(0.8, 1.6),

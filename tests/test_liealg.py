@@ -93,7 +93,7 @@ def _dense_conformal_block_dim(ms, level, points):
         for r in range(n):
             for c in range(n):
                 T[r][c] += z * block[r][c]
-    power = linalg.identity(n)
+    power = [[F(int(r == c)) for c in range(n)] for r in range(n)]
     for _ in range(level + 1):
         power = linalg.matmul(T, power)
         if not any(any(row) for row in power):

@@ -28,7 +28,7 @@ from aomoto_lab.logforms import (
 )
 from aomoto_lab.svmap import build_arrangement
 
-from conftest import (
+from arrangements import (
     ACCEPTANCE_POINTS, corpus, crossing_lines, parallel_mix, random_m3,
     sl2_four_point, two_points,
 )

@@ -18,7 +18,7 @@ from perfbench import tracing  # noqa: E402
 
 from aomoto_lab import aomoto, cli  # noqa: E402
 from aomoto_lab.arrangement import intersection_lattice  # noqa: E402
-from conftest import sl2_four_point  # noqa: E402
+from arrangements import sl2_four_point  # noqa: E402
 
 
 def test_every_traced_name_resolves():
