@@ -21,16 +21,14 @@ step stays well inside it, so the truncation error is controlled by a
 geometric tail.  A loop around one puncture is the way out from its
 base, a circle about the puncture and the way back, so its monodromy is
 the circle's conjugated by the transport along the way out (see
-MAX_LOOP_ERROR_GROWTH for when that is refused).  The circle comes from
-the Frobenius series of the solution at the puncture, whose local
-exponents are exact rationals, and from Taylor steps only where the
-exponents are resonant or do not diagonalize over the rationals, or
-where the circle is too wide for the series (see _frobenius_circle).
-hyp2f1 walks its contour with the transport's step rule, on the scalar
-equation its integrand solves.  A Taylor step, a Frobenius circle and a
-hyp2f1 step expand one local series, on the partial-fraction form of
-the equation: one first-order recurrence per puncture (see
-_series_terms).
+MAX_LOOP_ERROR_GROWTH for when that is refused).  Every circle comes
+from the Frobenius series of the solution at the puncture, whose local
+exponents are exact rationals, with log terms where two of them differ
+by an integer (see _frobenius_circle).  hyp2f1 walks its contour with
+the transport's step rule, on the scalar equation its integrand solves.
+A Taylor step, a Frobenius circle and a hyp2f1 step expand one local
+series, on the partial-fraction form of the equation: one first-order
+recurrence per puncture (see _series_terms).
 
 Floating arithmetic runs through mpmath at the system's precision,
 except that the series and the step products run on an integer kernel:
@@ -68,14 +66,6 @@ from .liealg import TensorSpace, coinvariants_quotient
 KEEP_OUT_RADIUS = 0.01
 STEP_RATIO = 0.38
 MAX_SERIES_TERMS = 400
-# A loop's circle comes from the Frobenius series at its puncture (see
-# _frobenius_circle) unless an eigenvalue difference of the residue lies
-# within RESONANCE_GAP of a nonzero integer, where a divisor n + r_b - r_a
-# of the recurrence comes near 0, or the circle's radius exceeds
-# FROBENIUS_RADIUS_RATIO times the distance to the nearest other
-# puncture, where the series terms would shrink more slowly than 2^-n.
-RESONANCE_GAP = Fraction(1, 8)
-FROBENIUS_RADIUS_RATIO = 0.5
 # A loop's monodromy M = L^-1 C L can carry the transport's errors of L
 # and C, relative to their norms, into an error |L| |L^-1| |C| / |M| times
 # larger relative to |M|.  A kz report prints its numbers 10^4
@@ -129,13 +119,14 @@ def _omega(space, j, k, vec):
 
 
 class KzSystem:
-    """Marked points, kappa, and the real Casimir matrices they act through.
+    """Marked points with sl2 highest weights, kappa, and the Casimir
+    matrices of the weights (see casimir_matrices), one per pair of points.
 
     A system remembers every segment transport it has computed (see
     transport), so it is not to be modified after construction.
     """
 
-    def __init__(self, points, kappa, matrices=None,
+    def __init__(self, points, kappa, weights=(1, 1, 1, 1),
                  precision_bits=DEFAULT_PRECISION_BITS):
         if kappa == 0:
             raise ZeroKappa("kappa must be nonzero")
@@ -143,12 +134,10 @@ class KzSystem:
         self.points = list(points)
         if len(set(self.points)) != len(self.points):
             raise CollidingPoints("marked points must be pairwise distinct")
-        self.matrices = matrices if matrices is not None else casimir_matrices()
         self.n = len(self.points)
-        if len(self.matrices) != self.n * (self.n - 1) // 2:
-            raise ValueError("one Casimir matrix is needed per pair of points")
-        if any(x.imag for m in self.matrices.values() for row in m for x in row):
-            raise ValueError("the Casimir matrices must be real")
+        if len(weights) != self.n:
+            raise ValueError("one weight is needed per point")
+        self.matrices = casimir_matrices(weights)
         self.d = len(next(iter(self.matrices.values())))
         self.precision_bits = precision_bits
         self.segment_transports = {}
@@ -606,57 +595,79 @@ def _rational(x, prec):
 @functools.lru_cache(maxsize=16)
 def _reciprocals(count, prec, offset):
     """[0, 1/(1 + offset), ..., 1/(count + offset)], each rounded to prec
-    bits, as real kernel values; offset is a Fraction or an int."""
+    bits, as real kernel values, and None for a zero divisor; offset is a
+    Fraction or an int."""
     return [(0, 0)] + [_rational(Fraction(1) / (k + offset), prec)
-                       for k in range(1, count + 1)]
+                       if k + offset else None for k in range(1, count + 1)]
 
 
-def _series_terms(shifts, h, rows, exponents, tol, cap, prec):
+def _series_terms(shifts, h, rows, exponents, tol, cap, prec, log=None):
     """The terms T_1, T_2, ... of a local series solution, as kernel values.
 
-    The solution U(x) = K(x) x^R of x U' = (R + x sum_k M_k / (x + s_k)) U,
+    The solution U(x) = K(x) x^R x^C of x U' = (R + x sum_k M_k / (x + s_k)) U,
     for R = diag(exponents), has the holomorphic factor K = sum_n K_n x^n
-    with K_0 = I.  Expanding each 1 / (x + s_k) about x = 0, the terms
-    T_n = K_n h^n obey
+    with K_0 = I, and a nilpotent log part C whose entries [r][c] are 0
+    but where r_r - r_c is a positive integer (Coddington & Levinson,
+    Theory of Ordinary Differential Equations, 1955, ch. 4).  Expanding
+    each 1 / (x + s_k) about x = 0, the terms T_n = K_n h^n and the
+    entries C~[r][c] = C[r][c] h^(r_r - r_c) obey
 
         W_(k,n) = (T_n - W_(k,n-1)) g_k,   g_k = h / s_k,   W_(k,-1) = 0,
-        (n + 1 + r_c - r_r) T_(n+1)[r][c] = (sum_k M_k W_(k,n))[r][c],
+        (n + 1 + r_c - r_r) T_(n+1)[r][c] = (sum_k M_k W_(k,n))[r][c]
+            - sum_i T_(n+1-m)[r][i] C~[i][c]   over m = r_i - r_c in 1..n,
 
-    where W_(k,n) = h^(n+1) sum_(j<=n) (-s_k)^-j K_(n-j) / s_k.  rows holds,
-    per row r, the nonzero entries of the real M_k as (k, i, M_k[r][i]),
-    and no r_r - r_c may be a positive integer.  Each caller keeps |g_k|
-    below 1, so each W recurrence contracts.  The terms stop after three
-    in a row below tol (see _below), or raise PrecisionLoss after cap
-    terms (see _term_cap).  The arguments and the terms are kernel values,
-    except tol, which is a libmp mpf, and the exponents, which are exact;
-    each g_k is mpc_div's, and each 1 / (n + 1 + r_c - r_r) comes from
-    _reciprocals.  A term is yielded flat, row after row, so T[r][c] is
-    its entry r d + c.
+    where W_(k,n) = h^(n+1) sum_(j<=n) (-s_k)^-j K_(n-j) / s_k.  Where the
+    divisor is 0, T_(n+1)[r][c] is 0 and the right-hand side is C~[r][c],
+    which goes into the flat list log at entry r d + c; R = 0 has no such
+    entry.  rows holds, per row r, the nonzero entries of the real M_k as
+    (k, i, M_k[r][i]).  Each caller keeps |g_k| below 1, so each W
+    recurrence contracts.  The terms stop after three in a row below tol
+    (see _below), or raise PrecisionLoss after cap terms (see _term_cap).
+    The arguments and the terms are kernel values, except tol, which is a
+    libmp mpf, and the exponents, which are exact; each g_k is mpc_div's,
+    and each 1 / (n + 1 + r_c - r_r) comes from _reciprocals.  A term is
+    yielded flat, row after row, so T[r][c] is its entry r d + c.
     """
     d = len(rows)
     ratios = [_from_libmp(mpc_div(_to_libmp(h), _to_libmp(s), prec, "n"))
               for s in shifts]
     # per flat entry (r, c): the products (k, flat index of [i][c], M_k[r][i])
-    # and the divisor table
+    # and the divisor table; per column c, the (i, r_i - r_c) of C~
     sums = [[(k, i * d + c, m) for k, i, m in row]
             for row in rows for c in range(d)]
     recips = [_reciprocals(cap + 1, prec, rc - rr)
               for rr in exponents for rc in exponents]
+    orders = [[(i, int(ri - rc)) for i, ri in enumerate(exponents)
+               if ri - rc >= 1 and (ri - rc) % 1 == 0] for rc in exponents]
+    first = min((m for column in orders for _, m in column), default=cap + 1)
     tol_top = tol[2] + tol[3]
-    term = [_ONE if r == c else _ZERO for r in range(d) for c in range(d)]
+    terms = [[_ONE if r == c else _ZERO for r in range(d) for c in range(d)]]
     partial = [[_ZERO] * (d * d) for _ in shifts]
     quiet = 0
     for n in range(cap):
         partial = [[_cmul(_cadd(t, (-a, ea, -b, eb), prec), g, prec)
-                    for t, (a, ea, b, eb) in zip(term, w)]
+                    for t, (a, ea, b, eb) in zip(terms[n], w)]
                    for w, g in zip(partial, ratios)]
+        plain = n + 1 < first
         term = []
         for products, recip in zip(sums, recips):
             acc = _ZERO
             for j, (k, x, m) in enumerate(products):
                 y = _rmul(partial[k][x], m, prec)
                 acc = _cadd(acc, y, prec) if j else y
-            term.append(_rmul(acc, recip[n + 1], prec))
+            term.append(_rmul(acc, recip[n + 1], prec) if plain else acc)
+        for x, acc in enumerate([] if plain else term):
+            r, c = divmod(x, d)
+            for i, m in orders[c]:
+                if m <= n:
+                    a, ea, b, eb = _cmul(terms[n + 1 - m][r * d + i],
+                                         log[i * d + c], prec)
+                    acc = _cadd(acc, (-a, ea, -b, eb), prec)
+            if recips[x][n + 1] is None:
+                log[x], term[x] = acc, _ZERO
+            else:
+                term[x] = _rmul(acc, recips[x][n + 1], prec)
+        terms.append(term)
         yield term
         if all(_below(x, tol, tol_top, prec) for x in term):
             quiet += 1
@@ -667,11 +678,11 @@ def _series_terms(shifts, h, rows, exponents, tol, cap, prec):
     raise PrecisionLoss("a local series did not converge within the term cap")
 
 
-def _series_sum(shifts, h, rows, exponents, tol, cap, prec):
+def _series_sum(shifts, h, rows, exponents, tol, cap, prec, log=None):
     """I + T_1 + T_2 + ... of _series_terms, as a kernel matrix."""
     d = len(rows)
     total = [_ONE if r == c else _ZERO for r in range(d) for c in range(d)]
-    for term in _series_terms(shifts, h, rows, exponents, tol, cap, prec):
+    for term in _series_terms(shifts, h, rows, exponents, tol, cap, prec, log):
         total = [_cadd(x, y, prec) for x, y in zip(total, term)]
     return [total[r * d:(r + 1) * d] for r in range(d)]
 
@@ -723,24 +734,26 @@ def simple_loop_monodromy(sys, around, base=None, tol=None, radius=0.15,
     The loop of simple_loop goes out from the base to the entry point of
     the circle, once around it, and back the way it came, so its
     monodromy is L^-1 C L, with L the transport along the way out and C
-    the circle's.  C comes from the Frobenius series at the puncture
-    (see _frobenius_circle), which the recurrence of the Taylor steps
-    sums on the integer kernel (see _series_terms), or, where that
-    series is not used, from the Taylor steps of transport around the
-    circle's chord polygon.
+    the circle's, from the Frobenius series at the puncture (see
+    _frobenius_circle).  The way out ends at radius min(radius,
+    STEP_RATIO rho), rho the distance to the nearest other puncture, where
+    the series converges as fast as a Taylor step; simple_loop keeps the
+    other punctures beyond the radius, so the loop is the same up to
+    homotopy.
     Raises PrecisionLoss where the conjugation can grow the transport's
     error more than MAX_LOOP_ERROR_GROWTH times.
     """
     loop = simple_loop(sys, around, base=base, radius=radius, depth=depth,
                        moving=moving)
     center = complex(sys.points[around])
-    way_out = ContourPath.way_out(loop.waypoints[0], center, radius=radius,
-                                  depth=depth)
+    entry_radius = min([radius] + [
+        STEP_RATIO * abs(complex(point) - center)
+        for k, point in enumerate(sys.points) if k not in (moving, around)
+    ])
+    way_out = ContourPath.way_out(loop.waypoints[0], center,
+                                  radius=entry_radius, depth=depth)
     out = transport(sys, way_out, tol=tol, moving=moving)
-    entry = way_out.waypoints[-1]
-    circle = _frobenius_circle(sys, around, entry, tol, moving)
-    if circle is None:
-        circle = _taylor_circle(sys, center, entry, radius, tol, moving)
+    circle = _frobenius_circle(sys, around, way_out.waypoints[-1], tol, moving)
     with mpmath.workprec(sys.precision_bits + 64):
         back = _mat_inv(out)
         monodromy = _mat_mul(back, _mat_mul(circle, out))
@@ -752,63 +765,41 @@ def simple_loop_monodromy(sys, around, base=None, tol=None, radius=0.15,
     return monodromy
 
 
-def _taylor_circle(sys, center, entry, radius, tol, moving):
-    """Transport around the chord polygon of the circle, from entry back to
-    entry: the polygon's own first and last vertices differ from entry
-    by a rounding of the cosine."""
-    chords = ContourPath.circle(center, radius).waypoints
-    return transport(sys, ContourPath([entry, *chords[1:-1], entry]), tol=tol,
-                     moving=moving)
-
-
 def _frobenius_circle(sys, around, entry, tol, moving):
     """Transport once counterclockwise around the puncture from entry.
 
     With x = z - z_p for the puncture p = around, the system reads
     u' = (R / x + B(x)) u with R = -Omega_(moving, p) / kappa and B
     holomorphic for |x| < rho, the distance from z_p to the nearest
-    other puncture.  When no two eigenvalues of R differ by a nonzero
-    integer, it has the fundamental solution H(x) x^R with H(0) = I
-    (the Frobenius method; Coddington & Levinson, Theory of Ordinary
-    Differential Equations, 1955, ch. 4), so the circle from w = entry -
-    z_p is H(w) exp(2 pi i R) H(w)^-1.  In the eigenbasis S of R, with
-    R = S diag(r) S^-1, the factor S^-1 H(w) S is the sum of the terms of
-    _series_terms with exponents r, h = w, s_k = z_p - z_k over the other
-    punctures k and M_k = S^-1 (-Omega_(moving, k) / kappa) S, conjugated
-    exactly.  The series runs on the kernel at precision_bits + 64 and
-    stops after three terms in a row below tol / 4, or raises
-    PrecisionLoss after _term_cap terms; the eigenvalues r, and so the
-    divisors n + r_c - r_r, are exact until each 1 / (n + r_c - r_r) is
-    rounded.  Returns None, and leaves the circle to the Taylor steps,
-    where R does not diagonalize over the rationals (see
-    _rational_eigenbasis), where an eigenvalue difference lies within
-    RESONANCE_GAP of a nonzero integer, or where |w| exceeds
-    FROBENIUS_RADIUS_RATIO rho.
+    other puncture.  With R = S diag(r) S^-1 (see _rational_eigenbasis),
+    it has the fundamental solution S K(x) x^diag(r) x^C of _series_terms
+    (the Frobenius method), with exponents r, h = w = entry - z_p,
+    s_k = z_p - z_k over the other punctures k and
+    M_k = S^-1 (-Omega_(moving, k) / kappa) S, conjugated exactly.  Once
+    around, x^diag(r) picks up exp(2 pi i diag(r)), which commutes with
+    C, and x^C picks up exp(2 pi i C), so the circle is
+    F exp(2 pi i diag(r)) exp(2 pi i C~) F^-1 with F = S K(w); the series
+    stops below tol / 4.  The divisors n + 1 + r_c - r_r are exact until
+    each reciprocal is rounded; one a distance delta from 0 makes terms
+    of size about 1 / delta that cancel in the circle, so the circle runs
+    at precision_bits + max(64, log2(1 / delta)), delta the smallest
+    nonzero divisor.
     """
     others = [k for k in range(sys.n) if k not in (moving, around)]
+    r, s = _rational_eigenbasis(sys.omega(moving, around), sys.kappa)
     minus_inv_kappa = -1 / sys.kappa
-    residue, *moved = (
-        [[x * minus_inv_kappa for x in row] for row in sys.omega(moving, k)]
-        for k in [around, *others]
-    )
-    # matrices= may hold floating entries, which have no exact eigenvalues
-    if not all(isinstance(x, Fraction)
-               for mat in [residue, *moved] for row in mat for x in row):
-        return None
-    eigen = _rational_eigenbasis(residue)
-    if eigen is None:
-        return None
-    r, s = eigen
-    if any(round(b - a) != 0 and abs(b - a - round(b - a)) < RESONANCE_GAP
-           for a in r for b in r):
-        return None
-    with mpmath.workprec(sys.precision_bits + 64):
+    moved = [[[x * minus_inv_kappa for x in row] for row in sys.omega(moving, k)]
+             for k in others]
+    # the divisor nearest 0 in an entry is n + 1 - (r_r - r_c) for n + 1
+    # the integer nearest r_r - r_c; one not below 1/2 costs no bits
+    gaps = [b - a for a in r for b in r]
+    delta = min((abs(g - round(g)) for g in gaps
+                 if round(g) >= 1 and g != round(g)), default=1)
+    with mpmath.workprec(sys.precision_bits
+                         + max(64, (math.ceil(1 / delta) - 1).bit_length())):
         center = _to_mpc(sys.points[around])
         w = _to_mpc(entry) - center
         shifts = [center - _to_mpc(sys.points[k]) for k in others]
-        if others and \
-                abs(w) > FROBENIUS_RADIUS_RATIO * min(abs(x) for x in shifts):
-            return None
         d = sys.d
         # [S | M_k S ...] reduces to [I | S^-1 M_k S ...]
         reduced, _ = linalg.rref([
@@ -822,43 +813,51 @@ def _frobenius_circle(sys, around, entry, tol, moving):
              for i, x in enumerate(row[d * (k + 1):d * (k + 2)]) if x]
             for row in reduced
         ]
+        log = [_ZERO] * (d * d)
         total = _series_sum(
             [_from_libmp(x._mpc_) for x in shifts], _from_libmp(w._mpc_),
             rows, r, (_tolerance(sys, tol) / 4)._mpf_,
-            _term_cap(sys.precision_bits), prec)
+            _term_cap(sys.precision_bits), prec, log)
         frame = _mat_mul(_frac_matrix(s), [
             [mpmath.mp.make_mpc(_to_libmp(x)) for x in row] for row in total
         ])
         turns = [mpmath.expjpi(mpmath.mpf(2 * x.numerator) / x.denominator)
                  for x in r]
-        return _mat_mul([[x * t for x, t in zip(row, turns)] for row in frame],
-                        _mat_inv(frame))
+        # times exp(2 pi i C~), a finite sum: C~ is strictly lower
+        # triangular, since r ascends
+        step = [[mpmath.mpc(0, 2 * mpmath.pi) * mpmath.mp.make_mpc(_to_libmp(x))
+                 for x in log[j * d:(j + 1) * d]] for j in range(d)]
+        power = turned = [[x * t for x, t in zip(row, turns)] for row in frame]
+        for j in range(1, d):
+            power = _mat_scale(_mat_mul(power, step), mpmath.mpf(1) / j)
+            turned = _mat_add(turned, power)
+        return _mat_mul(turned, _mat_inv(frame))
 
 
-def _rational_eigenbasis(mat):
-    """(r, S) with mat = S diag(r) S^-1 and r rational, or None.
+def _rational_eigenbasis(omega, kappa):
+    """(r, S) with -omega / kappa = S diag(r) S^-1, r rational and ascending.
 
-    The entries of mat are Fractions.  The rational eigenvalues of the
-    integer matrix m mat, m the least common denominator, are integers.
-    Floating eigenvalues propose them, rounded to integers, and
-    linalg.nullspace keeps each with its exact eigenvectors; mat
-    diagonalizes over the rationals when these are as many as its
-    dimension.
+    The entries of omega are Fractions.  The eigenvalues of the integer
+    matrix m omega, m the least common denominator, are integers:
+    floating eigenvalues propose them, rounded, and linalg.nullspace keeps
+    each with its exact eigenvectors, so kappa enters only in
+    r = -lambda / kappa and its order.  A Casimir residue has d of them,
+    since it acts on each Clebsch-Gordan channel of the pair by a scalar
+    (see tests/oracles.py).
     """
-    d = len(mat)
-    scale = math.lcm(*(x.denominator for row in mat for x in row))
-    ints = [[int(x * scale) for x in row] for row in mat]
+    d = len(omega)
+    scale = math.lcm(*(x.denominator for row in omega for x in row))
+    ints = [[int(x * scale) for x in row] for row in omega]
     with mpmath.workprec(53):
         approx = mpmath.eig(mpmath.matrix(ints), left=False, right=False)
     values, columns = [], []
-    for k in sorted({int(mpmath.nint(mpmath.re(e))) for e in approx}):
+    for k in sorted({int(mpmath.nint(mpmath.re(e))) for e in approx},
+                    reverse=kappa > 0):
         shifted = [[Fraction(x - (k if r == c else 0)) for c, x in enumerate(row)]
                    for r, row in enumerate(ints)]
         for vec in linalg.nullspace(shifted, d):
-            values.append(Fraction(k, scale))
+            values.append(Fraction(-k, scale) / kappa)
             columns.append(vec)
-    if len(columns) < d:
-        return None
     return values, [list(row) for row in zip(*columns)]
 
 

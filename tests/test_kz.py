@@ -87,13 +87,10 @@ def test_kz_system_guards():
         KzSystem((0, 0, 1, 2), 3)
     # distinct exact points are distinct even where their floats coincide
     KzSystem((F(0), F(1, 10**400), F(1), F(2)), 3)
+    # one weight per point, four doublets by default
     with pytest.raises(ValueError):
-        KzSystem((0, 1, 2, 3, 4), 3, matrices=casimir_matrices())
-    # the transport multiplies by the Casimir matrices as real scalars
-    complex_matrices = casimir_matrices()
-    complex_matrices[(0, 1)][0][1] = 1j
-    with pytest.raises(ValueError):
-        KzSystem(POINTS, 3, matrices=complex_matrices)
+        KzSystem((0, 1, 2, 3, 4), 3)
+    assert KzSystem((0, 1, 2, 3, 4, 5), 3, weights=(1,) * 6).d == 5
     sys = KzSystem(POINTS, 3)
     with pytest.raises(ValueError):
         sys.omega(2, 2)
@@ -219,8 +216,8 @@ def test_simple_loop_trace_and_det_at_every_kappa(kappa):
 
 # An oracle that does not use the transport: the spectra of loops around
 # one or two punctures from Clebsch-Gordan channels (tests/oracles.py).
-# kappa 3, 4, 5/2 and -7/3 take the Frobenius circle, +-1 and +-2 the
-# Taylor circle.
+# At kappa +-1 and +-2 the exponents of four doublets differ by an
+# integer, and the Frobenius circles have divisors that vanish.
 
 ORACLE_KAPPAS = [F(3), F(4), F(5, 2), F(-7, 3), F(1), F(2), F(-1), F(-2)]
 LOOP_PAIRS = [(1, 2), (1, 3), (2, 3)]
@@ -246,13 +243,14 @@ def _trace(mat):
     ((2, 2, 2, 2), F(2), 64),
     # after the others, whose ids stay those they had before -1 and -2
     *(((1, 1, 1, 1), kappa, 128) for kappa in ORACLE_KAPPAS[6:]),
+    # integer exponent gaps of d = 3
+    ((2, 1, 1, 2), F(1), 64),
 ])
 def test_pair_loops_match_the_clebsch_gordan_channels(weights, kappa, bits):
     # T_q T_p is a loop of z_1 around {z_p, z_q}, conjugate to
     # exp(-2 pi i (Omega_1p + Omega_1q) / kappa): its power traces
     # tr (T_q T_p)^k, k = 1..d, are the channel sums
-    sys = KzSystem(POINTS, kappa, matrices=casimir_matrices(weights),
-                   precision_bits=bits)
+    sys = KzSystem(POINTS, kappa, weights=weights, precision_bits=bits)
     loops = {j: simple_loop_monodromy(sys, j) for j in (1, 2, 3)}
     with mpmath.workprec(bits + 64):
         bound = mpmath.mpf(2) ** -(bits // 2 - 6)
@@ -330,8 +328,16 @@ def test_loop_error_growth_allows_the_report_guard_digits():
     assert kz.MAX_LOOP_ERROR_GROWTH == 10**cli.KZ_GUARD_DIGITS
 
 
-# The two circles of a loop: the Frobenius series at the puncture and,
-# where that is not used, Taylor steps around the chord polygon.
+# A loop's circle comes from the Frobenius series at the puncture; the
+# Taylor steps of transport around the circle's chord polygon check it.
+
+
+def _chord_circle(sys, around, entry, tol):
+    """Transport around the chord polygon of the radius-0.15 circle about a
+    puncture, from entry back to entry: the polygon's own first and last
+    vertices differ from entry by a rounding of the cosine."""
+    chords = ContourPath.circle(complex(sys.points[around]), 0.15).waypoints
+    return transport(sys, ContourPath([entry, *chords[1:-1], entry]), tol=tol)
 
 
 @pytest.mark.parametrize("bits, tol_bits", [(64, 32), (128, 64), (256, 128),
@@ -342,10 +348,9 @@ def test_frobenius_circle_agrees_with_the_taylor_circle(bits, tol_bits,
     with mpmath.workprec(bits + 64):
         tol = mpmath.mpf(2) ** -tol_bits
     for around in ((1, 2, 3) if bits < 1024 else (2,)):
-        center = complex(POINTS[around])
-        entry = center - 0.15j
+        entry = complex(POINTS[around]) - 0.15j
         frobenius = kz._frobenius_circle(sys, around, entry, tol, 0)
-        taylor = kz._taylor_circle(sys, center, entry, 0.15, tol, 0)
+        taylor = _chord_circle(sys, around, entry, tol)
         with mpmath.workprec(bits + 64):
             assert _dist(frobenius, taylor) < tol, around
     if bits == 1024:
@@ -354,6 +359,61 @@ def test_frobenius_circle_agrees_with_the_taylor_circle(bits, tol_bits,
         monkeypatch.setattr(kz, "_term_cap", lambda bits: kz.MAX_SERIES_TERMS)
         with pytest.raises(PrecisionLoss, match="term cap"):
             kz._frobenius_circle(sys, 2, entry, tol, 0)
+
+
+def _log_part(sys, around):
+    """The log part C~ of the Frobenius series of the circle about around."""
+    logs = []
+    series_sum = kz._series_sum
+
+    def recorded(*args):
+        logs.append(args[-1])
+        return series_sum(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kz, "_series_sum", recorded)
+        kz._frobenius_circle(sys, around, complex(sys.points[around]) - 0.15j,
+                             None, 0)
+    return logs[0]
+
+
+@pytest.mark.parametrize("weights, kappa, bits", [
+    *(((1, 1, 1, 1), kappa, 128)
+      for kappa in (F(1), F(-1), F(2), F(-2), F(32, 17), F(3))),
+    *(((2, 2, 2, 2), kappa, 64) for kappa in (F(2), F(1), F(4, 3))),
+    ((2, 1, 1, 2), F(1), 64), ((2, 1, 1, 2), F(2), 64),
+    # 2 / kappa lies 2^-150 from 1: a divisor 2^-150 from 0
+    ((1, 1, 1, 1), 2 / (1 + F(1, 2**150)), 64),
+])
+def test_resonant_frobenius_circle_agrees_with_the_taylor_circle(
+        weights, kappa, bits):
+    # exponent gaps that are integers, or near one, where the series has
+    # a log part or terms of size 1 / delta
+    sys = KzSystem(POINTS, kappa, weights=weights, precision_bits=bits)
+    tol = kz._tolerance(sys, None)
+    for around in (1, 2, 3):
+        entry = complex(POINTS[around]) - 0.15j
+        frobenius = kz._frobenius_circle(sys, around, entry, None, 0)
+        taylor = _chord_circle(sys, around, entry, None)
+        with mpmath.workprec(bits + 64):
+            assert _dist(frobenius, taylor) < tol, around
+
+
+@pytest.mark.parametrize("weights, kappa, has_log", [
+    ((1, 1, 1, 1), F(2), True), ((1, 1, 1, 1), F(-2), True),
+    ((2, 2, 2, 2), F(2), True), ((2, 2, 2, 2), F(4, 3), True),
+    ((2, 1, 1, 2), F(2), True),
+    ((1, 1, 1, 1), F(1), False), ((1, 1, 1, 1), F(-1), False),
+])
+def test_resonant_circles_have_a_log_part(weights, kappa, has_log):
+    # the log part C~ of some circle, found where a divisor vanishes, is
+    # far from 0 in the resonant cases above, and 0 up to rounding where
+    # its exact value is 0
+    sys = KzSystem(POINTS, kappa, weights=weights, precision_bits=64)
+    with mpmath.workprec(128):
+        largest = max(abs(mpmath.mp.make_mpc(kz._to_libmp(x)))
+                      for around in (1, 2, 3) for x in _log_part(sys, around))
+    assert (largest > 1e-3) if has_log else (largest < 1e-30)
 
 
 def _record_taylor_steps(monkeypatch):
@@ -380,45 +440,73 @@ def _circle_steps(points, kappa, around, monkeypatch, bits=64):
     return loop_steps - len(steps)
 
 
-@pytest.mark.parametrize("kappa, chords", [
-    (F(1), 18), (F(-1), 18), (F(2), 18), (F(-2), 18), (F(5, 2), 0),
-])
-def test_resonant_kappa_takes_the_taylor_circle(kappa, chords, monkeypatch):
+@pytest.mark.parametrize("kappa", [F(1), F(-1), F(2), F(-2), F(5, 2)])
+def test_resonant_kappa_takes_the_frobenius_circle(kappa, monkeypatch):
     # the eigenvalues 1/(2 kappa) and -3/(2 kappa) of the residue differ
-    # by 2 / kappa, an integer but at kappa = 5/2; a 20-degree chord is
-    # one step
-    assert _circle_steps(POINTS, kappa, 2, monkeypatch) == chords
+    # by 2 / kappa, an integer but at kappa = 5/2; no circle is left to
+    # the Taylor steps
+    assert _circle_steps(POINTS, kappa, 2, monkeypatch) == 0
 
 
-def test_wide_circle_takes_the_taylor_circle(monkeypatch):
-    # the circle about 0 has radius 0.15 and a neighbour at 1/5, beyond
-    # FROBENIUS_RADIUS_RATIO; the one about 1 has its neighbour at 4/5
+def test_wide_circle_is_entered_closer_to_its_puncture(monkeypatch):
+    # the circle about 0 has radius 0.15 and a neighbour at 1/5, so the
+    # way out ends at STEP_RATIO / 5 from 0; the loop is homotopic to the
+    # chord polygon of radius 0.15.  The one about 1 has its neighbour at
+    # 4/5 and keeps radius 0.15.
     points = (F(-1, 2), F(0), F(1, 5), F(1))
-    assert _circle_steps(points, F(3), 1, monkeypatch) >= 18
+    bits = 64
+    entries = []
+    frobenius_circle = kz._frobenius_circle
+
+    def recorded(sys, around, entry, tol, moving):
+        entries.append(entry)
+        return frobenius_circle(sys, around, entry, tol, moving)
+
+    monkeypatch.setattr(kz, "_frobenius_circle", recorded)
+    sys = KzSystem(points, F(3), precision_bits=bits)
+    got = simple_loop_monodromy(sys, 1)
+    assert abs(entries[0] + 1j * kz.STEP_RATIO / 5) < 1e-15
+    expected = transport(sys, kz.simple_loop(sys, 1))
+    with mpmath.workprec(bits + 64):
+        norm = max(mpmath.mpf(1), kz._mat_norm(expected))
+        assert _dist(got, expected) < mpmath.mpf(2) ** -(bits // 2) * norm
     assert _circle_steps(points, F(3), 3, monkeypatch) == 0
 
 
 def test_non_resonant_commutator_makes_few_taylor_steps(monkeypatch):
     # the way out of the base, shared, and the two legs below the
-    # punctures: no circle and no way back is integrated by Taylor steps
+    # punctures: no circle and no way back is integrated by Taylor steps,
+    # at resonant kappa too
     steps = _record_taylor_steps(monkeypatch)
-    for p, q in LOOP_PAIRS:
-        steps.clear()
-        pochhammer_monodromy(KzSystem(POINTS, F(-7, 3), precision_bits=128),
-                             p, q)
-        assert len(steps) <= 20, (p, q)
+    for kappa in ORACLE_KAPPAS:
+        for p, q in LOOP_PAIRS:
+            steps.clear()
+            pochhammer_monodromy(KzSystem(POINTS, kappa, precision_bits=128),
+                                 p, q)
+            assert len(steps) <= 20, (kappa, p, q)
 
 
-def test_residue_without_rational_eigenbasis_takes_the_taylor_circle():
-    # a Jordan block and an irrational spectrum do not diagonalize over Q
-    assert kz._rational_eigenbasis([[F(1), F(1)], [F(0), F(1)]]) is None
-    assert kz._rational_eigenbasis([[F(0), F(2)], [F(1), F(0)]]) is None
-    omega = OMEGA_EXPECTED[(0, 1)]
-    values, basis = kz._rational_eigenbasis(omega)
-    assert values == [F(-3, 2), F(1, 2)]
-    assert linalg.matmul(omega, basis) == \
-        linalg.matmul(basis, [[values[0], 0], [0, values[1]]])
-    assert linalg.rank(basis) == 2
+@pytest.mark.parametrize("weights", [(1, 1, 1, 1), (2, 1, 1, 2), (2, 2, 2, 2),
+                                     (1,) * 6],
+                         ids=["1111", "2112", "2222", "111111"])
+def test_casimir_residues_have_a_rational_eigenbasis(weights):
+    # every residue -Omega_1p / kappa diagonalizes over Q, with the
+    # eigenvalues -lambda / kappa of the Clebsch-Gordan channels of the
+    # pair, in ascending order
+    matrices = casimir_matrices(weights)
+    for p in range(1, len(weights)):
+        omega = matrices[(0, p)]
+        channels = loop_channels(weights, (p,))
+        for kappa in (F(3), F(-7, 3)):
+            values, basis = kz._rational_eigenbasis(omega, kappa)
+            assert values == sorted(values)
+            assert sorted(values) == sorted(
+                -lam / kappa for lam, mult in channels for _ in range(mult))
+            residue = [[-x / kappa for x in row] for row in omega]
+            diag = [[values[r] if r == c else 0 for c in range(len(values))]
+                    for r in range(len(values))]
+            assert linalg.matmul(residue, basis) == linalg.matmul(basis, diag)
+            assert linalg.rank(basis) == len(omega)
 
 
 # The Taylor step on mpc objects.  The kernel must reproduce every rounded
@@ -666,31 +754,43 @@ def test_transport_is_bit_identical_to_the_object_recurrence(kappa):
 # Taylor step.
 
 
-def _ref_series(h, shifts, m, exponents, tol, cap):
+def _ref_series(h, shifts, m, exponents, tol, cap, log=None):
     """The terms T_1, T_2, ... of kz._series_terms, on mpc objects.
 
     m holds the M_k as mpc matrices; each 1 / (n + 1 + r_c - r_r) is
-    rounded once from its exact value.
+    rounded once from its exact value.  Where that divisor is 0, the
+    entry of the log part C~ goes into log, a matrix.
     """
     d = len(exponents)
     ratios = [h / s for s in shifts]
     partial = [_ref_zero(d) for _ in shifts]
-    term = _ref_identity(d)
+    terms = [_ref_identity(d)]
     quiet = 0
     for n in range(cap):
         partial = [[[(t - w) * g for t, w in zip(t_row, w_row)]
-                    for t_row, w_row in zip(term, part)]
+                    for t_row, w_row in zip(terms[n], part)]
                    for part, g in zip(partial, ratios)]
         term = []
         for r in range(d):
             row = []
             for c in range(d):
-                q = 1 / (n + 1 + F(exponents[c]) - exponents[r])
-                row.append(sum((m_k[r][i] * w[i][c]
-                                for m_k, w in zip(m, partial)
-                                for i in range(d)), mpmath.mpc(0))
-                           * (mpmath.mpf(q.numerator) / q.denominator))
+                acc = sum((m_k[r][i] * w[i][c]
+                           for m_k, w in zip(m, partial) for i in range(d)),
+                          mpmath.mpc(0))
+                # the log terms T_(n+1-o) C~ of the orders o found so far
+                for i in range(d):
+                    order = exponents[i] - F(exponents[c])
+                    if order.denominator == 1 and 1 <= order <= n:
+                        acc -= terms[n + 1 - int(order)][r][i] * log[i][c]
+                divisor = n + 1 + F(exponents[c]) - exponents[r]
+                if divisor == 0:
+                    log[r][c] = acc
+                    row.append(mpmath.mpc(0))
+                else:
+                    q = 1 / divisor
+                    row.append(acc * (mpmath.mpf(q.numerator) / q.denominator))
             term.append(row)
+        terms.append(term)
         yield term
         if max(abs(x) for row in term for x in row) < tol:
             quiet += 1
@@ -809,12 +909,12 @@ def _ref_frobenius_circle(sys, around, entry, tol):
 
     The conjugated M_k come from sympy's exact inverse of the eigenbasis.
     The series is summed by _ref_series; the conjugation by exp(2 pi i R)
-    repeats kz's mpc arithmetic.
+    and exp(2 pi i C~) repeats kz's mpc arithmetic, at the 64 guard bits
+    of exponents that are integers apart or at least 2^-64 from that.
     """
     others = [k for k in range(sys.n) if k not in (0, around)]
     minus_inv_kappa = -1 / sys.kappa
-    r, s = kz._rational_eigenbasis(
-        [[x * minus_inv_kappa for x in row] for row in sys.omega(0, around)])
+    r, s = kz._rational_eigenbasis(sys.omega(0, around), sys.kappa)
     s_inv = [[F(int(x.p), int(x.q)) for x in row]
              for row in sympy.Matrix(s).inv().tolist()]
     d = sys.d
@@ -830,27 +930,34 @@ def _ref_frobenius_circle(sys, around, entry, tol):
         shifts = [center - _ref_mpc(sys.points[k]) for k in others]
         m = [[[_ref_mpc(x) for x in row] for row in mat] for mat in conj]
         total = _ref_identity(d)
+        log = _ref_zero(d)
         for term in _ref_series(w, shifts, m, r, tol / 4,
-                                kz._term_cap(sys.precision_bits)):
+                                kz._term_cap(sys.precision_bits), log):
             total = _ref_mat_add(total, term)
         frame = _ref_mat_mul([[_ref_mpc(x) for x in row] for row in s], total)
         turns = [mpmath.expjpi(mpmath.mpf(2 * x.numerator) / x.denominator)
                  for x in r]
-        return _ref_mat_mul([[x * t for x, t in zip(row, turns)]
-                             for row in frame], kz._mat_inv(frame))
+        # times exp(2 pi i C~), summed up to the power d - 1
+        step = _ref_mat_scale(log, mpmath.mpc(0, 2 * mpmath.pi))
+        power = turned = [[x * t for x, t in zip(row, turns)] for row in frame]
+        for j in range(1, d):
+            power = _ref_mat_scale(_ref_mat_mul(power, step), mpmath.mpf(1) / j)
+            turned = _ref_mat_add(turned, power)
+        return _ref_mat_mul(turned, kz._mat_inv(frame))
 
 
 @pytest.mark.parametrize("bits", [128, 256])
-@pytest.mark.parametrize("kappa", [F(3), F(-7, 3), F(5, 2), F(-5)])
+@pytest.mark.parametrize("kappa", [F(3), F(-7, 3), F(5, 2), F(-5), F(2),
+                                   F(-2)])
 def test_frobenius_circle_is_bit_identical_to_the_object_recurrence(kappa,
                                                                      bits):
+    # kappa +-2 have a vanishing divisor and a log part
     sys = KzSystem(POINTS, kappa, precision_bits=bits)
     with mpmath.workprec(bits + 64):
         tol = mpmath.mpf(2) ** -(bits // 2)
     for around in (1, 2, 3):
         entry = complex(POINTS[around]) - 0.15j
         got = kz._frobenius_circle(sys, around, entry, None, 0)
-        assert got is not None, around
         expected = _ref_frobenius_circle(sys, around, entry, tol)
         assert [[x._mpc_ for x in row] for row in got] == \
             [[x._mpc_ for x in row] for row in expected], around
