@@ -656,17 +656,18 @@ def _series_terms(shifts, h, rows, exponents, tol, cap, prec, log=None):
                 y = _rmul(partial[k][x], m, prec)
                 acc = _cadd(acc, y, prec) if j else y
             term.append(_rmul(acc, recip[n + 1], prec) if plain else acc)
-        for x, acc in enumerate([] if plain else term):
-            r, c = divmod(x, d)
-            for i, m in orders[c]:
-                if m <= n:
-                    a, ea, b, eb = _cmul(terms[n + 1 - m][r * d + i],
-                                         log[i * d + c], prec)
-                    acc = _cadd(acc, (-a, ea, -b, eb), prec)
-            if recips[x][n + 1] is None:
-                log[x], term[x] = acc, _ZERO
-            else:
-                term[x] = _rmul(acc, recips[x][n + 1], prec)
+        if not plain:
+            for x, acc in enumerate(term):
+                r, c = divmod(x, d)
+                for i, m in orders[c]:
+                    if m <= n:
+                        a, ea, b, eb = _cmul(terms[n + 1 - m][r * d + i],
+                                             log[i * d + c], prec)
+                        acc = _cadd(acc, (-a, ea, -b, eb), prec)
+                if recips[x][n + 1] is None:
+                    log[x], term[x] = acc, _ZERO
+                else:
+                    term[x] = _rmul(acc, recips[x][n + 1], prec)
         terms.append(term)
         yield term
         if all(_below(x, tol, tol_top, prec) for x in term):
