@@ -12,11 +12,11 @@ f_i, and the top cohomology is the cokernel of the differential in top
 degree.
 
 An AomotoComplex owns one TopQuotient, the top monomials modulo the
-relations and the image of eta-wedge.  It is built in quotient
+relations and the image of eta-wedge.  It holds one echelon, in nbc
 coordinates: the image is the column space of the degree M-1 quotient
-differential, an a_{M-1} x a_M matrix, so the reduction never runs over
-all C(n, M - 1) monomials, and the rank it finds serves the cohomology
-dimensions too.
+differential, an a_{M-1} x a_M matrix, and the relations stay normal
+forms, so no reduction runs over all C(n, M - 1) or C(n, M) monomials.
+The rank it finds serves the cohomology dimensions too.
 
 The weight-diagonal map sends a functional tau on top-degree classes to
 the class of sum_I (prod_{i in I} a_i) tau(e_I) e_I.  Restricted to
@@ -31,7 +31,6 @@ diagonal map by w^M.  So symbolic weights that rational_split splits
 run over Fraction on the r_i, and their classes are scaled afterwards.
 """
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -174,11 +173,11 @@ class AomotoSpace:
     normal forms fill in decreasing lex order with integer coefficients.
 
     normal_forms[k] maps free monomial indices to the integer
-    coefficients of NF(e_{monomials[k]}).  kernel_rref (rows
-    e_S - NF(S), one per non-free S) and kernel_pivots are the reduced
-    echelon form of the relations; they equal the kernel of the flag
-    pairing (pairing_matrix), which the tests keep as the oracle.
-    reduce() maps monomial coefficient vectors to the canonical
+    coefficients of NF(e_{monomials[k]}).  The rows e_S - NF(S), one per
+    non-free S (kernel_pivots), are the reduced echelon form of the
+    relations and span the kernel of the flag pairing (pairing_matrix),
+    which the tests keep as the oracle; they are never stored as dense
+    rows.  reduce() maps monomial coefficient vectors to the canonical
     representative with zero pivot coordinates, and coords() extracts
     quotient coordinates on the free monomials.
     """
@@ -221,17 +220,6 @@ class AomotoSpace:
             for col, v in self.normal_forms[self.index[target]].items():
                 out[col] = out.get(col, 0) + (sign if j % 2 == 0 else -sign) * v
         return {col: v for col, v in out.items() if v}
-
-    @functools.cached_property
-    def kernel_rref(self):
-        rows = []
-        for k in self.kernel_pivots:
-            row = [Fraction(0)] * len(self.monomials)
-            row[k] = Fraction(1)
-            for col, v in self.normal_forms[k].items():
-                row[col] = Fraction(-v)
-            rows.append(row)
-        return rows
 
     def reduce(self, vector):
         out = list(vector)
@@ -372,48 +360,33 @@ def _chi_apply(columns, vector):
 class TopQuotient:
     """Top cohomology as monomial space modulo (relations + image of eta-wedge).
 
-    Built in quotient coordinates from a complex: modulo the relations,
-    the image of eta-wedge is the column space of differential_matrix(M-1),
-    an a_{M-1} x a_M matrix on the free top monomials.  Its transpose is
-    row-reduced and lifted to monomial columns through space.free; the
-    relation rows are reduced modulo the lifted rows, and the two sets,
-    merged by pivot, are the reduced echelon form (rref, pivots) of
-    relations plus image.  reduce() works in two stages: modulo the
-    relations, then modulo the lifted image rows.
+    Held in nbc coordinates: modulo the relations, the image of eta-wedge
+    is the column space of differential_matrix(M-1), an a_{M-1} x a_M
+    matrix on the free top monomials, and its transpose row-reduced is
+    the one echelon kept (image, on a_M columns).  The relations live
+    only as space.normal_forms.  image_pivots and free are monomial
+    indices: the free top monomials that are, and are not, pivots of the
+    image.  reduce() takes the normal form, reduces it modulo the image,
+    and writes the result back at space.free, zero elsewhere.
     """
 
     def __init__(self, cx):
         M = cx.arrangement.dimension
         self.space = cx.space(M)
         below = cx.differential_matrix(M - 1)
-        image, image_pivots = linalg.rref([list(col) for col in zip(*below)])
-        zero = cx.arrangement.zero
-        self.image_rows = []
-        for row in image:
-            lifted = [zero] * len(self.space.monomials)
-            for k, v in zip(self.space.free, row):
-                lifted[k] = v
-            self.image_rows.append(lifted)
-        self.image_pivots = [self.space.free[j] for j in image_pivots]
-        relations = [
-            linalg.reduce_mod_rowspace(row, self.image_rows, self.image_pivots)
-            for row in self.space.kernel_rref
-        ]
-        merged = sorted(
-            zip(self.space.kernel_pivots + self.image_pivots,
-                relations + self.image_rows),
-            key=lambda pair: pair[0],
-        )
-        self.pivots = [pc for pc, _ in merged]
-        self.rref = [row for _, row in merged]
-        pivot_set = set(self.pivots)
-        self.free = [k for k in range(len(self.space.monomials)) if k not in pivot_set]
+        self.image, self.nbc_pivots = linalg.rref([list(col) for col in zip(*below)])
+        self.image_pivots = [self.space.free[j] for j in self.nbc_pivots]
+        pivot_set = set(self.nbc_pivots)
+        self.free = [k for j, k in enumerate(self.space.free) if j not in pivot_set]
         self.dim = len(self.free)
 
     def reduce(self, vector):
-        return linalg.reduce_mod_rowspace(
-            self.space.reduce(vector), self.image_rows, self.image_pivots
-        )
+        red = linalg.reduce_mod_rowspace(self.space.coords(vector), self.image,
+                                         self.nbc_pivots)
+        out = [self.space.arrangement.zero] * len(self.space.monomials)
+        for k, v in zip(self.space.free, red):
+            out[k] = v
+        return out
 
     def coords(self, vector):
         red = self.reduce(vector)
@@ -435,14 +408,29 @@ def dual_functional_space(quotient):
     """Basis of functionals on top-degree classes annihilating the eta-image.
 
     Functionals are coefficient vectors tau over top monomials with
-    tau(relations) = 0 and tau(eta ^ anything) = 0, that is the kernel of
-    the relations-plus-image matrix whose reduced echelon form the
-    quotient holds.  The basis is read off that form: one vector per free
-    monomial, with a 1 there, as linalg.nullspace would give.
+    tau(relations) = 0 and tau(eta ^ anything) = 0.  On the free top
+    monomials they are the kernel of the image echelon, read off it with
+    one vector per quotient.free monomial and a 1 there, as
+    linalg.nullspace would give; every other monomial I then takes
+    tau(e_I) = sum_U NF(I)_U tau(U), each nonzero tau(U) scattered into
+    the monomials whose normal form holds U.
     """
-    zero = quotient.space.arrangement.zero
-    return linalg.rref_kernel(quotient.rref, quotient.pivots,
-                              len(quotient.space.monomials), zero, zero + 1)
+    space = quotient.space
+    zero = space.arrangement.zero
+    holders = {u: [] for u in space.free}
+    for k, nf in enumerate(space.normal_forms):
+        for u, v in nf.items():
+            holders[u].append((k, v))
+    taus = []
+    for t in linalg.rref_kernel(quotient.image, quotient.nbc_pivots, space.dim,
+                                zero, zero + 1):
+        tau = [zero] * len(space.monomials)
+        for u, x in zip(space.free, t):
+            if x:
+                for k, v in holders[u]:
+                    tau[k] = tau[k] + x * v
+        taus.append(tau)
+    return taus
 
 
 def shapovalov_image(quotient, use_chi=False):
@@ -454,12 +442,13 @@ def shapovalov_image(quotient, use_chi=False):
     P (applied once, from its sparse columns, since P D P = D P), and
     reduces into the top quotient.
     An image is kept when it is independent of those kept before it,
-    tested incrementally: its remainder modulo a running echelon basis of
-    the kept images is nonzero, and that remainder, scaled to a leading
-    1, joins the basis.  Returns (rank, list of CohomologyClass).
+    tested incrementally on quotient coordinates: its remainder modulo a
+    running echelon basis of the kept images is nonzero, and that
+    remainder, scaled to a leading 1, joins the basis.  Returns (rank,
+    list of CohomologyClass), each class the canonical representative.
     """
     arrangement = quotient.space.arrangement
-    M = arrangement.dimension
+    M, zero = arrangement.dimension, arrangement.zero
     taus = dual_functional_space(quotient)
     diag = [weight_product(arrangement, subset) for subset in quotient.space.monomials]
     columns = _chi_columns(arrangement, M) if use_chi else None
@@ -470,9 +459,10 @@ def shapovalov_image(quotient, use_chi=False):
             # P D P tau = D P tau: the diagonal map commutes with the
             # signed permutations, and P is idempotent
             tau = _chi_apply(columns, tau)
-        s = [d * t for d, t in zip(diag, tau)]
+        s = [d * t if t else zero for d, t in zip(diag, tau)]
         red = quotient.reduce(s)
-        rest = linalg.reduce_mod_rowspace(red, echelon, pivots)
+        rest = linalg.reduce_mod_rowspace([red[k] for k in quotient.free],
+                                          echelon, pivots)
         lead = next((k for k, v in enumerate(rest) if v), None)
         if lead is not None:
             echelon.append([v / rest[lead] for v in rest])

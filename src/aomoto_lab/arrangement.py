@@ -69,9 +69,10 @@ class WeightedArrangement:
     """
 
     def __init__(self, dimension, forms, weights, coloring=None):
-        self.dimension = int(dimension)
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        if not isinstance(dimension, int) or isinstance(dimension, bool) \
+                or dimension < 1:
+            raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
+        self.dimension = dimension
         self.forms = tuple(forms)
         self.weights = tuple(weights)
         self.coloring = tuple(coloring) if coloring is not None else None
@@ -361,9 +362,12 @@ def arrangement_from_json(data):
         )
         for f in data["forms"]
     ]
+    coloring = data.get("coloring")
+    if coloring is not None and not isinstance(coloring, list):
+        raise ValueError(f"coloring must be a list or null, got {coloring!r}")
     return WeightedArrangement(
         dimension=data["dimension"],
         forms=forms,
         weights=[_weight_from_json(w) for w in data["weights"]],
-        coloring=data.get("coloring"),
+        coloring=coloring,
     )

@@ -21,7 +21,12 @@ DEFAULT_PRECISION_BITS = 256
 
 
 def parse_rational(text):
-    """Parse "p/q" (or "p") into a Fraction; raises ValueError on junk."""
+    """Parse "p/q" (or "p") into a Fraction; raises ValueError on junk.
+
+    A boolean is junk, although Python counts it as an int.
+    """
+    if isinstance(text, bool):
+        raise ValueError(f"expected rational, got {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, Fraction):

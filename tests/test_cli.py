@@ -176,6 +176,22 @@ def fresh_hyp2f1_memo():
 KZ_QUICK = {"schema": "1", "precision_bits": 64, "kappa": "-7/3", "loop": [2, 3]}
 
 
+@pytest.mark.parametrize("bits", [64, 80, 96])
+def test_kz_hyp2f1_prints_only_digits_of_the_closed_form(bits):
+    # (1 - 2)^(1/3) = exp(i pi / 3) = 1/2 + i sqrt(3)/2, of modulus 1:
+    # every printed number is the closed form rounded at its last digit,
+    # and the imaginary part keeps the digits the error bound supports
+    import mpmath
+    hyp = run("kz", {**KZ_QUICK, "precision_bits": bits})["hyp2f1"]
+    with mpmath.workdps(80):
+        exact = [mpmath.mpf(1) / 2, mpmath.sqrt(3) / 2, mpmath.mpf(1)]
+        for text, truth in zip([*hyp["value"], hyp["abs"]], exact):
+            places = len(text.split(".")[1])
+            assert abs(mpmath.mpf(text) - truth) <= mpmath.mpf(10) ** -places / 2, text
+    assert len(hyp["value"][1]) - 2 >= int((bits + 16) * 0.30103) - 5
+    assert hyp["abs"] == "1.0"
+
+
 def test_kz_hyp2f1_self_test_runs_once_per_precision(
         monkeypatch, fresh_hyp2f1_memo):
     calls = []
@@ -674,6 +690,49 @@ def test_coloring_that_does_not_permute_the_forms_is_a_config_error(
     assert "config field 'arrangement'" in capsys.readouterr().err
 
 
+PLANE_ARRANGEMENT = {
+    "dimension": 2,
+    "forms": [{"constant": "0/1", "gradient": ["1/1", "0/1"]},
+              {"constant": "0/1", "gradient": ["0/1", "1/1"]},
+              {"constant": "-1/1", "gradient": ["1/1", "1/1"]}],
+    "weights": ["1/2", "1/3", "1/5"],
+    "coloring": None,
+}
+
+
+# each value, if coerced (a bool to an int, a float through int(), a string
+# to the list of its letters), gives an arrangement that runs
+@pytest.mark.parametrize("plane,path,value", [
+    (True, ["dimension"], 2.5),
+    (False, ["dimension"], True),
+    (False, ["weights", 0], True),
+    (False, ["forms", 1, "constant"], True),
+    (False, ["forms", 0, "gradient", 0], True),
+    (True, ["coloring"], "ab"),
+], ids=["dimension-float", "dimension-bool", "weight-bool", "constant-bool",
+        "gradient-bool", "coloring-string"])
+def test_malformed_explicit_arrangement_is_a_config_error(
+        tmp_path, capsys, plane, path, value):
+    config = ({"schema": "1", "arrangement": json.loads(json.dumps(PLANE_ARRANGEMENT))}
+              if plane else _load("lattice_two_points.json"))
+    node = config["arrangement"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ConfigError) as err:
+        run("lattice", config)
+    assert "config field 'arrangement'" in str(err.value)
+    target = tmp_path / "config.json"
+    target.write_text(json.dumps(config))
+    assert main(["lattice", "--config", str(target)]) == 2
+    assert "config field 'arrangement'" in capsys.readouterr().err
+
+
+def test_plane_arrangement_runs():
+    config = {"schema": "1", "arrangement": PLANE_ARRANGEMENT}
+    assert run("lattice", config)["config"]["arrangement"] == PLANE_ARRANGEMENT
+
+
 def test_top_monomial_budget_admits_six_doublets():
     six = build_arrangement([1] * 6, [Fraction(k) for k in range(6)],
                             kappa=7)
@@ -712,6 +771,7 @@ def test_golden_reports():
         ("egregium", "egregium_kappa3.json"),
         ("egregium", "egregium_kappa7.json"),
         ("egregium", "egregium_three_variable.json"),
+        ("egregium", "egregium_six_doublets.json"),
         ("sv", "sv_kappa7.json"),
         ("sv", "sv_two_variable.json"),
         ("aomoto", "aomoto_symbolic.json"),
