@@ -4,7 +4,7 @@ Subpackage map:
 
 * ``exactfield``   -- rational scalars and rational functions in kappa
 * ``arrangement``  -- weighted arrangements and their intersection lattices
-* ``flags``        -- flag spaces, the duality pairing and the contravariant form
+* ``flags``        -- flags and their duality functionals, for the tests' oracles
 * ``aomoto``       -- the twisted logarithmic complex and the weight-diagonal map
 * ``logforms``     -- pointwise exterior calculus for identity verification
 * ``liealg``       -- sl2 representations, invariants, coinvariants and conformal blocks

@@ -5,11 +5,11 @@ dlog f_{i_1} ^ ... ^ dlog f_{i_p} over increasing index subsets.  The
 monomials satisfy the Orlik-Solomon relations.  Each monomial's normal
 form in the no-broken-circuit (nbc) basis is read off the intersection
 lattice with integer coefficients, so nothing is eliminated and ranks
-never rely on floating point.  The relations equal the kernel of the
-pairing matrix against flags (pairing_matrix), which the tests keep as
-the oracle.  The differential is left wedge with eta = sum_i a_i dlog
-f_i, and the top cohomology is the cokernel of the differential in top
-degree.
+never rely on floating point.  The relations equal the left kernel of
+the pairing of monomials with the flags of the lattice (flags.phi),
+which the tests keep as the oracle.  The differential is left wedge with
+eta = sum_i a_i dlog f_i, and the top cohomology is the cokernel of the
+differential in top degree.
 
 An AomotoComplex owns one TopQuotient, the top monomials modulo the
 relations and the image of eta-wedge.  It holds one echelon, in nbc
@@ -38,9 +38,8 @@ from math import comb
 
 from . import linalg
 from .arrangement import color_group, perm_sign
-from .errors import BasisMismatch, TooManyMonomials
+from .errors import TooManyMonomials
 from .exactfield import RatFuncKappa
-from .flags import enumerate_flags, phi
 
 # Cost budget on the top-degree monomial count C(size, M).  Six sl2
 # doublets (21 hyperplanes in 3 variables, 1330 monomials) fit; five
@@ -107,49 +106,6 @@ def insertion_sign(subset, j):
     return -1 if k % 2 else 1
 
 
-def pairing_matrix(arrangement, lattice, p):
-    """Matrix of duality functionals: rows = monomials, columns = raw flags.
-
-    Entries lie in {-1, 0, +1}; the rank equals the dimension of the
-    degree-p logarithmic subalgebra and matches the Mobius count.  Its
-    left kernel is the span of the relations, so it is the tests' oracle
-    for AomotoSpace; no request builds it.
-    """
-    flags = enumerate_flags(lattice, p)
-    rows = []
-    for subset in monomials(arrangement.size, p):
-        values = phi(arrangement, lattice, subset, flags=flags)
-        rows.append([Fraction(v) for v in values])
-    return rows
-
-
-def differential(arrangement, p, vector):
-    """Left wedge with eta on monomial coefficients, degree p -> p + 1.
-
-    Dense, over all monomials; AomotoComplex.differential_matrix builds
-    its columns from normal forms instead, and the tests compare the two.
-    Refuses top-degree input: the complex ends at the dimension.
-    """
-    if p >= arrangement.dimension:
-        raise ValueError("differential is undefined in top degree")
-    if len(vector) != len(monomials(arrangement.size, p)):
-        raise BasisMismatch(f"expected {len(monomials(arrangement.size, p))} coefficients")
-    out_monomials = monomials(arrangement.size, p + 1)
-    out_index = {m: k for k, m in enumerate(out_monomials)}
-    out = [arrangement.zero] * len(out_monomials)
-    for subset, c in zip(monomials(arrangement.size, p), vector):
-        if c == 0:
-            continue
-        for j in range(arrangement.size):
-            if j in subset:
-                continue
-            target = tuple(sorted(subset + (j,)))
-            out[out_index[target]] = out[out_index[target]] + (
-                arrangement.weights[j] * c * insertion_sign(subset, j)
-            )
-    return out
-
-
 def weight_product(arrangement, subset):
     acc = arrangement.zero + 1
     for i in subset:
@@ -175,9 +131,9 @@ class AomotoSpace:
     normal_forms[k] maps free monomial indices to the integer
     coefficients of NF(e_{monomials[k]}).  The rows e_S - NF(S), one per
     non-free S (kernel_pivots), are the reduced echelon form of the
-    relations and span the kernel of the flag pairing (pairing_matrix),
-    which the tests keep as the oracle; they are never stored as dense
-    rows.  reduce() maps monomial coefficient vectors to the canonical
+    relations and span the left kernel of the flag pairing, which the
+    tests keep as the oracle; they are never stored as dense rows.
+    reduce() maps monomial coefficient vectors to the canonical
     representative with zero pivot coordinates, and coords() extracts
     quotient coordinates on the free monomials.
     """
@@ -300,11 +256,6 @@ class AomotoComplex:
         return self.space(p).dim - self._rank(p) - rank_in
 
 
-def cohomology_dim(arrangement, lattice, p):
-    """dim H^p of the twisted complex; top degree is monomials modulo image."""
-    return AomotoComplex(arrangement, lattice).cohomology_dim(p)
-
-
 def _chi_columns(arrangement, p):
     """The sign-isotypic projector on degree-p monomials, column by column.
 
@@ -399,9 +350,6 @@ class CohomologyClass:
 
     degree: int
     rep: tuple
-
-    def is_zero(self):
-        return all(c == 0 for c in self.rep)
 
 
 def dual_functional_space(quotient):

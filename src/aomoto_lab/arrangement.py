@@ -246,16 +246,6 @@ def os_dimension(lattice, p):
     return sum(abs(mu[idx]) for idx in lattice.by_codim(p))
 
 
-def is_general_position(arrangement, indices):
-    """True iff the indexed hyperplanes meet in codimension exactly len(indices)."""
-    indices = list(indices)
-    if len(indices) > arrangement.dimension:
-        return False
-    rows = [_augmented_row(arrangement.forms[i]) for i in indices]
-    key = _system_rref(rows)
-    return key is not None and len(key) == len(indices)
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """A coordinate permutation with its sign and induced form permutation.

@@ -396,12 +396,14 @@ def _cmd_verify_forms(config):
     return report, echo
 
 
-def _kz_flat_samples(points, seed, count=5):
+def _kz_flat_samples(points, seed):
+    """Five seeded sample configurations near the points, off every
+    branch cut of the closed-form flat sections."""
     from .kz import _check_branch
     rng = random.Random(seed)
     samples = []
     tries = 0
-    while len(samples) < count:
+    while len(samples) < 5:
         tries += 1
         if tries > 200:
             raise ExhaustedRetries("could not sample branch-safe points")
@@ -457,7 +459,7 @@ def _cmd_kz(config):
         with mpmath.workprec(precision_bits + 64):
             try:
                 tol = mpmath.mpf(tol_raw)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, ZeroDivisionError):
                 _fail("tol", f"expected a positive number, got {tol_raw!r}")
         if isinstance(tol_raw, bool) or not (mpmath.isfinite(tol) and tol > 0):
             _fail("tol", f"expected a positive number, got {tol_raw!r}")
@@ -572,12 +574,16 @@ _HANDLERS = {
 }
 
 
+def _check_object(config):
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+
+
 def run(command, config):
     """Execute one command on a config dict and return the report dict."""
     if command not in _HANDLERS:
         raise ConfigError(f"unknown command {command!r}")
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
+    _check_object(config)
     if "schema" in config and config["schema"] != "1":
         _fail("schema", f"unsupported schema {config['schema']!r}")
     payload, echo = _HANDLERS[command](config)
@@ -629,6 +635,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
+        # the kz flags write into the config
+        _check_object(config)
         if args.command == "kz":
             if args.kappa is not None:
                 config["kappa"] = args.kappa

@@ -13,10 +13,6 @@ class ZeroKappa(AomotoLabError):
     """Specialization at kappa = 0 was requested."""
 
 
-class PoleAtKappa(AomotoLabError):
-    """A rational function in kappa was evaluated at a pole."""
-
-
 class ExhaustedRetries(AomotoLabError):
     """Random sampling failed to find an admissible point within the retry budget."""
 
@@ -31,10 +27,6 @@ class OnHyperplane(AomotoLabError):
 
 class NotInSpan(AomotoLabError):
     """A top form could not be written in the logarithmic monomial basis."""
-
-
-class BasisMismatch(AomotoLabError):
-    """Vector coordinates do not match the expected basis ordering or length."""
 
 
 class UnsupportedAlgebra(AomotoLabError):

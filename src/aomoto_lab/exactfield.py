@@ -15,7 +15,7 @@ lists, lowest degree first.
 import random
 from fractions import Fraction
 
-from .errors import ExhaustedRetries, PoleAtKappa, ZeroKappa
+from .errors import ExhaustedRetries
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -99,13 +99,6 @@ def _pgcd(a, b):
         lead = a[-1]
         a = tuple(c / lead for c in a)
     return a
-
-
-def _peval(a, x):
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 class RatFuncKappa:
@@ -262,23 +255,6 @@ class RatFuncKappa:
             tuple(parse_rational(c) for c in data["num"]),
             tuple(parse_rational(c) for c in data["den"]),
         )
-
-
-def specialize_kappa(value, kappa):
-    """Evaluate a scalar at a concrete nonzero rational kappa.
-
-    Fractions pass through unchanged.  Raises ZeroKappa for kappa = 0 and
-    PoleAtKappa when the denominator vanishes at kappa.
-    """
-    kappa = Fraction(kappa)
-    if kappa == 0:
-        raise ZeroKappa("weights are defined only for nonzero kappa")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    den = _peval(value.den, kappa)
-    if den == 0:
-        raise PoleAtKappa(f"denominator vanishes at kappa = {kappa}")
-    return _peval(value.num, kappa) / den
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""The four-point sl2 connection: transport, monodromy, and flat sections.
+"""The sl2 KZ connection: transport, monodromy, and flat sections.
 
-The connection acts on the two-dimensional coinvariant space of four
-sl2 doublets with basis {[v], [w]}, v = v1 x v1 x v2 x v2 and
-w = v1 x v2 x v1 x v2 (lowered vectors in slots 3,4 resp. 2,4).  A
-horizontal section satisfies
+A KzSystem places sl2 irreducibles of highest weights m_1, ..., m_n at
+distinct points z_1, ..., z_n (four doublets by default), and the
+connection acts on the coinvariants of their tensor product, a space of
+dimension d with the basis that liealg.coinvariants_quotient chooses.
+For four doublets d = 2, with basis {[v], [w]}, v = v1 x v1 x v2 x v2
+and w = v1 x v2 x v1 x v2 (lowered vectors in slots 3,4 resp. 2,4); the
+closed-form flat sections are for that case only.  A horizontal section
+satisfies
 
     (d/dz_j + (1/kappa) sum_{k != j} Omega_{jk} / (z_j - z_k)) u = 0,
 
@@ -14,8 +18,8 @@ the Omegas satisfy the infinitesimal braid relations
 Ann. Inst. Fourier 37, 1987); the tests check these exactly on
 casimir_matrices.
 
-Transport moves one coordinate along a piecewise-linear path while the
-others stay put, integrating with Taylor series recentered at each step:
+Transport moves z_1 along a piecewise-linear path while the other
+points stay put, integrating with Taylor series recentered at each step:
 the series radius equals the distance to the nearest puncture and the
 step stays well inside it, so the truncation error is controlled by a
 geometric tail.  A loop around one puncture is the way out from its
@@ -65,6 +69,11 @@ from .liealg import TensorSpace, coinvariants_quotient
 
 KEEP_OUT_RADIUS = 0.01
 STEP_RATIO = 0.38
+# The shape of every loop of z_1 around a puncture (simple_loop): a
+# circle of this radius about it, reached from the base along legs this
+# far below the base and the puncture (ContourPath.way_out).
+LOOP_RADIUS = 0.15
+LOOP_DEPTH = 0.6
 MAX_SERIES_TERMS = 400
 # A loop's monodromy M = L^-1 C L can carry the transport's errors of L
 # and C, relative to their norms, into an error |L| |L^-1| |C| / |M| times
@@ -221,12 +230,12 @@ def _mat_inv(a):
 
 
 class ContourPath:
-    """Piecewise-linear path for one moving coordinate.
+    """Piecewise-linear path for the moving coordinate z_1.
 
     Waypoints are complex numbers; consecutive duplicates are dropped.
-    Circles are entered as chord polygons fine enough (at most 20 degrees
-    per chord) to stay homotopic to the smooth circle outside the
-    keep-out radius of the punctures.
+    Circles are entered as chord polygons fine enough (20 degrees per
+    chord) to stay homotopic to the smooth circle outside the keep-out
+    radius of the punctures.
     """
 
     def __init__(self, waypoints):
@@ -241,9 +250,6 @@ class ContourPath:
 
     def segments(self):
         return list(zip(self.waypoints, self.waypoints[1:]))
-
-    def is_loop(self):
-        return abs(self.waypoints[0] - self.waypoints[-1]) < 1e-12
 
     def reversed(self):
         return ContourPath(list(reversed(self.waypoints)))
@@ -263,23 +269,16 @@ class ContourPath:
         return best
 
     @classmethod
-    def circle(cls, center, radius, start_angle=-90.0, turns=1,
-               max_chord_degrees=20.0):
-        """Closed chord polygon around center, counterclockwise if turns > 0."""
+    def circle(cls, center, radius):
+        """Closed counterclockwise polygon of 18 chords around center, from
+        and back to center - i radius."""
         center = complex(center)
-        total = 360.0 * turns
-        steps = max(1, math.ceil(abs(total) / max_chord_degrees))
-        pts = [
-            center + radius * complex(
-                math.cos(math.radians(start_angle + total * s / steps)),
-                math.sin(math.radians(start_angle + total * s / steps)),
-            )
-            for s in range(steps + 1)
-        ]
-        return cls(pts)
+        angles = [math.radians(20 * s - 90) for s in range(19)]
+        return cls([center + radius * complex(math.cos(a), math.sin(a))
+                    for a in angles])
 
     @classmethod
-    def way_out(cls, base, center, radius=0.15, depth=0.6):
+    def way_out(cls, base, center, radius=LOOP_RADIUS, depth=LOOP_DEPTH):
         """From base down by depth, across to below center, and up to the
         entry point center - i radius of the circle about center."""
         base = complex(base)
@@ -289,7 +288,7 @@ class ContourPath:
                     center - 1j * radius])
 
     @classmethod
-    def loop_around(cls, base, center, radius=0.15, depth=0.6):
+    def loop_around(cls, base, center, radius=LOOP_RADIUS, depth=LOOP_DEPTH):
         """Loop from base around center, routed through the lower half-plane:
         the way out, the circle from its entry point, and the way back."""
         out = cls.way_out(base, center, radius=radius, depth=depth)
@@ -310,10 +309,10 @@ def _segment_distance(a, b, p):
 # transport
 
 
-def transport(sys, path, tol=None, moving=0):
-    """Fundamental solution along the path for the moving coordinate.
+def transport(sys, path, tol=None):
+    """Fundamental solution along the path of z_1.
 
-    The other coordinates stay at their system values.  Steps are Taylor
+    The other points stay at their system values.  Steps are Taylor
     expansions of the solution recentered along each segment; each step
     length is at most STEP_RATIO times the distance to the nearest
     puncture, and raises StepUnderflow inside the keep-out radius.  The
@@ -331,20 +330,18 @@ def transport(sys, path, tol=None, moving=0):
     with mpmath.workprec(sys.precision_bits + 64):
         # converted here, so the result does not depend on the caller's
         # precision
-        punctures = [
-            _to_mpc(sys.points[k]) for k in range(sys.n) if k != moving
-        ]
+        punctures = [_to_mpc(z) for z in sys.points[1:]]
         omegas = [
             [[_from_libmp(x._mpc_) for x in row]
-             for row in _frac_matrix(sys.omega(moving, k))]
-            for k in range(sys.n) if k != moving
+             for row in _frac_matrix(sys.omega(0, k))]
+            for k in range(1, sys.n)
         ]
         prec = mpmath.mp.prec
         quarter_tol = (_tolerance(sys, tol) / 4)._mpf_
         minus_inv_kappa = _from_libmp(_to_mpc(Fraction(-1, 1) / sys.kappa)._mpc_)
         cap = _term_cap(sys.precision_bits)
         known = sys.segment_transports
-        context = (moving, tuple(p._mpc_ for p in punctures), quarter_tol)
+        context = (tuple(p._mpc_ for p in punctures), quarter_tol)
         total = _identity(sys.d)
         for a, b in path.segments():
             key = (context, a, b)
@@ -707,54 +704,53 @@ def _taylor_step(shifts, h, omegas, minus_inv_kappa, quarter_tol, cap, prec):
     return _series_sum(shifts, h, rows, [0] * d, quarter_tol, cap, prec)
 
 
-def simple_loop(sys, around, base=None, radius=0.15, depth=0.6, moving=0):
-    """A based loop encircling one puncture counterclockwise.
+def simple_loop(sys, around, base=None):
+    """A loop of z_1 from base (default z_1) once counterclockwise around
+    the puncture z_around, of radius LOOP_RADIUS and depth LOOP_DEPTH.
 
     Raises LoopEnclosesPuncture when another puncture lies within
-    radius + KEEP_OUT_RADIUS of the circled one, where the circle would
-    enclose it too or pass inside its keep-out radius.
+    LOOP_RADIUS + KEEP_OUT_RADIUS of the circled one, where the circle
+    would enclose it too or pass inside its keep-out radius.
     """
     if base is None:
-        base = complex(sys.points[moving])
+        base = complex(sys.points[0])
     center = complex(sys.points[around])
     for k, point in enumerate(sys.points):
-        if k not in (moving, around) and \
-                abs(complex(point) - center) <= radius + KEEP_OUT_RADIUS:
+        if k not in (0, around) and \
+                abs(complex(point) - center) <= LOOP_RADIUS + KEEP_OUT_RADIUS:
             raise LoopEnclosesPuncture(
-                f"the radius-{radius} loop around point {around + 1} "
+                f"the radius-{LOOP_RADIUS} loop around point {around + 1} "
                 f"({sys.points[around]}) would also enclose point {k + 1} "
                 f"({point})"
             )
-    return ContourPath.loop_around(base, center, radius=radius, depth=depth)
+    return ContourPath.loop_around(base, center)
 
 
-def simple_loop_monodromy(sys, around, base=None, tol=None, radius=0.15,
-                          depth=0.6, moving=0):
-    """Monodromy along the counterclockwise loop around one puncture.
+def simple_loop_monodromy(sys, around, base=None, tol=None):
+    """Monodromy of z_1 along the counterclockwise loop around one puncture.
 
     The loop of simple_loop goes out from the base to the entry point of
     the circle, once around it, and back the way it came, so its
     monodromy is L^-1 C L, with L the transport along the way out and C
     the circle's, from the Frobenius series at the puncture (see
-    _frobenius_circle).  The way out ends at radius min(radius,
+    _frobenius_circle).  The way out ends at radius min(LOOP_RADIUS,
     STEP_RATIO rho), rho the distance to the nearest other puncture, where
     the series converges as fast as a Taylor step; simple_loop keeps the
-    other punctures beyond the radius, so the loop is the same up to
+    other punctures beyond LOOP_RADIUS, so the loop is the same up to
     homotopy.
     Raises PrecisionLoss where the conjugation can grow the transport's
     error more than MAX_LOOP_ERROR_GROWTH times.
     """
-    loop = simple_loop(sys, around, base=base, radius=radius, depth=depth,
-                       moving=moving)
+    loop = simple_loop(sys, around, base=base)
     center = complex(sys.points[around])
-    entry_radius = min([radius] + [
+    entry_radius = min([LOOP_RADIUS] + [
         STEP_RATIO * abs(complex(point) - center)
-        for k, point in enumerate(sys.points) if k not in (moving, around)
+        for k, point in enumerate(sys.points) if k not in (0, around)
     ])
     way_out = ContourPath.way_out(loop.waypoints[0], center,
-                                  radius=entry_radius, depth=depth)
-    out = transport(sys, way_out, tol=tol, moving=moving)
-    circle = _frobenius_circle(sys, around, way_out.waypoints[-1], tol, moving)
+                                  radius=entry_radius)
+    out = transport(sys, way_out, tol=tol)
+    circle = _frobenius_circle(sys, around, way_out.waypoints[-1], tol)
     with mpmath.workprec(sys.precision_bits + 64):
         back = _mat_inv(out)
         monodromy = _mat_mul(back, _mat_mul(circle, out))
@@ -766,17 +762,18 @@ def simple_loop_monodromy(sys, around, base=None, tol=None, radius=0.15,
     return monodromy
 
 
-def _frobenius_circle(sys, around, entry, tol, moving):
-    """Transport once counterclockwise around the puncture from entry.
+def _frobenius_circle(sys, around, entry, tol):
+    """Transport of z_1 once counterclockwise around a puncture from entry.
 
-    With x = z - z_p for the puncture p = around, the system reads
-    u' = (R / x + B(x)) u with R = -Omega_(moving, p) / kappa and B
+    With x = z_1 - z_p for the puncture p = around, the system reads
+    u' = (R / x + B(x)) u with R = -Omega_(0, p) / kappa (points indexed
+    from 0, as in sys.omega) and B
     holomorphic for |x| < rho, the distance from z_p to the nearest
     other puncture.  With R = S diag(r) S^-1 (see _rational_eigenbasis),
     it has the fundamental solution S K(x) x^diag(r) x^C of _series_terms
     (the Frobenius method), with exponents r, h = w = entry - z_p,
     s_k = z_p - z_k over the other punctures k and
-    M_k = S^-1 (-Omega_(moving, k) / kappa) S, conjugated exactly.  Once
+    M_k = S^-1 (-Omega_(0, k) / kappa) S, conjugated exactly.  Once
     around, x^diag(r) picks up exp(2 pi i diag(r)), which commutes with
     C, and x^C picks up exp(2 pi i C), so the circle is
     F exp(2 pi i diag(r)) exp(2 pi i C~) F^-1 with F = S K(w); the series
@@ -786,10 +783,10 @@ def _frobenius_circle(sys, around, entry, tol, moving):
     at precision_bits + max(64, log2(1 / delta)), delta the smallest
     nonzero divisor.
     """
-    others = [k for k in range(sys.n) if k not in (moving, around)]
-    r, s = _rational_eigenbasis(sys.omega(moving, around), sys.kappa)
+    others = [k for k in range(1, sys.n) if k != around]
+    r, s = _rational_eigenbasis(sys.omega(0, around), sys.kappa)
     minus_inv_kappa = -1 / sys.kappa
-    moved = [[[x * minus_inv_kappa for x in row] for row in sys.omega(moving, k)]
+    moved = [[[x * minus_inv_kappa for x in row] for row in sys.omega(0, k)]
              for k in others]
     # the divisor nearest 0 in an entry is n + 1 - (r_r - r_c) for n + 1
     # the integer nearest r_r - r_c; one not below 1/2 costs no bits
@@ -862,9 +859,8 @@ def _rational_eigenbasis(omega, kappa):
     return values, [list(row) for row in zip(*columns)]
 
 
-def pochhammer_monodromy(sys, p, q, base=None, tol=None, radius=0.15,
-                         depth=0.6, moving=0):
-    """Monodromy along the commutator loop around punctures p and q.
+def pochhammer_monodromy(sys, p, q, base=None, tol=None):
+    """Monodromy of z_1 along the commutator loop around punctures p and q.
 
     The loop runs around p, then q, then backwards around p, then q; the
     transport matrix is the corresponding commutator T_q^-1 T_p^-1 T_q T_p.
@@ -872,10 +868,8 @@ def pochhammer_monodromy(sys, p, q, base=None, tol=None, radius=0.15,
     segment table transports once, and each returns along the inverse of
     its way out (see simple_loop_monodromy).
     """
-    t_p = simple_loop_monodromy(sys, p, base=base, tol=tol, radius=radius,
-                                depth=depth, moving=moving)
-    t_q = simple_loop_monodromy(sys, q, base=base, tol=tol, radius=radius,
-                                depth=depth, moving=moving)
+    t_p = simple_loop_monodromy(sys, p, base=base, tol=tol)
+    t_q = simple_loop_monodromy(sys, q, base=base, tol=tol)
     with mpmath.workprec(sys.precision_bits + 64):
         return _mat_mul(
             _mat_inv(t_q), _mat_mul(_mat_inv(t_p), _mat_mul(t_q, t_p))
@@ -1000,22 +994,24 @@ def eigenvalues_2x2(mat):
 # hypergeometric oracle by contour integration
 
 
-_LOOP_RADIUS = 0.25
-_LOOP_BASE = complex(0.5, -0.35)
-_LOOP_DEPTH = 0.35
+_CONTOUR_RADIUS = 0.25
+_CONTOUR_BASE = complex(0.5, -0.35)
+_CONTOUR_DEPTH = 0.35
 
 
 def _pochhammer_contour():
     """Waypoints of the double-commutator contour around t=0 and t=1.
 
-    Based below the segment, with loops of radius _LOOP_RADIUS, so that
+    Based below the segment, with loops of radius _CONTOUR_RADIUS, so that
     the third singular point 1/u of the integrand (u = 2 puts it at 1/2)
     is neither approached nor encircled for the u that hyp2f1 accepts.
     """
-    loop1 = ContourPath.loop_around(_LOOP_BASE, 1.0, radius=_LOOP_RADIUS,
-                                    depth=_LOOP_DEPTH)
-    loop0 = ContourPath.loop_around(_LOOP_BASE, 0.0, radius=_LOOP_RADIUS,
-                                    depth=_LOOP_DEPTH)
+    loop1 = ContourPath.loop_around(_CONTOUR_BASE, 1.0,
+                                    radius=_CONTOUR_RADIUS,
+                                    depth=_CONTOUR_DEPTH)
+    loop0 = ContourPath.loop_around(_CONTOUR_BASE, 0.0,
+                                    radius=_CONTOUR_RADIUS,
+                                    depth=_CONTOUR_DEPTH)
     path = loop1.concat(loop0).concat(loop1.reversed()).concat(loop0.reversed())
     return path
 
@@ -1028,11 +1024,11 @@ def _pole_blocks_the_contour(pole, path):
     depth) that the loops' legs sweep when the contour shrinks onto
     [0, 1].  A pole on [0, 1] itself gives the value from below the cut.
     """
-    if min(abs(pole), abs(pole - 1)) < _LOOP_RADIUS \
+    if min(abs(pole), abs(pole - 1)) < _CONTOUR_RADIUS \
             or path.min_distance([pole]) <= KEEP_OUT_RADIUS:
         return True
-    depth = 1j * _LOOP_DEPTH
-    corners = [0, -depth, _LOOP_BASE - depth, 1 - depth, 1]
+    depth = 1j * _CONTOUR_DEPTH
+    corners = [0, -depth, _CONTOUR_BASE - depth, 1 - depth, 1]
     # counterclockwise, so the inside is to the left of every edge
     return pole.imag < 0 and all(
         ((q - p).conjugate() * (pole - p)).imag >= 0

@@ -149,26 +149,16 @@ def _merge_sign(a, b):
     return (-1 if inversions % 2 else 1), tuple(sorted(a + b))
 
 
-def eval_dlog(form, point, n=None, shift=0):
-    """dlog of an affine form at a point, as a degree-1 exterior element.
-
-    It has n covectors (default len(point)), the form's from index shift
-    on, so eval_dlog(f, y, 2 * M, M) is dlog f(y) on the doubled space.
-    """
+def eval_dlog(form, point):
+    """dlog of an affine form at a point, as a degree-1 exterior element
+    on len(point) covectors."""
     value = form.evaluate(point)
     if value == 0:
         raise OnHyperplane(f"point lies on the hyperplane of {form}")
     return ExteriorElement(
-        len(point) if n is None else n,
-        {(shift + j,): g / value for j, g in enumerate(form.gradient) if g != 0},
+        len(point),
+        {(j,): g / value for j, g in enumerate(form.gradient) if g != 0},
     )
-
-
-def doubled_form(form, dimension, copy):
-    """The form acting on the first (copy=0) or second (copy=1) factor of x x y."""
-    pad = [Fraction(0)] * dimension
-    grad = list(form.gradient) + pad if copy == 0 else pad + list(form.gradient)
-    return AffineForm(form.constant, tuple(grad))
 
 
 def difference_form(form, dimension):
@@ -329,8 +319,8 @@ def verify_grundlegend(arr, F_list, k, num_points=5, seed=0, bound=10**6,
     return True
 
 
-def grundlegend_control(arr, F_list, k=None, seed=0, bound=10**6, kernel=None):
-    """Mismatched-weight control for the boundary identity.
+def grundlegend_control(arr, F_list, seed=0, bound=10**6, kernel=None):
+    """Mismatched-weight control for the boundary identity at k = M.
 
     Evaluates the left side with the given weights and the right side
     with weight 0 raised by 1/5; returns True when the mismatch is
@@ -338,19 +328,18 @@ def grundlegend_control(arr, F_list, k=None, seed=0, bound=10**6, kernel=None):
     cannot fail this control would be vacuous.  kernel is as for
     verify_grundlegend.
     """
-    if k is None:
-        k = arr.dimension
     if kernel is None:
         kernel = BoundaryKernel(arr, F_list)
     M = arr.dimension
     perturbed = [w + Fraction(1, 5) if i == 0 else w
                  for i, w in enumerate(arr.weights)]
     weights, shifted = _scaled_weights(arr.weights, perturbed)
-    xy = kernel.sample(k, seed, bound)
+    xy = kernel.sample(M, seed, bound)
+    # at k = M, b = 0: the left side takes Omega^1, the right side Omega^0
     lhs, rhs = _scaled_sides(
-        _scaled_kernel_forms(kernel.forms, weights, xy, M - k + 1),
-        _scaled_kernel_forms(kernel.forms, shifted, xy, M - k),
-        kernel.differences, k, xy,
+        _scaled_kernel_forms(kernel.forms, weights, xy, 1),
+        _scaled_kernel_forms(kernel.forms, shifted, xy, 0),
+        kernel.differences, M, xy,
     )
     return lhs != rhs
 
@@ -372,14 +361,13 @@ def monomial_value(arr, subset, point):
     return top.terms.get(tuple(range(M)), Fraction(0))
 
 
-def expand_top_form(arr, lattice, evaluator, seed=0, bound=10**6, extra_avoid=(),
-                    certification=3, space=None):
+def expand_top_form(arr, lattice, evaluator, seed=0, bound=10**6, space=None):
     """Coefficients of a top form in the wedge monomial basis.
 
     evaluator(point) must return the exact coefficient of dt_1..dt_M at
-    the point.  Solves an interpolation system on dim + certification
-    sampled points, reduces the solution to the canonical representative
-    modulo monomial relations, and re-verifies at certification fresh
+    the point.  Solves an interpolation system on dim + 3 sampled points
+    off the hyperplanes, reduces the solution to the canonical
+    representative modulo monomial relations, and re-verifies at 3 fresh
     points.  Raises NotInSpan when no logarithmic expansion exists.
     The tests use it as the oracle for svmap.omega_sv.
     """
@@ -387,12 +375,12 @@ def expand_top_form(arr, lattice, evaluator, seed=0, bound=10**6, extra_avoid=()
     if space is None:
         space = AomotoSpace(arr, lattice, M)
     mons = monomials(arr.size, M)
-    avoid = list(arr.forms) + list(extra_avoid)
     rng = random.Random(seed)
+    certification = 3
 
     def sample():
         return random_point_avoiding(
-            avoid, bound=bound, seed=rng.randrange(2**32), dimension=M
+            arr.forms, bound=bound, seed=rng.randrange(2**32), dimension=M
         )
 
     for attempt in range(3):

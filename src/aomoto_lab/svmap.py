@@ -36,8 +36,7 @@ from itertools import permutations, product
 
 from . import linalg
 from .aomoto import (
-    AomotoComplex, AomotoSpace, CohomologyClass, check_top_size, monomials,
-    shapovalov_image,
+    AomotoComplex, CohomologyClass, check_top_size, monomials, shapovalov_image,
 )
 from .arrangement import (
     AffineForm, WeightedArrangement, intersection_lattice, perm_sign,
@@ -186,15 +185,16 @@ def _form_lookup(arr):
     return lookup
 
 
-def omega_sv(arr, lattice, space, psi, zs, aomoto_space=None):
+def omega_sv(arr, space, psi, zs, aomoto_space):
     """Top-cohomology class of psi(v(t, z)) dt_1..dt_M, from dlog chains.
 
     psi is a coefficient vector on the zero-weight basis (the documented
     lex ordering).  Every chain term of v with a nonzero psi coefficient
     adds that coefficient times its two signs (module docstring) to one
     wedge monomial.  The result is the canonical monomial representative
-    modulo relations, wrapped as a CohomologyClass.  Raises NotInSpan
-    when a chain needs a hyperplane that arr lacks.
+    modulo the relations of aomoto_space, the top-degree AomotoSpace of
+    arr, wrapped as a CohomologyClass.  Raises NotInSpan when a chain
+    needs a hyperplane that arr lacks.
     """
     zs = _as_fraction_points(zs)
     M = arr.dimension
@@ -221,8 +221,6 @@ def omega_sv(arr, lattice, space, psi, zs, aomoto_space=None):
                     chain.append(lookup(order[-1], z=zs[i]))
             sign = perm_sign(variables) * perm_sign(chain)
             vector[position[tuple(sorted(chain))]] += sign * coeff
-    if aomoto_space is None:
-        aomoto_space = AomotoSpace(arr, lattice, M)
     return CohomologyClass(M, tuple(aomoto_space.reduce(vector)))
 
 
@@ -240,8 +238,8 @@ def sv_classes(weights, points, kappa):
     lattice = intersection_lattice(arr)
     quotient = AomotoComplex(arr, lattice).top_quotient()
     psis = invariant_functionals(space)
-    classes = [omega_sv(arr, lattice, space, psi, points,
-                        aomoto_space=quotient.space) for psi in psis]
+    classes = [omega_sv(arr, space, psi, points, quotient.space)
+               for psi in psis]
     rows = [quotient.coords(list(cls.rep)) for cls in classes]
     return quotient, psis, classes, rows
 
@@ -257,9 +255,12 @@ def egregium_check(weights, points, kappa):
     quotient, _, _, sv_rows = sv_classes(weights, points, kappa)
     inv_dim = invariants_dim(weights)
     image_rank, image_classes = shapovalov_image(quotient, use_chi=True)
-    image_rows = [quotient.coords(list(cls.rep)) for cls in image_classes]
-    sv_rank = linalg.rank(sv_rows) if sv_rows else 0
-    same = _same_row_space(sv_rows, image_rows)
+    # each class is its canonical representative, so its quotient
+    # coordinates are its entries at quotient.free
+    image_rows = [[cls.rep[k] for k in quotient.free] for cls in image_classes]
+    sv_rank = linalg.rank(sv_rows)
+    # two row spaces are equal iff both ranks equal the rank of the union
+    same = sv_rank == image_rank == linalg.rank(sv_rows + image_rows)
     return {
         "invariants_dim": inv_dim,
         "sv_rank": sv_rank,
@@ -267,9 +268,3 @@ def egregium_check(weights, points, kappa):
         "subspaces_equal": same,
         "match": inv_dim == sv_rank == image_rank and same,
     }
-
-
-def _same_row_space(rows_a, rows_b):
-    ra, _ = linalg.rref([list(r) for r in rows_a])
-    rb, _ = linalg.rref([list(r) for r in rows_b])
-    return ra == rb

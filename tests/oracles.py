@@ -1,6 +1,14 @@
-"""Test oracles that no request runs: checks of the kz layer that do not
-go through the transport.
+"""Test oracles that no request runs.
 
+The Schechtman-Varchenko side of the top cohomology: pairing_matrix
+pairs the wedge monomials with the flags of the intersection lattice,
+and its left kernel is the span of the Orlik-Solomon relations that
+AomotoSpace reads off as nbc normal forms.  flag_relations spans the
+relations of the flag space, and contravariant_form is the
+quasi-classical form on flags.  specialize_kappa evaluates a symbolic
+weight at a rational kappa.
+
+Checks of the kz layer that do not go through the transport:
 loop_channels predicts the spectrum of a loop of the moving point around
 a cluster of punctures from Clebsch-Gordan counts alone, with no linear
 algebra.  diagonalizability_report measures how far a 2x2 monodromy is
@@ -8,10 +16,114 @@ from defective.
 """
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import mpmath
 
+from aomoto_lab.aomoto import monomials
+from aomoto_lab.arrangement import perm_sign
+from aomoto_lab.errors import AomotoLabError, ZeroKappa
+from aomoto_lab.flags import enumerate_flags, flag_of_tuple, phi
 from aomoto_lab.kz import _mat_norm, eigenvalues_2x2
+
+
+class PoleAtKappa(AomotoLabError):
+    """A rational function in kappa was evaluated at a pole."""
+
+
+def pairing_matrix(arrangement, lattice, p):
+    """Matrix of duality functionals: rows = monomials, columns = raw flags.
+
+    Entries lie in {-1, 0, +1}; the rank equals the dimension of the
+    degree-p logarithmic subalgebra and matches the Mobius count.  Its
+    left kernel is the span of the relations, so it is the oracle for
+    AomotoSpace.
+    """
+    flags = enumerate_flags(lattice, p)
+    rows = []
+    for subset in monomials(arrangement.size, p):
+        values = phi(arrangement, lattice, subset, flags=flags)
+        rows.append([Fraction(v) for v in values])
+    return rows
+
+
+def flag_relations(lattice, p):
+    """Relation vectors over the raw flags of length p.
+
+    One vector per (interior gap position i, gapped chain): coefficient 1
+    on every flag completing the chain, 0 elsewhere.  Empty for p <= 1.
+    """
+    flags = enumerate_flags(lattice, p)
+    index = {f: k for k, f in enumerate(flags)}
+    relations = []
+    for i in range(1, p):
+        groups = {}
+        for f in flags:
+            gapped = f[:i] + f[i + 1 :]
+            groups.setdefault(gapped, []).append(index[f])
+        for gapped in sorted(groups):
+            vec = [0] * len(flags)
+            for k in groups[gapped]:
+                vec[k] = 1
+            relations.append(tuple(vec))
+    return relations
+
+
+def contravariant_form(arrangement, lattice, p):
+    """Gram matrix of the quasi-classical form on raw flags of length p.
+
+    Entry (F, G) sums, over unordered p-subsets of hyperplanes adjacent
+    to both flags, the weight product times sign(sigma_F) * sign(sigma_G)
+    for the unique orderings realizing F and G.  The form's 1/p!
+    normalization cancels against the p! orderings of each subset, so
+    the sum runs over unordered subsets.
+    """
+    flags = enumerate_flags(lattice, p)
+    index = {f: k for k, f in enumerate(flags)}
+    n = len(flags)
+    zero = arrangement.zero
+    gram = [[zero for _ in range(n)] for _ in range(n)]
+    for subset in combinations(range(arrangement.size), p):
+        weight = zero + 1
+        for i in subset:
+            weight = weight * arrangement.weights[i]
+        realized = {}
+        for sigma in permutations(range(p)):
+            flag = flag_of_tuple(lattice, [subset[s] for s in sigma])
+            if flag is None:
+                continue
+            k = index[flag]
+            if k in realized:
+                raise AssertionError("two orderings of one subset realize the same flag")
+            realized[k] = perm_sign(sigma)
+        for kf, sf in realized.items():
+            for kg, sg in realized.items():
+                gram[kf][kg] = gram[kf][kg] + weight * (sf * sg)
+    return gram
+
+
+def _peval(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def specialize_kappa(value, kappa):
+    """Evaluate a scalar at a concrete nonzero rational kappa.
+
+    Fractions pass through unchanged.  Raises ZeroKappa for kappa = 0 and
+    PoleAtKappa when the denominator vanishes at kappa.
+    """
+    kappa = Fraction(kappa)
+    if kappa == 0:
+        raise ZeroKappa("weights are defined only for nonzero kappa")
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    den = _peval(value.den, kappa)
+    if den == 0:
+        raise PoleAtKappa(f"denominator vanishes at kappa = {kappa}")
+    return _peval(value.num, kappa) / den
 
 
 def _decompose(weights):

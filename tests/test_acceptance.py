@@ -17,7 +17,6 @@ from aomoto_lab.aomoto import (
     AomotoComplex,
     AomotoSpace,
     monomials,
-    pairing_matrix,
     shapovalov_image,
     weight_product,
 )
@@ -29,7 +28,7 @@ from aomoto_lab.arrangement import (
     perm_sign,
 )
 from aomoto_lab.cli import _kz_flat_samples
-from aomoto_lab.flags import contravariant_form, enumerate_flags, flag_relations, phi
+from aomoto_lab.flags import enumerate_flags, phi
 from aomoto_lab.kz import (
     KzSystem,
     casimir_matrices,
@@ -56,7 +55,12 @@ from arrangements import (
     sl2_four_point,
     two_points,
 )
-from oracles import diagonalizability_report
+from oracles import (
+    contravariant_form,
+    diagonalizability_report,
+    flag_relations,
+    pairing_matrix,
+)
 
 from itertools import combinations, permutations
 

@@ -10,7 +10,7 @@ from aomoto_lab import arrangement, linalg
 from aomoto_lab.arrangement import (
     AffineForm, WeightedArrangement, _augmented_row, _form_key, _system_rref,
     arrangement_from_json, arrangement_to_json, color_group,
-    intersection_lattice, is_general_position, os_dimension,
+    intersection_lattice, os_dimension,
 )
 from aomoto_lab.exactfield import RatFuncKappa
 from aomoto_lab.flags import enumerate_flags, flag_of_tuple
@@ -220,6 +220,16 @@ def test_defining_sets_are_saturated():
     lattice = intersection_lattice(triple_concurrent())
     (origin,) = [lattice.edges[i] for i in lattice.by_codim(2)]
     assert origin.defining == {0, 1, 2}
+
+
+def is_general_position(arrangement, indices):
+    """True iff the indexed hyperplanes meet in codimension exactly len(indices)."""
+    indices = list(indices)
+    if len(indices) > arrangement.dimension:
+        return False
+    rows = [_augmented_row(arrangement.forms[i]) for i in indices]
+    key = _system_rref(rows)
+    return key is not None and len(key) == len(indices)
 
 
 def test_is_general_position():

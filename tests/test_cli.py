@@ -27,9 +27,8 @@ from aomoto_lab.errors import (
 from aomoto_lab.liealg import MAX_ZERO_WEIGHT_DIM, zero_weight_dim
 from aomoto_lab.svmap import build_arrangement
 from arrangements import corpus
-from aomoto_lab.exactfield import (
-    RatFuncKappa, format_rational, parse_rational, specialize_kappa,
-)
+from aomoto_lab.exactfield import RatFuncKappa, format_rational, parse_rational
+from oracles import specialize_kappa
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -141,7 +140,8 @@ def test_exact_commands_leave_kz_and_mpmath_unloaded():
         "cli.run('egregium', {'weights': [1, 1, 1, 1], "
         "'points': ['-1/2', '0', '1/2', '1'], 'kappa': '7'})\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m == 'aomoto_lab.kz' or m.split('.')[0] == 'mpmath'))\n"
+        "             if m in ('aomoto_lab.kz', 'aomoto_lab.flags')\n"
+        "             or m.split('.')[0] == 'mpmath'))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
@@ -318,6 +318,14 @@ def test_main_exit_codes(tmp_path, capsys):
     assert rc == 1
     assert "DuplicatePoints" in capsys.readouterr().err
 
+    # the kz flag overrides meet a config that is no JSON object
+    for content, flags in (([1, 2], ["--kappa", "3"]), ("x", ["--loop", "2,3"])):
+        not_object = tmp_path / "not_object.json"
+        not_object.write_text(json.dumps(content))
+        rc = main(["kz", "--config", str(not_object), *flags])
+        assert rc == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
 
 def test_main_exit_codes_for_algebra_and_beta(tmp_path, capsys):
     # a well-formed algebra other than A1 is refused as a domain error,
@@ -431,6 +439,7 @@ BEYOND_FLOAT = str(10**400) + "/1"
     ("loop", [1, 2]),
     ("loop", [3, 1]),
     ("loop", [2, 5]),
+    ("tol", "1/0"),
 ])
 def test_kz_rejects_malformed_fields(tmp_path, capsys, field, value):
     config = {"schema": "1", "precision_bits": 64, field: value}

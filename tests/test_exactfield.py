@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from aomoto_lab.errors import ExhaustedRetries, PoleAtKappa, ZeroKappa
+from aomoto_lab.errors import ExhaustedRetries, ZeroKappa
 from aomoto_lab.exactfield import (
-    RatFuncKappa, format_rational, parse_rational,
-    random_point_avoiding, specialize_kappa,
+    RatFuncKappa, format_rational, parse_rational, random_point_avoiding,
 )
 from arrangements import two_points
+from oracles import PoleAtKappa, specialize_kappa
 
 F = Fraction
 

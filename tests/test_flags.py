@@ -2,16 +2,25 @@ from fractions import Fraction
 from itertools import combinations
 
 from aomoto_lab import linalg
-from aomoto_lab.aomoto import monomials, pairing_matrix, weight_product
+from aomoto_lab.aomoto import monomials, weight_product
 from aomoto_lab.arrangement import (
     AffineForm, WeightedArrangement, intersection_lattice, os_dimension,
 )
-from aomoto_lab.flags import (
-    contravariant_form, enumerate_flags, flag_relations, flag_space_dim, phi,
-)
+from aomoto_lab.flags import enumerate_flags, phi
 from arrangements import corpus, crossing_lines, sl2_four_point, two_points
+from oracles import contravariant_form, flag_relations, pairing_matrix
 
 F = Fraction
+
+
+def flag_space_dim(lattice, p):
+    """dim F^p = number of raw flags minus the rank of the relation matrix."""
+    flags = enumerate_flags(lattice, p)
+    relations = flag_relations(lattice, p)
+    if not relations:
+        return len(flags)
+    rel_rows = [[Fraction(c) for c in r] for r in relations]
+    return len(flags) - linalg.rank(rel_rows)
 
 
 def test_two_point_flags_and_relations():

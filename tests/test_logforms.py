@@ -19,7 +19,6 @@ from aomoto_lab.logforms import (
     _merge_sign,
     coordinate_functions,
     difference_form,
-    doubled_form,
     eval_dlog,
     expand_top_form,
     grundlegend_control,
@@ -34,6 +33,13 @@ from arrangements import (
 )
 
 F = Fraction
+
+
+def doubled_form(form, dimension, copy):
+    """The form acting on the first (copy=0) or second (copy=1) factor of x x y."""
+    pad = [Fraction(0)] * dimension
+    grad = list(form.gradient) + pad if copy == 0 else pad + list(form.gradient)
+    return AffineForm(form.constant, tuple(grad))
 
 
 def test_merge_sign_parity():

@@ -13,9 +13,7 @@ from aomoto_lab.arrangement import (
 from aomoto_lab.errors import (
     DuplicatePoints, NotInSpan, OnHyperplane, WeightMismatch,
 )
-from aomoto_lab.exactfield import (
-    RatFuncKappa, random_point_avoiding, specialize_kappa,
-)
+from aomoto_lab.exactfield import RatFuncKappa, random_point_avoiding
 from aomoto_lab.liealg import TensorSpace, invariant_functionals
 from aomoto_lab.logforms import expand_top_form, monomial_value
 from aomoto_lab.svmap import (
@@ -26,6 +24,7 @@ from aomoto_lab.svmap import (
     omega_sv,
     sv_vector_eval,
 )
+from oracles import specialize_kappa
 
 F = Fraction
 
@@ -161,7 +160,7 @@ def test_omega_sv_two_point_class():
     aspace = AomotoSpace(arr, lattice, 1)
     space = TensorSpace((1, 1))
     psi = invariant_functionals(space)[0]
-    cls = omega_sv(arr, lattice, space, psi, (0, 1), aomoto_space=aspace)
+    cls = omega_sv(arr, space, psi, (0, 1), aomoto_space=aspace)
     # psi(v) = psi_0 / (t - z_2) + psi_1 / (t - z_1) with zero-weight
     # basis order (0,1), (1,0) and form order t - z_1, t - z_2
     expected = aspace.reduce([psi[1], psi[0]])
@@ -177,12 +176,12 @@ def test_omega_sv_linear_in_psi():
     psis = invariant_functionals(space)
     assert len(psis) == 2
     kwargs = dict(zs=ACCEPTANCE_POINTS, aomoto_space=aspace)
-    a = omega_sv(arr, lattice, space, psis[0], **kwargs)
-    b = omega_sv(arr, lattice, space, psis[1], **kwargs)
+    a = omega_sv(arr, space, psis[0], **kwargs)
+    b = omega_sv(arr, space, psis[1], **kwargs)
     summed = [x + y for x, y in zip(psis[0], psis[1])]
-    c = omega_sv(arr, lattice, space, summed, **kwargs)
+    c = omega_sv(arr, space, summed, **kwargs)
     assert list(c.rep) == [x + y for x, y in zip(a.rep, b.rep)]
-    zero = omega_sv(arr, lattice, space, [F(0)] * len(psis[0]), **kwargs)
+    zero = omega_sv(arr, space, [F(0)] * len(psis[0]), **kwargs)
     assert all(x == 0 for x in zero.rep)
 
 
@@ -195,7 +194,7 @@ def test_omega_sv_classes_are_sign_isotypic():
     space = TensorSpace((1, 1, 1, 1))
     for psi in invariant_functionals(space):
         cls = omega_sv(
-            arr, lattice, space, psi, ACCEPTANCE_POINTS, aomoto_space=aspace
+            arr, space, psi, ACCEPTANCE_POINTS, aomoto_space=aspace
         )
         rep = list(cls.rep)
         projected = [
@@ -258,7 +257,7 @@ def test_chain_classes_match_interpolation(weights, points, kappa):
     psis = invariant_functionals(space)
     assert psis
     for psi in psis:
-        cls = omega_sv(arr, lattice, space, psi, points, aomoto_space=aspace)
+        cls = omega_sv(arr, space, psi, points, aomoto_space=aspace)
         expected = _interpolated_class(arr, lattice, space, psi, points, aspace)
         assert cls.rep == tuple(expected)
         assert any(c != 0 for c in cls.rep)
@@ -282,7 +281,7 @@ def test_chain_classes_look_up_hyperplanes_by_form():
     aspace = AomotoSpace(moved, lattice, 2)
     space = TensorSpace(weights)
     for psi in invariant_functionals(space):
-        cls = omega_sv(moved, lattice, space, psi, points, aomoto_space=aspace)
+        cls = omega_sv(moved, space, psi, points, aomoto_space=aspace)
         expected = _interpolated_class(moved, lattice, space, psi, points, aspace)
         assert cls.rep == tuple(expected)
 
@@ -297,7 +296,8 @@ def test_chain_classes_refuse_a_missing_hyperplane():
     space = TensorSpace((2, 1, 1))
     psi = invariant_functionals(space)[0]
     with pytest.raises(NotInSpan, match="t_1 - t_2"):
-        omega_sv(no_diagonal, lattice, space, psi, points)
+        omega_sv(no_diagonal, space, psi, points,
+                 AomotoSpace(no_diagonal, lattice, no_diagonal.dimension))
 
 
 def test_chain_classes_three_variables_pointwise():
@@ -313,7 +313,7 @@ def test_chain_classes_three_variables_pointwise():
     psis = invariant_functionals(space)
     assert len(psis) == 2
     for n, psi in enumerate(psis):
-        rep = omega_sv(arr, lattice, space, psi, ACCEPTANCE_POINTS,
+        rep = omega_sv(arr, space, psi, ACCEPTANCE_POINTS,
                        aomoto_space=aspace).rep
         assert any(c != 0 for c in rep)
         for k in range(3):
