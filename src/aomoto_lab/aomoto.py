@@ -390,10 +390,10 @@ def shapovalov_image(quotient, use_chi=False):
     P (applied once, from its sparse columns, since P D P = D P), and
     reduces into the top quotient.
     An image is kept when it is independent of those kept before it,
-    tested incrementally on quotient coordinates: its remainder modulo a
-    running echelon basis of the kept images is nonzero, and that
-    remainder, scaled to a leading 1, joins the basis.  Returns (rank,
-    list of CohomologyClass), each class the canonical representative.
+    tested incrementally on quotient coordinates: linalg.extend grows a
+    running echelon of the kept images by it, or finds it in their span.
+    Returns (rank, list of CohomologyClass), each class the canonical
+    representative.
     """
     arrangement = quotient.space.arrangement
     M, zero = arrangement.dimension, arrangement.zero
@@ -409,12 +409,8 @@ def shapovalov_image(quotient, use_chi=False):
             tau = _chi_apply(columns, tau)
         s = [d * t if t else zero for d, t in zip(diag, tau)]
         red = quotient.reduce(s)
-        rest = linalg.reduce_mod_rowspace([red[k] for k in quotient.free],
-                                          echelon, pivots)
-        lead = next((k for k, v in enumerate(rest) if v), None)
-        if lead is not None:
-            echelon.append([v / rest[lead] for v in rest])
-            pivots.append(lead)
+        coords = [red[k] for k in quotient.free]
+        if linalg.extend(echelon, pivots, coords) is not None:
             basis.append(CohomologyClass(M, tuple(red)))
     return len(basis), basis
 

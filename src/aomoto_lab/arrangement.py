@@ -5,11 +5,11 @@ f_i on an M-dimensional affine space together with scalar weights a_i.
 Edges are the nonempty intersections of hyperplanes; they are graded by
 codimension and ordered by inclusion.  Edges are identified by the
 reduced row echelon form of their defining linear system, which makes
-equality and ordering canonical.  The intersection lattice row-reduces
-each (edge, hyperplane) system whose meet it has not already found,
-where a lone form is only scaled by its leading entry, and records the
-meets; the defining sets of the edges and the flags of hyperplane tuples
-are read off that record.
+equality and ordering canonical.  The intersection lattice extends the
+key of an edge by the row of a hyperplane (linalg.extend) for each pair
+whose meet it has not already found, and records the meets; the
+defining sets of the edges and the flags of hyperplane tuples are read
+off that record.
 
 The one-form eta = sum_i a_i dlog f_i plays the role of the twisting
 differential throughout the package.
@@ -116,30 +116,23 @@ class Edge:
     defining: frozenset
 
 
-def _system_rref(rows):
-    """RREF of an augmented system; None when inconsistent."""
-    if not rows:
-        return ()
-    red, pivots = linalg.rref(rows)
-    ncols = len(rows[0])
-    if pivots and pivots[-1] == ncols - 1:
-        return None
-    return tuple(tuple(row) for row in red)
-
-
 def _augmented_row(form):
     return [*form.gradient, -form.constant]
 
 
-def _form_key(row):
-    """The key of a lone augmented row, the row over its leading entry.
+def _meet_key(key, row):
+    """The key of the edge `key` cut by the hyperplane of augmented `row`.
 
-    None when only the constant can be nonzero (no hyperplane).
+    Extends a copy of the key by the row.  None when the key already
+    holds the row (the hyperplane contains the edge) or when the row's
+    pivot falls in the constant column (the two do not meet).
     """
-    lead = next((c for c, v in enumerate(row) if v), len(row) - 1)
-    if lead == len(row) - 1:
+    rows = [list(r) for r in key]
+    pivots = [next(c for c, v in enumerate(r) if v) for r in rows]
+    lead = linalg.extend(rows, pivots, row)
+    if lead is None or lead == len(row) - 1:
         return None
-    return (tuple(v / row[lead] for v in row),)
+    return tuple(tuple(r) for r in rows)
 
 
 class IntersectionLattice:
@@ -180,9 +173,8 @@ class IntersectionLattice:
                     entry = next((y for y in through[i]
                                   if edge.defining <= y[0]), None)
                     if entry is None:
-                        key = _system_rref([*edge.key, row]) if p > 1 \
-                            else _form_key(row)
-                        if key is None or len(key) != p:
+                        key = _meet_key(edge.key, row)
+                        if key is None:
                             continue
                         entry = found.setdefault(key, (set(), []))
                     defining, pairs = entry

@@ -41,10 +41,6 @@ class DuplicatePoints(AomotoLabError):
     """Marked points on the line must be pairwise distinct."""
 
 
-# the same failure seen from the ODE side keeps its older name as an alias
-CollidingPoints = DuplicatePoints
-
-
 class WeightMismatch(AomotoLabError):
     """The simple-root decomposition does not match the prescribed weights."""
 

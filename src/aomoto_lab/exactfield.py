@@ -158,9 +158,6 @@ class RatFuncKappa:
             raise ValueError("not a constant rational function")
         return self.num[0] if self.num else Fraction(0)
 
-    def pivot_size(self):
-        return max(len(self.num), len(self.den))
-
     def _coerce(self, other):
         if isinstance(other, RatFuncKappa):
             return other

@@ -61,7 +61,7 @@ from mpmath.libmp import from_man_exp, from_rational, mpc_abs, mpc_div, mpf_lt
 
 from . import linalg
 from .errors import (
-    BranchCut, CollidingPoints, LoopEnclosesPuncture, PrecisionLoss,
+    BranchCut, DuplicatePoints, LoopEnclosesPuncture, PrecisionLoss,
     StepUnderflow, ZeroKappa,
 )
 from .exactfield import DEFAULT_PRECISION_BITS
@@ -142,9 +142,10 @@ class KzSystem:
         self.kappa = Fraction(kappa)
         self.points = list(points)
         if len(set(self.points)) != len(self.points):
-            raise CollidingPoints("marked points must be pairwise distinct")
+            raise DuplicatePoints("marked points must be pairwise distinct")
         self.n = len(self.points)
-        if len(weights) != self.n:
+        self.weights = tuple(weights)
+        if len(self.weights) != self.n:
             raise ValueError("one weight is needed per point")
         self.matrices = casimir_matrices(weights)
         self.d = len(next(iter(self.matrices.values())))
@@ -892,7 +893,7 @@ def _check_branch(zs):
         for j in range(i + 1, len(zs)):
             diff = _to_mpc(zs[i]) - _to_mpc(zs[j])
             if diff == 0:
-                raise CollidingPoints("flat sections need distinct points")
+                raise DuplicatePoints("flat sections need distinct points")
             if mpmath.im(diff) == 0 and mpmath.re(diff) <= 0:
                 raise BranchCut(
                     f"difference z_{i + 1} - z_{j + 1} lies on the principal cut"
@@ -923,10 +924,11 @@ def flat_section_residual(sys, zs, exponent=_PHI_EXPONENT, section="phi"):
     identity and not the branch magnitude.  section "fv": the constant
     vector [v] times the fixed half-integer-exponent prefactor, tested in
     the quotient by the line spanned by the section of "phi".  Raises
+    ValueError unless sys is four doublets (weights (1, 1, 1, 1)), and
     BranchCut when a pairwise difference lies on the principal cut.
     """
-    if len(zs) != 4 or sys.n != 4:
-        raise ValueError("flat sections are implemented for four points")
+    if len(zs) != 4 or sys.weights != (1, 1, 1, 1):
+        raise ValueError("flat sections are implemented for four doublets")
     if section not in ("phi", "fv"):
         raise ValueError("section must be 'phi' or 'fv'")
     with mpmath.workprec(sys.precision_bits):

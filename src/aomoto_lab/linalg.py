@@ -5,7 +5,10 @@ Entries are fractions.Fraction or any field-like scalar supporting
 (a scalar is falsy exactly when it is zero).  No floating point is used
 anywhere; ranks and kernels are therefore exact.  Matrices are plain
 lists of row lists and are never mutated by callers' handles (every
-function copies what it returns).
+function copies what it returns), except that extend grows the echelon
+it is given in place.  Every echelon is built by extend, one row at a
+time; the reduced form is unique, so the order rows come in does not
+change it.
 
 Work that is provably zero is skipped: elimination leaves an entry alone
 where the pivot row is zero, and a dot product drops terms with a zero
@@ -14,56 +17,50 @@ constant).  An all-zero dot product returns u[0] * v[0], a zero of the
 promoted type, because a RatFuncKappa zero serializes unlike a Fraction.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
 
-def _pivot_key(x):
-    # deterministic partial pivoting: prefer large integer numerators,
-    # large degrees for polynomial-like scalars
-    size = getattr(x, "pivot_size", None)
-    if size is not None:
-        return size()
-    if isinstance(x, Fraction):
-        return abs(x.numerator)
-    return 1
+def extend(rows, pivots, vec):
+    """Insert vec into the reduced echelon form (rows, pivots), in place.
+
+    vec is reduced modulo the rows, scaled to a leading 1 at its leftmost
+    nonzero entry, that column is cleared from the other rows, and the
+    new row goes in at its place in pivot order.  Returns the new pivot
+    column, or None (leaving rows and pivots alone) when vec lies in the
+    row space.
+    """
+    out = list(vec)
+    for row, pc in zip(rows, pivots):
+        f = out[pc]
+        if f:
+            out = [a - f * b if b else a for a, b in zip(out, row)]
+    lead = next((c for c, v in enumerate(out) if v), None)
+    if lead is None:
+        return None
+    inv = out[lead]
+    out = [v / inv for v in out]
+    for i, row in enumerate(rows):
+        f = row[lead]
+        if f:
+            rows[i] = [a - f * b if b else a for a, b in zip(row, out)]
+    at = bisect_left(pivots, lead)
+    rows.insert(at, out)
+    pivots.insert(at, lead)
+    return lead
 
 
 def rref(matrix):
-    """Reduced row echelon form.
+    """Reduced row echelon form, built by extending by each row in turn.
 
     Returns (rows, pivots) with leading coefficient 1 in each pivot column
     and zeros above and below it.  pivots lists the pivot column indices
     in increasing order.
     """
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= len(rows):
-            break
-        best = None
-        best_key = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                key = _pivot_key(rows[i][c])
-                if best is None or key > best_key:
-                    best, best_key = i, key
-        if best is None:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b if b else a
-                           for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
+    rows, pivots = [], []
+    for vec in matrix:
+        extend(rows, pivots, vec)
+    return rows, pivots
 
 
 def rank(matrix):

@@ -13,6 +13,10 @@ loop_channels predicts the spectrum of a loop of the moving point around
 a cluster of punctures from Clebsch-Gordan counts alone, with no linear
 algebra.  diagonalizability_report measures how far a 2x2 monodromy is
 from defective.
+
+naive_rref is the textbook Gauss-Jordan elimination, column by column,
+that the exact linear algebra and the intersection lattice are checked
+against.
 """
 
 from fractions import Fraction
@@ -29,6 +33,31 @@ from aomoto_lab.kz import _mat_norm, eigenvalues_2x2
 
 class PoleAtKappa(AomotoLabError):
     """A rational function in kappa was evaluated at a pole."""
+
+
+def naive_rref(matrix):
+    """Reduced row echelon form (rows, pivots), column by column.
+
+    Every entry is updated, zero or not, and each pivot is the first
+    nonzero entry of its column below the rows already placed.
+    """
+    rows = [list(r) for r in matrix]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pick = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        lead = rows[r][c]
+        rows[r] = [v / lead for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
 
 
 def pairing_matrix(arrangement, lattice, p):

@@ -6,11 +6,10 @@ from itertools import combinations, permutations
 import pytest
 import sympy
 
-from aomoto_lab import arrangement, linalg
+from aomoto_lab import linalg
 from aomoto_lab.arrangement import (
-    AffineForm, WeightedArrangement, _augmented_row, _form_key, _system_rref,
-    arrangement_from_json, arrangement_to_json, color_group,
-    intersection_lattice, os_dimension,
+    AffineForm, WeightedArrangement, _augmented_row, arrangement_from_json,
+    arrangement_to_json, color_group, intersection_lattice, os_dimension,
 )
 from aomoto_lab.exactfield import RatFuncKappa
 from aomoto_lab.flags import enumerate_flags, flag_of_tuple
@@ -19,6 +18,7 @@ from arrangements import (
     ACCEPTANCE_POINTS, corpus, crossing_lines, random_m3, sl2_four_point,
     triple_concurrent, two_points,
 )
+from oracles import naive_rref
 
 F = Fraction
 
@@ -48,6 +48,14 @@ def brute_force_edge_counts(arr):
             key = tuple(sympy.Matrix(aug).rref()[0])
             seen.setdefault(codim, set()).add(key)
     return {codim: len(keys) for codim, keys in seen.items()}
+
+
+def naive_key(rows):
+    """Key of the augmented system by textbook elimination; None when empty."""
+    red, pivots = naive_rref(rows)
+    if pivots and pivots[-1] == len(rows[0]) - 1:
+        return None
+    return tuple(tuple(row) for row in red)
 
 
 def lattice_edge_counts(lattice, M):
@@ -139,7 +147,7 @@ def test_lattice_meets_and_defining_sets_match_direct_elimination(case):
     for k, edge in enumerate(edges):
         assert len(edge.key) == edge.codim
         for i, f in enumerate(arr.forms):
-            key = _system_rref([list(r) for r in edge.key] + [_augmented_row(f)])
+            key = naive_key([list(r) for r in edge.key] + [_augmented_row(f)])
             want = None
             if key is not None and len(key) == edge.codim + 1:
                 want = index[key]  # every proper meet is an edge
@@ -185,34 +193,56 @@ def _random_arrangement(rng, dimension, size, symbolic):
     return WeightedArrangement(dimension, forms, weights)
 
 
-def _lattice_record(lattice, size):
+def _lattice_record(lattice, arr):
     edges = [(e.codim, e.key, [type(v) for row in e.key for v in row],
               e.defining) for e in lattice.edges]
-    levels = [lattice.by_codim(p) for p in range(len(lattice.edges))]
+    levels = [lattice.by_codim(p) for p in range(arr.dimension + 1)]
     meets = [lattice.meet(k, i)
-             for k in range(len(lattice.edges)) for i in range(size)]
+             for k in range(len(lattice.edges)) for i in range(arr.size)]
     return edges, levels, meets
 
 
-def test_codim_one_keys_match_single_row_elimination(monkeypatch):
-    # the lattice scales each form by its leading entry where the
-    # reference row-reduces it; every edge, key entry type, defining set,
-    # level and meet must agree, for rational and symbolic weights
+def _reference_record(arr):
+    """The record of _lattice_record, by textbook elimination alone.
+
+    Each level holds the keys of every proper meet of an edge one level
+    up with a hyperplane, sorted; a hyperplane contains an edge when it
+    adds nothing to the edge's system.
+    """
+    rows = [_augmented_row(f) for f in arr.forms]
+    keys, meets = [()], {}
+    levels = [(0,)]
+    for p in range(1, arr.dimension + 1):
+        found = set()
+        for k in levels[-1]:
+            for i, row in enumerate(rows):
+                key = naive_key([list(r) for r in keys[k]] + [row])
+                if key is not None and len(key) == p:
+                    found.add(key)
+                    meets[keys[k], i] = key
+        levels.append(tuple(range(len(keys), len(keys) + len(found))))
+        keys += sorted(found)
+    index = {key: k for k, key in enumerate(keys)}
+    edges = [(len(key), key, [type(v) for row in key for v in row],
+              frozenset(i for i, row in enumerate(rows)
+                        if len(naive_rref([*key, row])[0]) == len(key)))
+             for key in keys]
+    return edges, levels, [index.get(meets.get((key, i))) for key in keys
+                           for i in range(arr.size)]
+
+
+def test_lattice_matches_reference_on_random_arrangements():
+    # every edge, key entry type, defining set, level and meet must agree
+    # with textbook elimination, for rational and symbolic weights
     rng = random.Random(1523)
     cases = [*corpus(), build_arrangement([1, 1, 1, 1], list(ACCEPTANCE_POINTS))]
     for dimension, size in ((2, 5), (2, 7), (3, 6), (3, 7)):
         for symbolic in (False, True):
             cases.append(_random_arrangement(rng, dimension, size, symbolic))
     assert any(isinstance(arr.weights[0], RatFuncKappa) for arr in cases)
-    rows = [_augmented_row(f) for arr in cases for f in arr.forms]
-    for row in rows + [[F(0), F(0), F(3)]]:
-        assert _form_key(row) == _system_rref([row])
-    fast = [_lattice_record(intersection_lattice(arr), arr.size) for arr in cases]
-    monkeypatch.setattr(arrangement, "_form_key",
-                        lambda row: _system_rref([row]))
-    reference = [_lattice_record(intersection_lattice(arr), arr.size)
-                 for arr in cases]
-    assert fast == reference
+    for arr in cases:
+        record = _lattice_record(intersection_lattice(arr), arr)
+        assert record == _reference_record(arr), arr
 
 
 def test_defining_sets_are_saturated():
@@ -228,7 +258,7 @@ def is_general_position(arrangement, indices):
     if len(indices) > arrangement.dimension:
         return False
     rows = [_augmented_row(arrangement.forms[i]) for i in indices]
-    key = _system_rref(rows)
+    key = naive_key(rows)
     return key is not None and len(key) == len(indices)
 
 

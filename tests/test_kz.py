@@ -10,7 +10,7 @@ import sympy
 
 from aomoto_lab.errors import (
     BranchCut,
-    CollidingPoints,
+    DuplicatePoints,
     PrecisionLoss,
     StepUnderflow,
     ZeroKappa,
@@ -83,7 +83,7 @@ def test_casimir_sum_is_minus_total_quadratic():
 def test_kz_system_guards():
     with pytest.raises(ZeroKappa):
         KzSystem(POINTS, 0)
-    with pytest.raises(CollidingPoints):
+    with pytest.raises(DuplicatePoints):
         KzSystem((0, 0, 1, 2), 3)
     # distinct exact points are distinct even where their floats coincide
     KzSystem((F(0), F(1, 10**400), F(1), F(2)), 3)
@@ -1052,12 +1052,25 @@ def test_flat_sections_and_controls():
     assert wrong > mpmath.mpf("1e-3")
     with pytest.raises(BranchCut):
         flat_section_residual(sys, (0, 1, 2, 3))
-    with pytest.raises(CollidingPoints):
+    with pytest.raises(DuplicatePoints):
         flat_section_residual(sys, (0, 0, 1j, 2))
     with pytest.raises(ValueError):
         flat_section_residual(sys, zs, section="nope")
     with pytest.raises(ValueError):
         flat_section_residual(sys, zs[:3])
+
+
+@pytest.mark.parametrize("weights", [(2, 2, 2, 2), (1, 1, 2, 2)])
+def test_flat_sections_refuse_other_than_four_doublets(weights):
+    # (1, 1, 2, 2) has a two-dimensional coinvariant space like four
+    # doublets, so the dimension alone does not tell them apart
+    sys = KzSystem(POINTS, 3, weights=weights, precision_bits=64)
+    zs = (complex(-0.5, 0.31), complex(0.17, -0.12),
+          complex(0.55, 0.23), complex(1.1, -0.4))
+    with pytest.raises(ValueError):
+        flat_section_residual(sys, zs)
+    with pytest.raises(ValueError):
+        flat_section_residual(sys, zs, section="fv")
 
 
 def test_eigen_reports():

@@ -1,8 +1,10 @@
-"""Exact elimination against test-local textbook references.
+"""Exact elimination against textbook references.
 
-The references below multiply and subtract every entry, zero or not, and
-pick the first nonzero pivot, so they share no shortcut with linalg.
-Reduced row echelon form is unique, so any pivot order must agree.
+The references (oracles.naive_rref and naive_reduce below) multiply and
+subtract every entry, zero or not, and pick the first nonzero pivot
+column by column, so they share no shortcut with linalg, which inserts
+rows one at a time.  Reduced row echelon form is unique, so the two
+orders must agree.
 """
 
 import random
@@ -10,28 +12,9 @@ from fractions import Fraction
 
 from aomoto_lab import linalg
 from aomoto_lab.exactfield import RatFuncKappa
+from oracles import naive_rref
 
 F = Fraction
-
-
-def naive_rref(matrix):
-    rows = [list(r) for r in matrix]
-    pivots = []
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pick = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pick is None:
-            continue
-        rows[r], rows[pick] = rows[pick], rows[r]
-        lead = rows[r][c]
-        rows[r] = [v / lead for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
 
 
 def naive_reduce(vec, rref_rows, pivots):
@@ -66,6 +49,62 @@ def seeded_cases(count=60):
 def test_rref_matches_naive_reference():
     for _, matrix in seeded_cases():
         assert linalg.rref(matrix) == naive_rref(matrix)
+
+
+def ratfunc_cases(count=25):
+    # entries of degree up to 2 over degree up to 1 in kappa, with zeros
+    # and rational constants mixed in, and some dependent rows
+    rng = random.Random(20261020)
+    kappa = RatFuncKappa.kappa()
+
+    def entry():
+        roll = rng.random()
+        if roll < 0.35:
+            return RatFuncKappa()
+        if roll < 0.5:
+            return RatFuncKappa.constant(F(rng.randint(-5, 5), rng.randint(1, 3)))
+        num = RatFuncKappa([F(rng.randint(-3, 3)) for _ in range(3)])
+        return num / (kappa + rng.randint(1, 4)) if rng.random() < 0.4 else num
+
+    for _ in range(count):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        matrix = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.4:
+            i, j = rng.randrange(nrows), rng.randrange(nrows)
+            scale = kappa - rng.randint(-2, 2)
+            matrix.append([a + scale * b for a, b in zip(matrix[i], matrix[j])])
+        yield matrix
+
+
+def test_rref_over_ratfunc_matches_naive_reference():
+    for matrix in ratfunc_cases():
+        assert linalg.rref(matrix) == naive_rref(matrix)
+
+
+def test_extend_grows_the_naive_echelon_one_row_at_a_time():
+    cases = [m for _, m in seeded_cases()] + list(ratfunc_cases(10))
+    for matrix in cases:
+        rows, pivots = [], []
+        for n, vec in enumerate(matrix, 1):
+            before = naive_rref(matrix[:n - 1])
+            want, want_pivots = naive_rref(matrix[:n])
+            lead = linalg.extend(rows, pivots, vec)
+            if len(want) == len(before[0]):
+                assert lead is None
+            else:
+                (lead_want,) = set(want_pivots) - set(before[1])
+                assert lead == lead_want
+            assert (rows, pivots) == (want, want_pivots)
+
+
+def test_extend_leaves_the_echelon_alone_on_a_dependent_vector():
+    rows, pivots = linalg.rref([[F(1), F(2), F(0)], [F(0), F(0), F(3)]])
+    echelon = ([list(r) for r in rows], list(pivots))
+    assert linalg.extend(rows, pivots, [F(2), F(4), F(-5)]) is None
+    assert linalg.extend(rows, pivots, [F(0)] * 3) is None
+    assert (rows, pivots) == echelon
+    assert linalg.extend(rows, pivots, [F(0), F(1), F(1)]) == 1
+    assert pivots == [0, 1, 2]
 
 
 def test_reduce_mod_rowspace_matches_naive_reference():

@@ -52,3 +52,25 @@ def test_traced_request_records_the_quotient_spans():
     assert tracer.counts["aomoto.top_monomials"] == 36
     assert tracer.counts["aomoto.shapovalov_image.rank"] == 2
     assert tracer.counts["aomoto.shapovalov_image.candidates"] > 0
+
+
+def test_spans_nest_only_under_nesting_spans():
+    # a leaf span (one outside tracing.NESTING) that calls another traced
+    # name would hide that call's time in its own busy time
+    configs = sorted(p for p in (ROOT / "configs").glob("*.json")
+                     if not p.name.startswith("kz_"))
+    assert configs
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer):
+        for path in configs:
+            command = path.name.split("_")[0]
+            command = "verify-forms" if command == "verify" else command
+            tracer.begin_request(path.name)
+            cli.run(command, json.loads(path.read_text()))
+            tracer.end_request()
+    names = {record[1]: record[3] for record in tracer.records}
+    for request, _, parent, name, _, _ in tracer.records:
+        if parent is not None:
+            above = names[parent]
+            assert above == tracing.ROOT or above in tracing.NESTING, \
+                (request, above, name)
