@@ -27,8 +27,8 @@ from math import prod
 
 from . import linalg
 from .aomoto import (
-    AomotoComplex, check_top_size, chi_fixed_dim, rational_split,
-    shapovalov_image,
+    MAX_SYMBOLIC_TOP_MONOMIALS, MAX_TOP_MONOMIALS, AomotoComplex,
+    check_top_size, chi_fixed_dim, rational_split, shapovalov_image,
 )
 from .arrangement import (
     arrangement_from_json, arrangement_to_json, color_group,
@@ -256,11 +256,14 @@ def _complex(arr):
     """The Aomoto complex to compute on, and the factor w^M for its classes.
 
     Symbolic weights w * r_i with rational r_i (rational_split) run on the
-    r_i; other weights run as given, with factor None.
+    r_i; other weights run as given, with factor None, and symbolic ones
+    within the budget MAX_SYMBOLIC_TOP_MONOMIALS.
     """
-    check_top_size(arr)
-    lattice = intersection_lattice(arr)
     split = rational_split(arr)
+    symbolic = split is None and isinstance(arr.zero, RatFuncKappa)
+    check_top_size(arr, MAX_SYMBOLIC_TOP_MONOMIALS if symbolic
+                   else MAX_TOP_MONOMIALS)
+    lattice = intersection_lattice(arr)
     if split is None:
         return AomotoComplex(arr, lattice), None
     w, rational = split

@@ -81,6 +81,12 @@ MAX_SERIES_TERMS = 400
 # (cli.KZ_GUARD_DIGITS decades) above a bound of tol times the matrix
 # norm, so a larger growth is refused with PrecisionLoss.
 MAX_LOOP_ERROR_GROWTH = 10**4
+# Most segment transports the process keeps (see _segment_transport),
+# those used last.  An entry, key included, takes about 2.2 KB at 128
+# bits and 3.2 KB at 1024 bits for four doublets (tracemalloc, CPython
+# 3.11); a kz-monodromy traffic of 1100 requests meets about 390
+# distinct segments.
+SEGMENT_MEMO_SIZE = 1024
 
 
 def casimir_matrices(weights=(1, 1, 1, 1)):
@@ -131,8 +137,8 @@ class KzSystem:
     """Marked points with sl2 highest weights, kappa, and the Casimir
     matrices of the weights (see casimir_matrices), one per pair of points.
 
-    A system remembers every segment transport it has computed (see
-    transport), so it is not to be modified after construction.
+    A system keeps no transport: segment transports live in the process
+    memo of _segment_transport, keyed on the values, not on the system.
     """
 
     def __init__(self, points, kappa, weights=(1, 1, 1, 1),
@@ -150,7 +156,6 @@ class KzSystem:
         self.matrices = casimir_matrices(weights)
         self.d = len(next(iter(self.matrices.values())))
         self.precision_bits = precision_bits
-        self.segment_transports = {}
 
     def omega(self, j, k):
         if j == k:
@@ -321,37 +326,31 @@ def transport(sys, path, tol=None):
     module docstring), where every sum and product is the exact value
     rounded once, as mpc arithmetic rounds it at the same precision.  The
     Omegas and -1/kappa become kernel values once, here, and the result
-    becomes mpc once, here.  Each segment's
-    transport is kept in sys.segment_transports, keyed on everything it
-    depends on besides the system itself, so a leg that two paths share
-    (the first leg of the way out of the base of a commutator's two
-    loops) is integrated once; the products run in the same order either
-    way.
+    becomes mpc once, here.  Each segment's transport comes from the
+    process-wide memo of _segment_transport, keyed on every value its
+    integration reads, so a leg that two paths share (the first leg of
+    the way out of the base of a commutator's two loops), or that an
+    earlier request with the same data integrated, is integrated once;
+    the products run in the same order either way.
     """
     with mpmath.workprec(sys.precision_bits + 64):
         # converted here, so the result does not depend on the caller's
         # precision
-        punctures = [_to_mpc(z) for z in sys.points[1:]]
-        omegas = [
-            [[_from_libmp(x._mpc_) for x in row]
-             for row in _frac_matrix(sys.omega(0, k))]
+        punctures = tuple(_to_mpc(z)._mpc_ for z in sys.points[1:])
+        omegas = tuple(
+            tuple(tuple(_from_libmp(x._mpc_) for x in row)
+                  for row in _frac_matrix(sys.omega(0, k)))
             for k in range(1, sys.n)
-        ]
+        )
         prec = mpmath.mp.prec
         quarter_tol = (_tolerance(sys, tol) / 4)._mpf_
         minus_inv_kappa = _from_libmp(_to_mpc(Fraction(-1, 1) / sys.kappa)._mpc_)
         cap = _term_cap(sys.precision_bits)
-        known = sys.segment_transports
-        context = (tuple(p._mpc_ for p in punctures), quarter_tol)
         total = _identity(sys.d)
         for a, b in path.segments():
-            key = (context, a, b)
-            if key not in known:
-                known[key] = _segment_transport(
-                    _to_mpc(a), _to_mpc(b), punctures, omegas,
-                    minus_inv_kappa, quarter_tol, cap, prec,
-                )
-            total = _kmat_mul(known[key], total, prec)
+            segment = _segment_transport(a, b, punctures, omegas,
+                                         minus_inv_kappa, quarter_tol, cap, prec)
+            total = _kmat_mul(segment, total, prec)
         return [[mpmath.mp.make_mpc(_to_libmp(x)) for x in row] for row in total]
 
 
@@ -365,15 +364,25 @@ def _tolerance(sys, tol):
     return tol
 
 
+@functools.lru_cache(maxsize=SEGMENT_MEMO_SIZE)
 def _segment_transport(a, b, punctures, omegas, minus_inv_kappa, quarter_tol,
                        cap, prec):
-    result = _identity(len(omegas[0]))
-    for shifts, h in _steps(a, b, punctures):
-        step = _taylor_step([_from_libmp(s._mpc_) for s in shifts],
-                            _from_libmp(h._mpc_), omegas, minus_inv_kappa,
-                            quarter_tol, cap, prec)
-        result = _kmat_mul(step, result, prec)
-    return result
+    """The kernel transport from a to b, a tuple of rows, memoized.
+
+    a and b are complex, the punctures libmp mpc tuples and the Omegas
+    kernel matrices as nested tuples; the rest is as for _taylor_step.
+    The memo keys on these arguments, which are everything the
+    integration reads, so a hit returns the same matrix a miss computes.
+    """
+    with mpmath.workprec(prec):
+        centers = [mpmath.mp.make_mpc(p) for p in punctures]
+        result = _identity(len(omegas[0]))
+        for shifts, h in _steps(_to_mpc(a), _to_mpc(b), centers):
+            step = _taylor_step([_from_libmp(s._mpc_) for s in shifts],
+                                _from_libmp(h._mpc_), omegas, minus_inv_kappa,
+                                quarter_tol, cap, prec)
+            result = _kmat_mul(step, result, prec)
+    return tuple(map(tuple, result))
 
 
 def _steps(a, b, punctures):
@@ -865,8 +874,8 @@ def pochhammer_monodromy(sys, p, q, base=None, tol=None):
 
     The loop runs around p, then q, then backwards around p, then q; the
     transport matrix is the corresponding commutator T_q^-1 T_p^-1 T_q T_p.
-    Both loops leave the base along the same leg, which the system's
-    segment table transports once, and each returns along the inverse of
+    Both loops leave the base along the same leg, which the segment memo
+    of transport integrates once, and each returns along the inverse of
     its way out (see simple_loop_monodromy).
     """
     t_p = simple_loop_monodromy(sys, p, base=base, tol=tol)
@@ -935,6 +944,7 @@ def flat_section_residual(sys, zs, exponent=_PHI_EXPONENT, section="phi"):
         _check_branch(zs)
         z = [_to_mpc(v) for v in zs]
         inv_kappa = 1 / _to_mpc(sys.kappa)
+        omegas = _mpc_omegas(sys)
         phi = _phi_vector(z)
         worst = mpmath.mpf(0)
         if section == "phi":
@@ -945,7 +955,7 @@ def flat_section_residual(sys, zs, exponent=_PHI_EXPONENT, section="phi"):
                     1 / (z[j] - z[k]) for k in range(4) if k != j
                 )
                 vec = [e * log_term * phi[r] + partials[j][r] for r in range(2)]
-                conn = _connection_at(sys, z, j, inv_kappa)
+                conn = _connection_at(omegas, z, j, inv_kappa)
                 extra = _mat_vec(conn, phi)
                 residual = max(abs(vec[r] + extra[r]) for r in range(2))
                 worst = max(worst, residual)
@@ -960,7 +970,7 @@ def flat_section_residual(sys, zs, exponent=_PHI_EXPONENT, section="phi"):
                 for k in range(4) if k != j
             )
             vec = [log_term * v[r] for r in range(2)]
-            conn = _connection_at(sys, z, j, inv_kappa)
+            conn = _connection_at(omegas, z, j, inv_kappa)
             extra = _mat_vec(conn, v)
             residual = abs(
                 ell[0] * (vec[0] + extra[0]) + ell[1] * (vec[1] + extra[1])
@@ -969,14 +979,21 @@ def flat_section_residual(sys, zs, exponent=_PHI_EXPONENT, section="phi"):
         return worst
 
 
-def _connection_at(sys, z, j, inv_kappa):
-    """The connection matrix sum_{k != j} Omega_jk * inv_kappa / (z_j - z_k)."""
-    conn = _mat_zero(sys.d)
+def _mpc_omegas(sys):
+    """The Casimir matrices of sys as mpc matrices, keyed by pair (j, k), j < k."""
+    return {pair: _frac_matrix(mat) for pair, mat in sys.matrices.items()}
+
+
+def _connection_at(omegas, z, j, inv_kappa):
+    """The connection matrix sum_{k != j} Omega_jk * inv_kappa / (z_j - z_k),
+    for the mpc Omegas of _mpc_omegas."""
+    conn = _mat_zero(len(next(iter(omegas.values()))))
     for k in range(len(z)):
         if k != j:
             conn = _mat_add(
                 conn,
-                _mat_scale(_frac_matrix(sys.omega(j, k)), inv_kappa / (z[j] - z[k])),
+                _mat_scale(omegas[(min(j, k), max(j, k))],
+                           inv_kappa / (z[j] - z[k])),
             )
     return conn
 

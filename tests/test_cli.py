@@ -12,8 +12,8 @@ import pytest
 
 from aomoto_lab import cli, kz, logforms
 from aomoto_lab.aomoto import (
-    MAX_TOP_MONOMIALS, AomotoComplex, check_top_size, chi_fixed_dim,
-    rational_split, shapovalov_image,
+    MAX_SYMBOLIC_TOP_MONOMIALS, MAX_TOP_MONOMIALS, AomotoComplex,
+    check_top_size, chi_fixed_dim, rational_split, shapovalov_image,
 )
 from aomoto_lab.arrangement import (
     AffineForm, WeightedArrangement, arrangement_to_json,
@@ -162,15 +162,6 @@ def test_kz_report_reduced_precision():
     assert abs(float(report["hyp2f1"]["abs"]) - 1) < 1e-8
     assert report["config"]["loop"] == [2, 4]
     assert report["config"]["points"] == ["-1/2", "0/1", "1/2", "1/1"]
-
-
-@pytest.fixture
-def fresh_hyp2f1_memo():
-    # the memo outlives a request, so a test that swaps hyp2f1 must not
-    # find or leave a value in it
-    cli._hyp2f1_self_test.cache_clear()
-    yield
-    cli._hyp2f1_self_test.cache_clear()
 
 
 KZ_QUICK = {"schema": "1", "precision_bits": 64, "kappa": "-7/3", "loop": [2, 3]}
@@ -772,6 +763,46 @@ def test_top_monomial_budget_refuses_five_weight_two_points(
     assert "TooManyMonomials" in capsys.readouterr().err
 
 
+def _unsplit_symbolic(weights):
+    """The recipe arrangement at the points -1/2, 0, 1/2, 1 with symbolic
+    weights w_i + (i mod 3), which rational_split does not split."""
+    points = [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
+    arr = build_arrangement(weights, points[:len(weights)])
+    unsplit = WeightedArrangement(
+        arr.dimension, arr.forms,
+        [w + (i % 3) for i, w in enumerate(arr.weights)],
+        coloring=arr.coloring)
+    assert rational_split(unsplit) is None
+    return unsplit
+
+
+def test_symbolic_budget_refuses_unsplit_weights_up_front(tmp_path, capsys):
+    # [2,1,1,2]: 15 forms in 3 variables, 455 top monomials, under
+    # MAX_TOP_MONOMIALS but minutes of RatFuncKappa elimination
+    arr = _unsplit_symbolic([2, 1, 1, 2])
+    config = {"schema": "1", "arrangement": arrangement_to_json(arr),
+              "chi": True}
+    assert MAX_SYMBOLIC_TOP_MONOMIALS < 455 <= MAX_TOP_MONOMIALS
+    started = time.monotonic()
+    for command in ("aomoto", "image"):
+        with pytest.raises(TooManyMonomials) as err:
+            run(command, config)
+        assert "455" in str(err.value)
+    assert time.monotonic() - started < 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["image", "--config", str(path)]) == 1
+    assert "TooManyMonomials" in capsys.readouterr().err
+
+
+def test_symbolic_budget_admits_unsplit_four_doublets():
+    # [1,1,1,1]: 9 forms in 2 variables, 36 top monomials
+    arr = _unsplit_symbolic([1, 1, 1, 1])
+    assert 36 <= MAX_SYMBOLIC_TOP_MONOMIALS
+    _assert_run_matches_general(
+        {"schema": "1", "arrangement": arrangement_to_json(arr)}, arr)
+
+
 def test_golden_reports():
     cases = [
         ("lattice", "lattice_two_points.json"),
@@ -801,6 +832,19 @@ def test_golden_reports():
             report = run(command, _load(name))
             text = json.dumps(report, sort_keys=True, indent=2) + "\n"
             assert text == (GOLDEN / name).read_text(), name
+
+
+@pytest.mark.parametrize("first, second", [
+    ("kz_kappa3.json", "kz_kappa_m7_3.json"),
+    ("kz_kappa_m7_3.json", "kz_kappa3.json"),
+])
+def test_kz_goldens_cold_and_warm(first, second, fresh_hyp2f1_memo):
+    # with both memos empty, then after the other config, then again:
+    # each report keeps its golden bytes whatever the memos hold
+    kz._segment_transport.cache_clear()
+    for name in (first, second, first, second):
+        text = json.dumps(run("kz", _load(name)), sort_keys=True, indent=2) + "\n"
+        assert text == (GOLDEN / name).read_text(), name
 
 
 def _specialize_entry(entry, kappa):

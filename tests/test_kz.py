@@ -101,7 +101,8 @@ def test_connection_at_matches_rational_arithmetic():
     sys = KzSystem(POINTS, 3)
     with mpmath.workprec(sys.precision_bits):
         z = [kz._to_mpc(p) for p in POINTS]
-        got = kz._connection_at(sys, z, 0, 1 / kz._to_mpc(sys.kappa))
+        got = kz._connection_at(kz._mpc_omegas(sys), z, 0,
+                                1 / kz._to_mpc(sys.kappa))
     expected = [[F(0), F(0)], [F(0), F(0)]]
     for k in range(1, 4):
         dz = POINTS[0] - POINTS[k]
@@ -199,7 +200,7 @@ def test_simple_loop_trace_and_det_at_every_kappa(kappa):
     # the counterclockwise loop of z_1 around z_j is conjugate to
     # exp(-2 pi i Omega_1j / kappa), and Omega_1j has the eigenvalues 1/2
     # and -3/2 on coinvariants; the three loops share one system, so the
-    # later ones take their legs out of the base from its segment table
+    # later ones take their legs out of the base from the segment memo
     bits = 64
     sys = KzSystem(POINTS, kappa, precision_bits=bits)
     with mpmath.workprec(bits + 64):
@@ -433,26 +434,29 @@ def _record_taylor_steps(monkeypatch):
     return steps
 
 
-def _circle_steps(points, kappa, around, monkeypatch, bits=64):
-    """Taylor steps a loop makes beyond those of its way out."""
+def _circle_steps(points, kappa, around, monkeypatch, fresh, bits=64):
+    """Taylor steps a loop makes beyond those of its way out, each on a
+    system that fresh builds with the segment memo emptied."""
     steps = _record_taylor_steps(monkeypatch)
-    simple_loop_monodromy(KzSystem(points, kappa, precision_bits=bits), around)
+    simple_loop_monodromy(fresh(points, kappa, precision_bits=bits), around)
     loop_steps = len(steps)
     steps.clear()
     way_out = ContourPath.way_out(complex(points[0]), complex(points[around]))
-    transport(KzSystem(points, kappa, precision_bits=bits), way_out)
+    transport(fresh(points, kappa, precision_bits=bits), way_out)
     return loop_steps - len(steps)
 
 
 @pytest.mark.parametrize("kappa", [F(1), F(-1), F(2), F(-2), F(5, 2)])
-def test_resonant_kappa_takes_the_frobenius_circle(kappa, monkeypatch):
+def test_resonant_kappa_takes_the_frobenius_circle(kappa, monkeypatch,
+                                                   fresh_kz_system):
     # the eigenvalues 1/(2 kappa) and -3/(2 kappa) of the residue differ
     # by 2 / kappa, an integer but at kappa = 5/2; no circle is left to
     # the Taylor steps
-    assert _circle_steps(POINTS, kappa, 2, monkeypatch) == 0
+    assert _circle_steps(POINTS, kappa, 2, monkeypatch, fresh_kz_system) == 0
 
 
-def test_wide_circle_is_entered_closer_to_its_puncture(monkeypatch):
+def test_wide_circle_is_entered_closer_to_its_puncture(monkeypatch,
+                                                       fresh_kz_system):
     # the circle about 0 has radius 0.15 and a neighbour at 1/5, so the
     # way out ends at STEP_RATIO / 5 from 0; the loop is homotopic to the
     # chord polygon of radius 0.15.  The one about 1 has its neighbour at
@@ -474,10 +478,11 @@ def test_wide_circle_is_entered_closer_to_its_puncture(monkeypatch):
     with mpmath.workprec(bits + 64):
         norm = max(mpmath.mpf(1), kz._mat_norm(expected))
         assert _dist(got, expected) < mpmath.mpf(2) ** -(bits // 2) * norm
-    assert _circle_steps(points, F(3), 3, monkeypatch) == 0
+    assert _circle_steps(points, F(3), 3, monkeypatch, fresh_kz_system) == 0
 
 
-def test_non_resonant_commutator_makes_few_taylor_steps(monkeypatch):
+def test_non_resonant_commutator_makes_few_taylor_steps(monkeypatch,
+                                                        fresh_kz_system):
     # the way out of the base, shared, and the two legs below the
     # punctures: no circle and no way back is integrated by Taylor steps,
     # at resonant kappa too
@@ -485,8 +490,8 @@ def test_non_resonant_commutator_makes_few_taylor_steps(monkeypatch):
     for kappa in ORACLE_KAPPAS:
         for p, q in LOOP_PAIRS:
             steps.clear()
-            pochhammer_monodromy(KzSystem(POINTS, kappa, precision_bits=128),
-                                 p, q)
+            pochhammer_monodromy(
+                fresh_kz_system(POINTS, kappa, precision_bits=128), p, q)
             assert len(steps) <= 20, (kappa, p, q)
 
 
@@ -1007,7 +1012,8 @@ def test_pochhammer_unipotent_at_kappa_three():
     assert abs(det - 1) < mpmath.mpf("1e-12")
 
 
-def test_pochhammer_transports_the_shared_legs_once(monkeypatch):
+def test_pochhammer_transports_the_shared_legs_once(monkeypatch,
+                                                   fresh_kz_system):
     # the commutator is the one of two loops built on fresh systems, bit
     # for bit, with the legs to and from the base integrated once
     steps = []
@@ -1019,17 +1025,68 @@ def test_pochhammer_transports_the_shared_legs_once(monkeypatch):
 
     monkeypatch.setattr(kz, "_taylor_step", counted)
     kappa, bits = F(-7, 3), 96
-    got = pochhammer_monodromy(KzSystem(POINTS, kappa, precision_bits=bits), 1, 2)
+    got = pochhammer_monodromy(
+        fresh_kz_system(POINTS, kappa, precision_bits=bits), 1, 2)
     shared = len(steps)
     steps.clear()
-    t_p = simple_loop_monodromy(KzSystem(POINTS, kappa, precision_bits=bits), 1)
-    t_q = simple_loop_monodromy(KzSystem(POINTS, kappa, precision_bits=bits), 2)
+    t_p = simple_loop_monodromy(
+        fresh_kz_system(POINTS, kappa, precision_bits=bits), 1)
+    t_q = simple_loop_monodromy(
+        fresh_kz_system(POINTS, kappa, precision_bits=bits), 2)
     assert shared < len(steps)
     with mpmath.workprec(bits + 64):
         inv = kz._mat_inv
         expected = kz._mat_mul(inv(t_q), kz._mat_mul(inv(t_p), kz._mat_mul(t_q, t_p)))
     assert [[x._mpc_ for x in row] for row in got] == \
         [[x._mpc_ for x in row] for row in expected]
+
+
+def _bits(mat):
+    return [[x._mpc_ for x in row] for row in mat]
+
+
+def test_a_second_system_on_the_same_data_integrates_nothing(
+        monkeypatch, fresh_kz_system):
+    # the segment memo outlives the system: a new system on the same data
+    # finds every segment of the commutator integrated
+    kappa, bits = F(-7, 3), 96
+    first = pochhammer_monodromy(
+        fresh_kz_system(POINTS, kappa, precision_bits=bits), 1, 3)
+    steps = _record_taylor_steps(monkeypatch)
+    second = pochhammer_monodromy(KzSystem(POINTS, kappa, precision_bits=bits),
+                                  1, 3)
+    assert steps == []
+    assert _bits(second) == _bits(first)
+
+
+@pytest.mark.parametrize("change", ["precision", "kappa", "weights", "tol",
+                                    "point"])
+def test_segment_memo_keys_on_every_input(change, fresh_kz_system):
+    # after a transport on the base data, one changed input gives exactly
+    # the transport that an empty memo gives, and not the base's.  The
+    # base has dyadic points, kappa and tol, so that at 64 and 128 bits
+    # the punctures, -1/kappa, the quarter tolerance and the term cap all
+    # coincide: only the working precision tells the two apart.
+    base = {"points": POINTS, "kappa": F(2), "weights": (1, 1, 1, 1),
+            "bits": 64, "tol": mpmath.mpf(2) ** -20}
+    changed = dict(base, **{
+        "precision": {"bits": 128},
+        "kappa": {"kappa": F(-7, 3)},
+        "weights": {"weights": (2, 2, 2, 2)},
+        "tol": {"tol": mpmath.mpf(2) ** -24},
+        "point": {"points": (F(-1, 2), F(0), F(5, 8), F(1))},
+    }[change])
+    path = ContourPath.way_out(complex(POINTS[0]), complex(POINTS[3]))
+
+    def run(data, build):
+        sys = build(data["points"], data["kappa"], weights=data["weights"],
+                    precision_bits=data["bits"])
+        return _bits(transport(sys, path, tol=data["tol"]))
+
+    before = run(base, fresh_kz_system)
+    warm = run(changed, KzSystem)
+    assert warm == run(changed, fresh_kz_system)
+    assert warm != before
 
 
 def test_pochhammer_near_identity_for_large_kappa():
