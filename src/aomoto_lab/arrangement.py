@@ -5,17 +5,20 @@ f_i on an M-dimensional affine space together with scalar weights a_i.
 Edges are the nonempty intersections of hyperplanes; they are graded by
 codimension and ordered by inclusion.  Edges are identified by the
 reduced row echelon form of their defining linear system, which makes
-equality and ordering canonical.  The intersection lattice extends the
-key of an edge by the row of a hyperplane (linalg.extend) for each pair
-whose meet it has not already found, and records the meets; the
-defining sets of the edges and the flags of hyperplane tuples are read
-off that record.
+equality and ordering canonical.  A hyperplane's key is its one row,
+the form's (gradient, -constant) scaled to a leading 1 (AffineForm.key);
+the arrangement's map from key to form index is the one place where
+two forms are found to be the same hyperplane.  The intersection
+lattice extends the key of an edge by the key of a hyperplane
+(linalg.extend) for each pair whose meet it has not already found, and
+records the meets; the defining sets of the edges and the flags of
+hyperplane tuples are read off that record.
 
 The one-form eta = sum_i a_i dlog f_i plays the role of the twisting
 differential throughout the package.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
@@ -26,16 +29,24 @@ from .exactfield import RatFuncKappa, format_rational, parse_rational
 
 @dataclass(frozen=True)
 class AffineForm:
-    """A degree-one form  constant + sum_b gradient[b] * t_b  with exact coefficients."""
+    """A degree-one form  constant + sum_b gradient[b] * t_b  with exact coefficients.
+
+    key is (gradient, -constant) scaled to a leading 1, the hyperplane's
+    edge key: two forms cut out the same hyperplane iff their keys agree.
+    """
 
     constant: Fraction
     gradient: tuple
+    key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "constant", Fraction(self.constant))
         object.__setattr__(self, "gradient", tuple(Fraction(g) for g in self.gradient))
-        if all(g == 0 for g in self.gradient):
+        lead = next((g for g in self.gradient if g), None)
+        if lead is None:
             raise ValueError("affine form must have a nonzero gradient")
+        row = (*self.gradient, -self.constant)
+        object.__setattr__(self, "key", row if lead == 1 else tuple(v / lead for v in row))
 
     def evaluate(self, point):
         acc = self.constant
@@ -43,26 +54,14 @@ class AffineForm:
             acc += g * x
         return acc
 
-    def proportional_to(self, other):
-        """True when the two forms cut out the same hyperplane."""
-        ratio = None
-        for a, b in zip((self.constant, *self.gradient), (other.constant, *other.gradient)):
-            if (a == 0) != (b == 0):
-                return False
-            if b != 0:
-                r = a / b
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    return False
-        return True
-
 
 class WeightedArrangement:
     """Forms plus weights, with an optional coloring of the coordinates.
 
-    The coloring labels each of the M coordinates; it is only consulted
-    by the symmetry-group machinery.  Weights may be Fractions or
+    index maps each form's key to the form's index, so it finds the form
+    of any hyperplane of the arrangement; two forms with the same key are
+    refused.  The coloring labels each of the M coordinates; it is only
+    consulted by the symmetry-group machinery.  Weights may be Fractions or
     RatFuncKappa scalars (symbolic mode).  zero is the scalar zero every
     computation on the weights starts from: a RatFuncKappa zero when any
     weight is a RatFuncKappa, Fraction(0) otherwise.
@@ -83,10 +82,11 @@ class WeightedArrangement:
         for f in self.forms:
             if len(f.gradient) != self.dimension:
                 raise ValueError("form gradient length does not match the dimension")
-        for i in range(len(self.forms)):
-            for j in range(i + 1, len(self.forms)):
-                if self.forms[i].proportional_to(self.forms[j]):
-                    raise ValueError(f"forms {i} and {j} cut out the same hyperplane")
+        self.index = {}
+        for j, f in enumerate(self.forms):
+            i = self.index.setdefault(f.key, j)
+            if i != j:
+                raise ValueError(f"forms {i} and {j} cut out the same hyperplane")
         if self.coloring is not None and len(self.coloring) != self.dimension:
             raise ValueError("coloring must label every coordinate")
 
@@ -116,12 +116,8 @@ class Edge:
     defining: frozenset
 
 
-def _augmented_row(form):
-    return [*form.gradient, -form.constant]
-
-
 def _meet_key(key, row):
-    """The key of the edge `key` cut by the hyperplane of augmented `row`.
+    """The key of the edge `key` cut by the hyperplane of key `row`.
 
     Extends a copy of the key by the row.  None when the key already
     holds the row (the hyperplane contains the edge) or when the row's
@@ -157,7 +153,7 @@ class IntersectionLattice:
     """
 
     def __init__(self, arrangement):
-        rows = [_augmented_row(f) for f in arrangement.forms]
+        rows = [f.key for f in arrangement.forms]
         edges = [Edge(codim=0, key=(), defining=frozenset())]
         self._meet = {}
         self._by_codim = {0: [0]}
@@ -243,7 +239,7 @@ class GroupElement:
     """A coordinate permutation with its sign and induced form permutation.
 
     perm maps coordinate b to perm[b]; form_perm[i] is the index of the
-    arrangement form proportional to the permuted form i.
+    arrangement form with the key of the permuted form i.
     """
 
     perm: tuple
@@ -269,12 +265,7 @@ def permute_form(form, perm):
 def _induced_form_perm(arrangement, perm):
     out = []
     for i, f in enumerate(arrangement.forms):
-        moved = permute_form(f, perm)
-        target = None
-        for j, g in enumerate(arrangement.forms):
-            if moved.proportional_to(g):
-                target = j
-                break
+        target = arrangement.index.get(permute_form(f, perm).key)
         if target is None:
             raise ValueError(f"coordinate permutation {perm} does not preserve form {i}")
         out.append(target)

@@ -22,13 +22,16 @@ Transport moves z_1 along a piecewise-linear path while the other
 points stay put, integrating with Taylor series recentered at each step:
 the series radius equals the distance to the nearest puncture and the
 step stays well inside it, so the truncation error is controlled by a
-geometric tail.  A loop around one puncture is the way out from its
-base, a circle about the puncture and the way back, so its monodromy is
-the circle's conjugated by the transport along the way out (see
+geometric tail.  The process keeps each segment's transport in one memo,
+keyed on the segment and the system's own values (see transport).  A
+loop around one puncture is the way out from its base, a circle about
+the puncture and the way back, so its monodromy is the circle's
+conjugated by the transport along the way out (see
 MAX_LOOP_ERROR_GROWTH for when that is refused).  Every circle comes
 from the Frobenius series of the solution at the puncture, whose local
-exponents are exact rationals, with log terms where two of them differ
-by an integer (see _frobenius_circle).  hyp2f1 walks its contour with
+exponents are exact rationals, read off the Clebsch-Gordan channels of
+the pair (see _rational_eigenbasis), with log terms where two of them
+differ by an integer (see _frobenius_circle).  hyp2f1 walks its contour with
 the transport's step rule, on the scalar equation its integrand solves.
 A Taylor step, a Frobenius circle and a hyp2f1 step expand one local
 series, on the partial-fraction form of the equation: one first-order
@@ -82,10 +85,10 @@ MAX_SERIES_TERMS = 400
 # norm, so a larger growth is refused with PrecisionLoss.
 MAX_LOOP_ERROR_GROWTH = 10**4
 # Most segment transports the process keeps (see _segment_transport),
-# those used last.  An entry, key included, takes about 2.2 KB at 128
-# bits and 3.2 KB at 1024 bits for four doublets (tracemalloc, CPython
-# 3.11); a kz-monodromy traffic of 1100 requests meets about 390
-# distinct segments.
+# those used last.  An entry, key included, takes about 1.5 KB at 128
+# bits and 2.5 KB at 1024 bits for four doublets (tracemalloc over 200
+# one-segment transports, CPython 3.11); a kz-monodromy traffic of 1100
+# requests meets about 390 distinct segments.
 SEGMENT_MEMO_SIZE = 1024
 
 
@@ -324,33 +327,24 @@ def transport(sys, path, tol=None):
     puncture, and raises StepUnderflow inside the keep-out radius.  The
     step matrices and their products run on the integer kernel (see the
     module docstring), where every sum and product is the exact value
-    rounded once, as mpc arithmetic rounds it at the same precision.  The
-    Omegas and -1/kappa become kernel values once, here, and the result
-    becomes mpc once, here.  Each segment's transport comes from the
-    process-wide memo of _segment_transport, keyed on every value its
-    integration reads, so a leg that two paths share (the first leg of
-    the way out of the base of a commutator's two loops), or that an
-    earlier request with the same data integrated, is integrated once;
-    the products run in the same order either way.
+    rounded once, as mpc arithmetic rounds it at the same precision, and
+    the result becomes mpc once, here.  Each segment's transport comes
+    from the process-wide memo of _segment_transport, keyed on the
+    system's own values (the other points, the weights, kappa, the
+    quarter tolerance and the precision) and the segment's endpoints, so
+    a leg that two paths share (the first leg of the way out of the base
+    of a commutator's two loops), or that an earlier request with the
+    same data integrated, is integrated once; the products run in the
+    same order either way.
     """
     with mpmath.workprec(sys.precision_bits + 64):
-        # converted here, so the result does not depend on the caller's
-        # precision
-        punctures = tuple(_to_mpc(z)._mpc_ for z in sys.points[1:])
-        omegas = tuple(
-            tuple(tuple(_from_libmp(x._mpc_) for x in row)
-                  for row in _frac_matrix(sys.omega(0, k)))
-            for k in range(1, sys.n)
-        )
-        prec = mpmath.mp.prec
         quarter_tol = (_tolerance(sys, tol) / 4)._mpf_
-        minus_inv_kappa = _from_libmp(_to_mpc(Fraction(-1, 1) / sys.kappa)._mpc_)
-        cap = _term_cap(sys.precision_bits)
         total = _identity(sys.d)
         for a, b in path.segments():
-            segment = _segment_transport(a, b, punctures, omegas,
-                                         minus_inv_kappa, quarter_tol, cap, prec)
-            total = _kmat_mul(segment, total, prec)
+            segment = _segment_transport(a, b, tuple(sys.points[1:]),
+                                         sys.weights, sys.kappa, quarter_tol,
+                                         sys.precision_bits)
+            total = _kmat_mul(segment, total, mpmath.mp.prec)
         return [[mpmath.mp.make_mpc(_to_libmp(x)) for x in row] for row in total]
 
 
@@ -365,17 +359,25 @@ def _tolerance(sys, tol):
 
 
 @functools.lru_cache(maxsize=SEGMENT_MEMO_SIZE)
-def _segment_transport(a, b, punctures, omegas, minus_inv_kappa, quarter_tol,
-                       cap, prec):
+def _segment_transport(a, b, punctures, weights, kappa, quarter_tol,
+                       precision_bits):
     """The kernel transport from a to b, a tuple of rows, memoized.
 
-    a and b are complex, the punctures libmp mpc tuples and the Omegas
-    kernel matrices as nested tuples; the rest is as for _taylor_step.
-    The memo keys on these arguments, which are everything the
-    integration reads, so a hit returns the same matrix a miss computes.
+    a and b are complex, quarter_tol is a libmp mpf and the rest are the
+    system's own values.  The memo keys on these, which determine
+    everything the integration reads, so a hit returns what a miss
+    computes.  A miss converts the punctures, the Omegas and -1/kappa at
+    precision_bits + 64, whatever the caller's precision.
     """
-    with mpmath.workprec(prec):
-        centers = [mpmath.mp.make_mpc(p) for p in punctures]
+    with mpmath.workprec(precision_bits + 64):
+        prec = mpmath.mp.prec
+        centers = [_to_mpc(z) for z in punctures]
+        matrices = _casimir_matrices(weights)
+        omegas = [[[_from_libmp(x._mpc_) for x in row]
+                   for row in _frac_matrix(matrices[(0, k)])]
+                  for k in range(1, len(weights))]
+        minus_inv_kappa = _from_libmp(_to_mpc(-1 / kappa)._mpc_)
+        cap = _term_cap(precision_bits)
         result = _identity(len(omegas[0]))
         for shifts, h in _steps(_to_mpc(a), _to_mpc(b), centers):
             step = _taylor_step([_from_libmp(s._mpc_) for s in shifts],
@@ -794,7 +796,8 @@ def _frobenius_circle(sys, around, entry, tol):
     nonzero divisor.
     """
     others = [k for k in range(1, sys.n) if k != around]
-    r, s = _rational_eigenbasis(sys.omega(0, around), sys.kappa)
+    r, s = _rational_eigenbasis(sys.omega(0, around), sys.kappa,
+                                sys.weights[0], sys.weights[around])
     minus_inv_kappa = -1 / sys.kappa
     moved = [[[x * minus_inv_kappa for x in row] for row in sys.omega(0, k)]
              for k in others]
@@ -842,29 +845,24 @@ def _frobenius_circle(sys, around, entry, tol):
         return _mat_mul(turned, _mat_inv(frame))
 
 
-def _rational_eigenbasis(omega, kappa):
+def _rational_eigenbasis(omega, kappa, m, n):
     """(r, S) with -omega / kappa = S diag(r) S^-1, r rational and ascending.
 
-    The entries of omega are Fractions.  The eigenvalues of the integer
-    matrix m omega, m the least common denominator, are integers:
-    floating eigenvalues propose them, rounded, and linalg.nullspace keeps
-    each with its exact eigenvectors, so kappa enters only in
-    r = -lambda / kappa and its order.  A Casimir residue has d of them,
-    since it acts on each Clebsch-Gordan channel of the pair by a scalar
-    (see tests/oracles.py).
+    omega is the Casimir matrix of two points of highest weights m and n,
+    with Fraction entries.  It acts on the Clebsch-Gordan channel V_j of
+    V_m x V_n, j = |m - n|, |m - n| + 2, ..., m + n, by the scalar
+    lambda_j = (j(j + 2) - m(m + 2) - n(n + 2)) / 4 (see tests/oracles.py),
+    so these are the only eigenvalues it can have: linalg.nullspace keeps
+    each with its exact eigenvectors, and r = -lambda / kappa.  A Casimir
+    residue has d of them.
     """
-    d = len(omega)
-    scale = math.lcm(*(x.denominator for row in omega for x in row))
-    ints = [[int(x * scale) for x in row] for row in omega]
-    with mpmath.workprec(53):
-        approx = mpmath.eig(mpmath.matrix(ints), left=False, right=False)
     values, columns = [], []
-    for k in sorted({int(mpmath.nint(mpmath.re(e))) for e in approx},
-                    reverse=kappa > 0):
-        shifted = [[Fraction(x - (k if r == c else 0)) for c, x in enumerate(row)]
-                   for r, row in enumerate(ints)]
-        for vec in linalg.nullspace(shifted, d):
-            values.append(Fraction(-k, scale) / kappa)
+    for j in sorted(range(abs(m - n), m + n + 1, 2), reverse=kappa > 0):
+        lam = Fraction(j * (j + 2) - m * (m + 2) - n * (n + 2), 4)
+        shifted = [[x - lam if r == c else x for c, x in enumerate(row)]
+                   for r, row in enumerate(omega)]
+        for vec in linalg.nullspace(shifted, len(omega)):
+            values.append(-lam / kappa)
             columns.append(vec)
     return values, [list(row) for row in zip(*columns)]
 
@@ -897,10 +895,14 @@ _FV_EXPONENTS = {
 }
 
 
-def _check_branch(zs):
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            diff = _to_mpc(zs[i]) - _to_mpc(zs[j])
+def _check_branch(z):
+    """Refuse coincident points and differences on the principal cut.
+
+    z holds mpc or complex values; rounding keeps a difference's zeros
+    and signs, so either kind gives the verdict of the exact values."""
+    for i in range(len(z)):
+        for j in range(i + 1, len(z)):
+            diff = z[i] - z[j]
             if diff == 0:
                 raise DuplicatePoints("flat sections need distinct points")
             if mpmath.im(diff) == 0 and mpmath.re(diff) <= 0:
@@ -941,8 +943,8 @@ def flat_section_residual(sys, zs, exponent=_PHI_EXPONENT, section="phi"):
     if section not in ("phi", "fv"):
         raise ValueError("section must be 'phi' or 'fv'")
     with mpmath.workprec(sys.precision_bits):
-        _check_branch(zs)
         z = [_to_mpc(v) for v in zs]
+        _check_branch(z)
         inv_kappa = 1 / _to_mpc(sys.kappa)
         omegas = _mpc_omegas(sys)
         phi = _phi_vector(z)
@@ -963,10 +965,10 @@ def flat_section_residual(sys, zs, exponent=_PHI_EXPONENT, section="phi"):
         scale = max(abs(x) for x in phi)
         ell = [phi[1] / scale, -phi[0] / scale]
         v = [mpmath.mpc(1), mpmath.mpc(0)]
+        exponents = {pair: _to_mpc(e) for pair, e in _FV_EXPONENTS.items()}
         for j in range(4):
             log_term = sum(
-                _to_mpc(_FV_EXPONENTS[(min(j, k), max(j, k))])
-                / (z[j] - z[k])
+                exponents[(min(j, k), max(j, k))] / (z[j] - z[k])
                 for k in range(4) if k != j
             )
             vec = [log_term * v[r] for r in range(2)]

@@ -25,18 +25,20 @@ u_1-u_2, ..., u_{q-1}-u_q, u_q-z_i picks one hyperplane per factor, and
 in the variable order u_1..u_q their gradients are unitriangular.  So
 the product of the chains over all points is sign(variable order)
 times the wedge of their dlogs, and sorting the hyperplanes gives one
-more sign.  A factor that is a multiple of the stored form, such as
-t_b - t_a where the arrangement stores t_a - t_b, needs none, because
-dlog(c f) = dlog f.  This lets the span of the classes be compared with
-the weight-diagonal image inside top cohomology.
+more sign.  Each factor is found in the arrangement by its key
+(arrangement.AffineForm.key), which is the same for every nonzero
+multiple of a form, so t_b - t_a finds the stored t_a - t_b with no
+sign, because dlog(c f) = dlog f.  This lets the span of the classes be
+compared with the weight-diagonal image inside top cohomology.
 """
 
+import functools
 from fractions import Fraction
 from itertools import permutations, product
 
 from . import linalg
 from .aomoto import (
-    AomotoComplex, CohomologyClass, check_top_size, monomials, shapovalov_image,
+    AomotoComplex, CohomologyClass, check_top_size, shapovalov_image,
 )
 from .arrangement import (
     AffineForm, WeightedArrangement, intersection_lattice, perm_sign,
@@ -66,9 +68,9 @@ def num_variables(weights, mu=0):
     return gap // 2
 
 
-def build_arrangement(weights, points, kappa=None, mu=0,
-                      keep_zero_weights=False):
-    """The weighted arrangement attached to sl2 data at distinct points.
+def build_arrangement(weights, points, kappa=None, keep_zero_weights=False):
+    """The weighted arrangement attached to sl2 data at distinct points,
+    in the M variables that lower the highest weight to weight 0.
 
     Forms come in variable-major order: first t_1 - z_1, ..., t_1 - z_n,
     then the same for t_2, ..., and finally the diagonals t_a - t_b for
@@ -85,7 +87,7 @@ def build_arrangement(weights, points, kappa=None, mu=0,
     zs = _as_fraction_points(points)
     if len(zs) != len(ms):
         raise ValueError("one marked point is needed per representation")
-    M = num_variables(ms, mu)
+    M = num_variables(ms)
     if M == 0:
         raise WeightMismatch("no integration variables at this weight")
     if kappa is None:
@@ -164,23 +166,20 @@ def sv_vector_eval(space, ts, zs):
 def _form_lookup(arr):
     """Index of the hyperplane t_a - z (or t_a - t_b) in arr.forms.
 
-    Forms are matched up to a nonzero factor, which leaves dlog f alone.
+    Reads arr.index by the key of the form, which is the same for every
+    nonzero multiple of it, and dlog(c f) = dlog f.
     """
-    index = {}
-    for k, f in enumerate(arr.forms):
-        lead = next(g for g in f.gradient if g)
-        index[tuple(g / lead for g in f.gradient), f.constant / lead] = k
-
+    @functools.cache
     def lookup(a, b=None, z=Fraction(0)):
-        grad = [Fraction(0)] * arr.dimension
-        grad[a] = Fraction(1)
+        grad = [0] * arr.dimension
+        grad[a] = 1
         if b is not None:
-            grad[b] = Fraction(-1)
-        key = (tuple(grad), -z)
-        if key not in index:
+            grad[b] = -1
+        k = arr.index.get(AffineForm(-z, grad).key)
+        if k is None:
             name = f"t_{a + 1} - t_{b + 1}" if b is not None else f"t_{a + 1} - {z}"
             raise NotInSpan(f"the arrangement has no hyperplane {name}")
-        return index[key]
+        return k
 
     return lookup
 
@@ -202,8 +201,7 @@ def omega_sv(arr, space, psi, zs, aomoto_space):
     psi_at = {
         space.basis[z]: p for p, z in zip(psi, space.zero_weight_indices()) if p
     }
-    position = {m: k for k, m in enumerate(monomials(arr.size, M))}
-    vector = [Fraction(0)] * len(position)
+    vector = [Fraction(0)] * len(aomoto_space.monomials)
     for assignment in product(range(len(zs)), repeat=M):
         groups = [[a for a in range(M) if assignment[a] == i]
                   for i in range(len(zs))]
@@ -215,12 +213,11 @@ def omega_sv(arr, space, psi, zs, aomoto_space):
             chain = []
             for i, order in enumerate(orders):
                 variables += order
-                chain += [lookup(min(s, t), max(s, t))
-                          for s, t in zip(order, order[1:])]
+                chain += [lookup(s, t) for s, t in zip(order, order[1:])]
                 if order:
                     chain.append(lookup(order[-1], z=zs[i]))
             sign = perm_sign(variables) * perm_sign(chain)
-            vector[position[tuple(sorted(chain))]] += sign * coeff
+            vector[aomoto_space.index[tuple(sorted(chain))]] += sign * coeff
     return CohomologyClass(M, tuple(aomoto_space.reduce(vector)))
 
 

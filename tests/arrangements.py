@@ -66,7 +66,7 @@ def random_m3(seed=20240817, size=6):
         if all(g == 0 for g in gradient):
             continue
         candidate = AffineForm(F(rng.randint(-4, 4)), gradient)
-        if any(candidate.proportional_to(f) for f in forms):
+        if any(candidate.key == f.key for f in forms):
             continue
         forms.append(candidate)
     weights = []

@@ -16,7 +16,8 @@ from defective.
 
 naive_rref is the textbook Gauss-Jordan elimination, column by column,
 that the exact linear algebra and the intersection lattice are checked
-against.
+against.  proportional decides by coefficient ratios whether two affine
+forms cut out the same hyperplane, the check that form keys replace.
 """
 
 from fractions import Fraction
@@ -33,6 +34,21 @@ from aomoto_lab.kz import _mat_norm, eigenvalues_2x2
 
 class PoleAtKappa(AomotoLabError):
     """A rational function in kappa was evaluated at a pole."""
+
+
+def proportional(f, g):
+    """True when the forms f and g are nonzero multiples of each other."""
+    ratio = None
+    for a, b in zip((f.constant, *f.gradient), (g.constant, *g.gradient)):
+        if (a == 0) != (b == 0):
+            return False
+        if b != 0:
+            r = a / b
+            if ratio is None:
+                ratio = r
+            elif r != ratio:
+                return False
+    return True
 
 
 def naive_rref(matrix):

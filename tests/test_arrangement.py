@@ -5,11 +5,13 @@ from itertools import combinations, permutations
 
 import pytest
 import sympy
+import sympy.combinatorics
 
 from aomoto_lab import linalg
 from aomoto_lab.arrangement import (
-    AffineForm, WeightedArrangement, _augmented_row, arrangement_from_json,
+    AffineForm, WeightedArrangement, arrangement_from_json,
     arrangement_to_json, color_group, intersection_lattice, os_dimension,
+    permute_form,
 )
 from aomoto_lab.exactfield import RatFuncKappa
 from aomoto_lab.flags import enumerate_flags, flag_of_tuple
@@ -18,7 +20,7 @@ from arrangements import (
     ACCEPTANCE_POINTS, corpus, crossing_lines, random_m3, sl2_four_point,
     triple_concurrent, two_points,
 )
-from oracles import naive_rref
+from oracles import naive_rref, proportional
 
 F = Fraction
 
@@ -48,6 +50,11 @@ def brute_force_edge_counts(arr):
             key = tuple(sympy.Matrix(aug).rref()[0])
             seen.setdefault(codim, set()).add(key)
     return {codim: len(keys) for codim, keys in seen.items()}
+
+
+def augmented_row(form):
+    """The row [gradient | -constant] of the form's equation, unscaled."""
+    return [*form.gradient, -form.constant]
 
 
 def naive_key(rows):
@@ -147,7 +154,7 @@ def test_lattice_meets_and_defining_sets_match_direct_elimination(case):
     for k, edge in enumerate(edges):
         assert len(edge.key) == edge.codim
         for i, f in enumerate(arr.forms):
-            key = naive_key([list(r) for r in edge.key] + [_augmented_row(f)])
+            key = naive_key([list(r) for r in edge.key] + [augmented_row(f)])
             want = None
             if key is not None and len(key) == edge.codim + 1:
                 want = index[key]  # every proper meet is an edge
@@ -184,7 +191,7 @@ def _random_arrangement(rng, dimension, size, symbolic):
         if not any(gradient):
             continue
         form = AffineForm(F(rng.randint(-4, 4), rng.randint(1, 3)), gradient)
-        if not any(form.proportional_to(f) for f in forms):
+        if not any(form.key == f.key for f in forms):
             forms.append(form)
     weights = [F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
                for _ in forms]
@@ -209,7 +216,7 @@ def _reference_record(arr):
     up with a hyperplane, sorted; a hyperplane contains an edge when it
     adds nothing to the edge's system.
     """
-    rows = [_augmented_row(f) for f in arr.forms]
+    rows = [augmented_row(f) for f in arr.forms]
     keys, meets = [()], {}
     levels = [(0,)]
     for p in range(1, arr.dimension + 1):
@@ -257,7 +264,7 @@ def is_general_position(arrangement, indices):
     indices = list(indices)
     if len(indices) > arrangement.dimension:
         return False
-    rows = [_augmented_row(arrangement.forms[i]) for i in indices]
+    rows = [augmented_row(arrangement.forms[i]) for i in indices]
     key = naive_key(rows)
     return key is not None and len(key) == len(indices)
 
@@ -292,8 +299,6 @@ def test_color_group_sizes():
 
 
 def test_color_group_permutes_forms_with_equal_weight():
-    from aomoto_lab.arrangement import permute_form
-
     arr = sl2_four_point(kappa=7)
     group = color_group(arr)
     assert len(group) == 2
@@ -307,6 +312,106 @@ def test_color_group_permutes_forms_with_equal_weight():
             same = (target.constant, target.gradient)
             negated = (-target.constant, tuple(-c for c in target.gradient))
             assert (moved.constant, moved.gradient) in (same, negated)
+
+
+def _two_colour_arrangement(coloring):
+    """M=3 forms symmetric under swapping t_1 and t_2, and no other swap."""
+    forms = [
+        AffineForm(F(0), (F(1), F(0), F(0))),
+        AffineForm(F(0), (F(0), F(1), F(0))),
+        AffineForm(F(-1), (F(0), F(0), F(2))),
+        AffineForm(F(0), (F(-1), F(1), F(0))),
+        AffineForm(F(-1), (F(1), F(1), F(0))),
+        AffineForm(F(3), (F(0), F(-3), F(3))),
+        AffineForm(F(-1), (F(1), F(0), F(-1))),
+    ]
+    return WeightedArrangement(3, forms, [F(1)] * len(forms), coloring=coloring)
+
+
+def _brute_force_group(arr):
+    """(perm, sign, form_perm) of every colour-preserving coordinate
+    permutation, by a ratio search over all pairs of forms; None when one
+    does not map the forms onto themselves."""
+    M, colors = arr.dimension, arr.coloring
+    out = []
+    for perm in permutations(range(M)):
+        if any(colors[perm[b]] != colors[b] for b in range(M)):
+            continue
+        sign = sympy.combinatorics.Permutation(list(perm)).signature()
+        form_perm = []
+        for f in arr.forms:
+            moved = permute_form(f, perm)
+            found = [j for j, g in enumerate(arr.forms) if proportional(moved, g)]
+            if len(found) != 1:
+                return None
+            form_perm.append(found[0])
+        out.append((perm, sign, tuple(form_perm)))
+    return out
+
+
+@pytest.mark.parametrize("case", ["four doublets", "2112", "six doublets",
+                                  "two colours", "one colour"])
+def test_color_group_matches_brute_force(case):
+    arr = {
+        "four doublets": lambda: sl2_four_point(kappa=7),
+        "2112": lambda: build_arrangement([2, 1, 1, 2], list(ACCEPTANCE_POINTS)),
+        "six doublets": lambda: build_arrangement([1] * 6, [F(k) for k in range(6)]),
+        "two colours": lambda: _two_colour_arrangement((0, 0, 1)),
+        "one colour": lambda: _two_colour_arrangement((0, 0, 0)),
+    }[case]()
+    want = _brute_force_group(arr)
+    if want is None:
+        with pytest.raises(ValueError, match="does not preserve form"):
+            color_group(arr)
+        return
+    got = [(g.perm, g.sign, g.form_perm) for g in color_group(arr)]
+    assert got == want
+    assert len(got) == {"four doublets": 2, "2112": 6, "six doublets": 6,
+                        "two colours": 2}[case]
+
+
+def test_form_keys_decide_proportionality():
+    # scaled and negated copies, forms sharing a gradient or a constant,
+    # and unrelated forms: two keys are equal iff the ratio test says the
+    # forms are proportional
+    rng = random.Random(2817)
+    forms = []
+    for dimension in (1, 2, 3):
+        base = []
+        while len(base) < 6:
+            gradient = tuple(F(rng.randint(-2, 2)) for _ in range(dimension))
+            if any(gradient):
+                base.append(AffineForm(F(rng.randint(-2, 2)), gradient))
+        for f in base:
+            c = F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+            forms += [f, AffineForm(c * f.constant, tuple(c * g for g in f.gradient)),
+                      AffineForm(-f.constant, tuple(-g for g in f.gradient)),
+                      AffineForm(f.constant + 1, f.gradient),
+                      AffineForm(-f.constant, f.gradient)]
+    same = 0
+    for f in forms:
+        assert next(v for v in f.key if v) == 1
+        for g in forms:
+            if len(f.gradient) == len(g.gradient):
+                assert (f.key == g.key) == proportional(f, g), (f, g)
+                same += f.key == g.key and f != g
+    assert same > 100
+
+
+def test_codim_one_keys_are_the_form_keys():
+    for arr in _lattice_cases():
+        lattice = intersection_lattice(arr)
+        assert [lattice.edges[k].key for k in lattice.by_codim(1)] == \
+            sorted((f.key,) for f in arr.forms)
+        assert arr.index == {f.key: i for i, f in enumerate(arr.forms)}
+
+
+def test_duplicate_form_error_names_the_pair():
+    forms = [AffineForm(F(0), (F(1), F(0))), AffineForm(F(-1), (F(0), F(1))),
+             AffineForm(F(-1), (F(1), F(1))), AffineForm(F(3), (F(0), F(-3)))]
+    with pytest.raises(ValueError,
+                       match="forms 1 and 3 cut out the same hyperplane"):
+        WeightedArrangement(2, forms, [F(1)] * 4)
 
 
 def test_rejects_proportional_forms():

@@ -270,6 +270,24 @@ def test_pair_loops_match_the_clebsch_gordan_channels(weights, kappa, bits):
                 power = kz._mat_mul(pair, power)
 
 
+@pytest.mark.parametrize("kappa", [F(3), F(-7, 3)])
+def test_loops_on_one_dimensional_coinvariants(kappa):
+    # three weight-2 points have d = 1, so each loop is the scalar
+    # exp(-2 pi i lambda / kappa) of its one channel, and a commutator is 1
+    bits = 128
+    sys = KzSystem([0, 1, 3], kappa, weights=(2, 2, 2), precision_bits=bits)
+    assert sys.d == 1
+    with mpmath.workprec(bits + 64):
+        bound = mpmath.mpf(2) ** -(bits // 2 - 6)
+        for p in (1, 2):
+            ((lam, mult),) = loop_channels((2, 2, 2), (p,))
+            assert mult == 1
+            ((loop,),) = simple_loop_monodromy(sys, p)
+            assert abs(loop - mpmath.expjpi(-2 * _mpf(lam / kappa))) < bound, p
+        ((commutator,),) = pochhammer_monodromy(sys, 1, 2)
+        assert abs(commutator - 1) < bound
+
+
 def _fricke_trace(kappa, p, q):
     """tr of the commutator of the loops around p and q, from the channels.
 
@@ -507,7 +525,8 @@ def test_casimir_residues_have_a_rational_eigenbasis(weights):
         omega = matrices[(0, p)]
         channels = loop_channels(weights, (p,))
         for kappa in (F(3), F(-7, 3)):
-            values, basis = kz._rational_eigenbasis(omega, kappa)
+            values, basis = kz._rational_eigenbasis(omega, kappa,
+                                                    weights[0], weights[p])
             assert values == sorted(values)
             assert sorted(values) == sorted(
                 -lam / kappa for lam, mult in channels for _ in range(mult))
@@ -923,7 +942,8 @@ def _ref_frobenius_circle(sys, around, entry, tol):
     """
     others = [k for k in range(sys.n) if k not in (0, around)]
     minus_inv_kappa = -1 / sys.kappa
-    r, s = kz._rational_eigenbasis(sys.omega(0, around), sys.kappa)
+    r, s = kz._rational_eigenbasis(sys.omega(0, around), sys.kappa,
+                                   sys.weights[0], sys.weights[around])
     s_inv = [[F(int(x.p), int(x.q)) for x in row]
              for row in sympy.Matrix(s).inv().tolist()]
     d = sys.d
