@@ -7,7 +7,9 @@ form in the no-broken-circuit (nbc) basis is read off the intersection
 lattice with integer coefficients, so nothing is eliminated and ranks
 never rely on floating point.  The relations equal the left kernel of
 the pairing of monomials with the flags of the lattice (flags.phi),
-which the tests keep as the oracle.  The differential is left wedge with
+which the tests keep as the oracle.  Every reduction goes through
+AomotoSpace.normal_form, which maps sparse (monomial, coefficient)
+terms to nbc coordinates.  The differential is left wedge with
 eta = sum_i a_i dlog f_i, and the top cohomology is the cokernel of the
 differential in top degree.
 
@@ -31,7 +33,6 @@ diagonal map by w^M.  So symbolic weights that rational_split splits
 run over Fraction on the r_i, and their classes are scaled afterwards.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -138,9 +139,10 @@ class AomotoSpace:
     non-free S (kernel_pivots), are the reduced echelon form of the
     relations and span the left kernel of the flag pairing, which the
     tests keep as the oracle; they are never stored as dense rows.
-    reduce() maps monomial coefficient vectors to the canonical
-    representative with zero pivot coordinates, and coords() extracts
-    quotient coordinates on the free monomials.
+    normal_form() maps (monomial index, coefficient) terms to nbc
+    coordinates, one per free monomial, and representative() writes nbc
+    coordinates back as the canonical monomial vector, zero at the
+    kernel pivots.
     """
 
     def __init__(self, arrangement, lattice, p):
@@ -182,19 +184,29 @@ class AomotoSpace:
                 out[col] = out.get(col, 0) + (sign if j % 2 == 0 else -sign) * v
         return {col: v for col, v in out.items() if v}
 
-    def reduce(self, vector):
-        out = list(vector)
-        for k in self.kernel_pivots:
-            f = out[k]
-            if f:
-                out[k] = f * 0
-                for col, v in self.normal_forms[k].items():
-                    out[col] = out[col] + f * v
-        return out
+    def normal_form(self, terms):
+        """nbc coordinates of sum c NF(e_k) over the (k, c) pairs of terms.
 
-    def coords(self, vector):
-        red = self.reduce(vector)
-        return [red[k] for k in self.free]
+        Coordinate j belongs to the free monomial free[j].  Terms may repeat
+        a monomial, and zero coefficients are skipped.  A coordinate that no
+        term reaches is the arrangement's zero; the others are sums of the
+        given coefficients and keep their type.
+        """
+        acc = {}
+        for k, c in terms:
+            if c:
+                for col, v in self.normal_forms[k].items():
+                    x = c if v == 1 else c * v
+                    acc[col] = acc[col] + x if col in acc else x
+        zero = self.arrangement.zero
+        return [acc.get(k, zero) for k in self.free]
+
+    def representative(self, coords):
+        """The canonical monomial vector with these nbc coordinates: zero off free."""
+        out = [self.arrangement.zero] * len(self.monomials)
+        for k, v in zip(self.free, coords):
+            out[k] = v
+        return out
 
 
 class AomotoComplex:
@@ -220,23 +232,16 @@ class AomotoComplex:
         """Quotient matrix of wedge-with-eta from degree p to p + 1 (columns = basis)."""
         if p not in self._diffs:
             src, dst = self.space(p), self.space(p + 1)
-            weights, zero = self.arrangement.weights, self.arrangement.zero
-            row_of = {k: r for r, k in enumerate(dst.free)}
+            # promoted once, so every entry has the arrangement's scalar type
+            weights = [self.arrangement.zero + w for w in self.arrangement.weights]
             cols = []
             for k in src.free:
-                # eta ^ e_S = sum_j a_j (insertion sign) e_{S + j}, each
-                # term replaced by its normal form
+                # eta ^ e_S = sum_j a_j (insertion sign) e_{S + j}
                 subset = src.monomials[k]
-                col = [zero] * dst.dim
-                for j, w in enumerate(weights):
-                    if j in subset:
-                        continue
-                    sign = insertion_sign(subset, j)
-                    target = dst.index[tuple(sorted(subset + (j,)))]
-                    for free, v in dst.normal_forms[target].items():
-                        r = row_of[free]
-                        col[r] = col[r] + w * (sign * v)
-                cols.append(col)
+                cols.append(dst.normal_form(
+                    (dst.index[tuple(sorted(subset + (j,)))],
+                     w * insertion_sign(subset, j))
+                    for j, w in enumerate(weights) if j not in subset))
             self._diffs[p] = [list(row) for row in zip(*cols)] if cols else []
         return self._diffs[p]
 
@@ -248,7 +253,7 @@ class AomotoComplex:
 
     def _rank(self, p):
         if p == self.arrangement.dimension - 1:
-            return len(self.top_quotient().image_pivots)
+            return len(self.top_quotient().image)
         return linalg.rank(self.differential_matrix(p))
 
     def cohomology_dim(self, p):
@@ -320,10 +325,13 @@ class TopQuotient:
     is the column space of differential_matrix(M-1), an a_{M-1} x a_M
     matrix on the free top monomials, and its transpose row-reduced is
     the one echelon kept (image, on a_M columns).  The relations live
-    only as space.normal_forms.  image_pivots and free are monomial
-    indices: the free top monomials that are, and are not, pivots of the
-    image.  reduce() takes the normal form, reduces it modulo the image,
-    and writes the result back at space.free, zero elsewhere.
+    only as space.normal_forms.  nbc_pivots and nbc_free split the nbc
+    coordinates into the pivots of the image and the rest; free lists the
+    top monomials of nbc_free.  coords() takes the normal form of its
+    terms, reduces it modulo the image and keeps the entries at nbc_free,
+    the quotient coordinates; representative() writes quotient
+    coordinates back as the canonical monomial vector, nonzero only at
+    free.
     """
 
     def __init__(self, cx):
@@ -331,30 +339,23 @@ class TopQuotient:
         self.space = cx.space(M)
         below = cx.differential_matrix(M - 1)
         self.image, self.nbc_pivots = linalg.rref([list(col) for col in zip(*below)])
-        self.image_pivots = [self.space.free[j] for j in self.nbc_pivots]
         pivot_set = set(self.nbc_pivots)
-        self.free = [k for j, k in enumerate(self.space.free) if j not in pivot_set]
+        self.nbc_free = [j for j in range(self.space.dim) if j not in pivot_set]
+        self.free = [self.space.free[j] for j in self.nbc_free]
         self.dim = len(self.free)
 
-    def reduce(self, vector):
-        red = linalg.reduce_mod_rowspace(self.space.coords(vector), self.image,
+    def coords(self, terms):
+        """Quotient coordinates of the class of sum c e_k."""
+        red = linalg.reduce_mod_rowspace(self.space.normal_form(terms), self.image,
                                          self.nbc_pivots)
+        return [red[j] for j in self.nbc_free]
+
+    def representative(self, coords):
+        """The canonical representative of the class with these quotient coordinates."""
         out = [self.space.arrangement.zero] * len(self.space.monomials)
-        for k, v in zip(self.space.free, red):
+        for k, v in zip(self.free, coords):
             out[k] = v
         return out
-
-    def coords(self, vector):
-        red = self.reduce(vector)
-        return [red[k] for k in self.free]
-
-
-@dataclass(frozen=True)
-class CohomologyClass:
-    """A top-cohomology class, stored as its canonical reduced representative."""
-
-    degree: int
-    rep: tuple
 
 
 def dual_functional_space(quotient):
@@ -397,14 +398,13 @@ def shapovalov_image(quotient, use_chi=False):
     An image is kept when it is independent of those kept before it,
     tested incrementally on quotient coordinates: linalg.extend grows a
     running echelon of the kept images by it, or finds it in their span.
-    Returns (rank, list of CohomologyClass), each class the canonical
+    Returns (rank, classes), each class a tuple, the canonical
     representative.
     """
-    arrangement = quotient.space.arrangement
-    M, zero = arrangement.dimension, arrangement.zero
+    space = quotient.space
     taus = dual_functional_space(quotient)
-    diag = [weight_product(arrangement, subset) for subset in quotient.space.monomials]
-    columns = _chi_columns(arrangement, M) if use_chi else None
+    diag = [weight_product(space.arrangement, subset) for subset in space.monomials]
+    columns = _chi_columns(space.arrangement, space.p) if use_chi else None
     basis = []
     echelon, pivots = [], []
     for tau in taus:
@@ -412,22 +412,14 @@ def shapovalov_image(quotient, use_chi=False):
             # P D P tau = D P tau: the diagonal map commutes with the
             # signed permutations, and P is idempotent
             tau = _chi_apply(columns, tau)
-        s = [d * t if t else zero for d, t in zip(diag, tau)]
-        red = quotient.reduce(s)
-        coords = [red[k] for k in quotient.free]
+        coords = quotient.coords((k, d * t)
+                                 for k, (d, t) in enumerate(zip(diag, tau)) if t)
         if linalg.extend(echelon, pivots, coords) is not None:
-            basis.append(CohomologyClass(M, tuple(red)))
+            basis.append(tuple(quotient.representative(coords)))
     return len(basis), basis
 
 
 def chi_fixed_dim(quotient):
     """Dimension of the sign-isotypic part of the top cohomology."""
-    space = quotient.space
-    columns = _chi_columns(space.arrangement, space.p)
-    cols = []
-    for k in quotient.free:
-        vec = [Fraction(0)] * len(space.monomials)
-        for row, c in columns[k]:
-            vec[row] = c
-        cols.append(quotient.coords(vec))
-    return linalg.rank(cols)
+    columns = _chi_columns(quotient.space.arrangement, quotient.space.p)
+    return linalg.rank([quotient.coords(columns[k]) for k in quotient.free])

@@ -268,6 +268,9 @@ def _induced_form_perm(arrangement, perm):
         target = arrangement.index.get(permute_form(f, perm).key)
         if target is None:
             raise ValueError(f"coordinate permutation {perm} does not preserve form {i}")
+        if arrangement.weights[target] != arrangement.weights[i]:
+            raise ValueError(f"coordinate permutation {perm} moves form {i} "
+                             f"to form {target} of another weight")
         out.append(target)
     return tuple(out)
 
@@ -276,7 +279,9 @@ def color_group(arrangement):
     """All coordinate permutations preserving the coloring, with induced data.
 
     Elements are sorted by their permutation tuple, so the identity comes
-    first.  Raises MissingColoring when the arrangement has no coloring.
+    first.  Raises MissingColoring when the arrangement has no coloring,
+    and ValueError when some permutation does not send every form to a
+    form of the same weight.
     """
     if arrangement.coloring is None:
         raise MissingColoring("color_group needs an arrangement with a coloring")

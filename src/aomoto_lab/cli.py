@@ -171,7 +171,7 @@ def _resolve_arrangement(config):
     if "arrangement" in config:
         try:
             arr = arrangement_from_json(config["arrangement"])
-            if arr.coloring is not None:  # a coloring must permute the forms
+            if arr.coloring is not None:  # its group must keep forms and weights
                 color_group(arr)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             _fail("arrangement", str(exc))
@@ -289,8 +289,7 @@ def _cmd_image(config):
         _fail("chi", "expected true or false")
     cx, factor = _complex(arr)
     rank, basis = shapovalov_image(cx.top_quotient(), use_chi=use_chi)
-    reps = [cls.rep if factor is None else [factor * c for c in cls.rep]
-            for cls in basis]
+    reps = [cls if factor is None else [factor * c for c in cls] for cls in basis]
     report = {
         "rank": rank,
         "basis": [_fmt_vector(rep) for rep in reps],
@@ -359,7 +358,7 @@ def _cmd_sv(config):
     report = {
         "functional_count": len(psis),
         "functionals": [_fmt_vector(psi) for psi in psis],
-        "classes": [_fmt_vector(cls.rep) for cls in classes],
+        "classes": [_fmt_vector(cls) for cls in classes],
         "rank": linalg.rank(rows) if rows else 0,
         "top_cohomology_dim": quotient.dim,
     }

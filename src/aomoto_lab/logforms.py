@@ -161,7 +161,7 @@ def eval_dlog(form, point):
     )
 
 
-def difference_form(form, dimension):
+def difference_form(form):
     """F(x) - F(y) as an affine form on the doubled space."""
     grad = list(form.gradient) + [-g for g in form.gradient]
     return AffineForm(0, tuple(grad))
@@ -206,7 +206,7 @@ class BoundaryKernel:
         self.forms = [IntegerForm.primitive(f) for f in arr.forms]
         self.avoid = ([IntegerForm(f.constant, f.gradient + pad) for f in self.forms]
                       + [IntegerForm(f.constant, pad + f.gradient) for f in self.forms])
-        self.differences = [IntegerForm.primitive(difference_form(F, M))
+        self.differences = [IntegerForm.primitive(difference_form(F))
                             for F in F_list]
         (self.scaled,) = _scaled_weights(arr.weights)
         self.points = {}
@@ -398,5 +398,5 @@ def expand_top_form(arr, lattice, evaluator, seed=0, bound=10**6, space=None):
             for pt in fresh
         )
         if good:
-            return tuple(space.reduce(solution))
+            return tuple(space.representative(space.normal_form(enumerate(solution))))
     raise NotInSpan("evaluator is not a combination of logarithmic monomials")

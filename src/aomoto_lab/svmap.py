@@ -37,9 +37,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from . import linalg
-from .aomoto import (
-    AomotoComplex, CohomologyClass, check_top_size, shapovalov_image,
-)
+from .aomoto import AomotoComplex, check_top_size, shapovalov_image
 from .arrangement import (
     AffineForm, WeightedArrangement, intersection_lattice, perm_sign,
 )
@@ -192,8 +190,8 @@ def omega_sv(arr, space, psi, zs, aomoto_space):
     adds that coefficient times its two signs (module docstring) to one
     wedge monomial.  The result is the canonical monomial representative
     modulo the relations of aomoto_space, the top-degree AomotoSpace of
-    arr, wrapped as a CohomologyClass.  Raises NotInSpan when a chain
-    needs a hyperplane that arr lacks.
+    arr, as a tuple.  Raises NotInSpan when a chain needs a hyperplane
+    that arr lacks.
     """
     zs = _as_fraction_points(zs)
     M = arr.dimension
@@ -201,7 +199,7 @@ def omega_sv(arr, space, psi, zs, aomoto_space):
     psi_at = {
         space.basis[z]: p for p, z in zip(psi, space.zero_weight_indices()) if p
     }
-    vector = [Fraction(0)] * len(aomoto_space.monomials)
+    terms = []
     for assignment in product(range(len(zs)), repeat=M):
         groups = [[a for a in range(M) if assignment[a] == i]
                   for i in range(len(zs))]
@@ -217,8 +215,8 @@ def omega_sv(arr, space, psi, zs, aomoto_space):
                 if order:
                     chain.append(lookup(order[-1], z=zs[i]))
             sign = perm_sign(variables) * perm_sign(chain)
-            vector[aomoto_space.index[tuple(sorted(chain))]] += sign * coeff
-    return CohomologyClass(M, tuple(aomoto_space.reduce(vector)))
+            terms.append((aomoto_space.index[tuple(sorted(chain))], sign * coeff))
+    return tuple(aomoto_space.representative(aomoto_space.normal_form(terms)))
 
 
 def sv_classes(weights, points, kappa):
@@ -237,7 +235,7 @@ def sv_classes(weights, points, kappa):
     psis = invariant_functionals(space)
     classes = [omega_sv(arr, space, psi, points, quotient.space)
                for psi in psis]
-    rows = [quotient.coords(list(cls.rep)) for cls in classes]
+    rows = [quotient.coords(enumerate(cls)) for cls in classes]
     return quotient, psis, classes, rows
 
 
@@ -252,9 +250,7 @@ def egregium_check(weights, points, kappa):
     quotient, _, _, sv_rows = sv_classes(weights, points, kappa)
     inv_dim = invariants_dim(weights)
     image_rank, image_classes = shapovalov_image(quotient, use_chi=True)
-    # each class is its canonical representative, so its quotient
-    # coordinates are its entries at quotient.free
-    image_rows = [[cls.rep[k] for k in quotient.free] for cls in image_classes]
+    image_rows = [quotient.coords(enumerate(cls)) for cls in image_classes]
     sv_rank = linalg.rank(sv_rows)
     # two row spaces are equal iff both ranks equal the rank of the union
     same = sv_rank == image_rank == linalg.rank(sv_rows + image_rows)

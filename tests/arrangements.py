@@ -52,6 +52,18 @@ def parallel_mix(weights=(F(1), F(1, 2), F(1, 3), F(1, 5))):
     return WeightedArrangement(2, forms, list(weights))
 
 
+def colored_plane(weights):
+    """M=2, t1, t2, t1 + t2 - 1, t1 - 2 and t2 - 2, both variables of one color.
+
+    Swapping t1 and t2 permutes the forms; it keeps the weights only when
+    t1, t2 and t1 - 2, t2 - 2 weigh alike.
+    """
+    forms = [AffineForm(F(0), (F(1), F(0))), AffineForm(F(0), (F(0), F(1))),
+             AffineForm(F(-1), (F(1), F(1))), AffineForm(F(-2), (F(1), F(0))),
+             AffineForm(F(-2), (F(0), F(1)))]
+    return WeightedArrangement(2, forms, list(weights), coloring=(0, 0))
+
+
 def sl2_four_point(kappa=7, points=ACCEPTANCE_POINTS):
     """The discriminantal arrangement of four sl2 doublets (M=2, r=9)."""
     return build_arrangement([1, 1, 1, 1], list(points), kappa=kappa)

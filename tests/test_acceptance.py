@@ -109,7 +109,7 @@ def test_criterion_1_invariants_match_both_realizations(record_property):
 def _image_span(arr):
     quotient = AomotoComplex(arr, intersection_lattice(arr)).top_quotient()
     rank, basis = shapovalov_image(quotient, use_chi=True)
-    rows = [quotient.coords(list(cls.rep)) for cls in basis]
+    rows = [quotient.coords(enumerate(cls)) for cls in basis]
     rref_rows, _ = linalg.rref(rows)
     return rank, quotient.free, rref_rows
 
@@ -382,7 +382,7 @@ def test_criterion_8_property_suites(record_property):
             )
 
         got = expand_top_form(arr, lattice, evaluator, seed=13, space=space)
-        if list(got) != list(space.reduce(coeffs)):
+        if list(got) != list(space.representative(space.normal_form(enumerate(coeffs)))):
             failures.append(
                 f"top-form expansion round-trip failed in M={arr.dimension}"
             )

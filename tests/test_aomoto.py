@@ -18,7 +18,9 @@ from aomoto_lab.arrangement import (
 )
 from aomoto_lab.exactfield import RatFuncKappa
 from aomoto_lab.svmap import build_arrangement
-from arrangements import corpus, crossing_lines, sl2_four_point, two_points
+from arrangements import (
+    colored_plane, corpus, crossing_lines, sl2_four_point, two_points,
+)
 from oracles import pairing_matrix
 
 F = Fraction
@@ -188,7 +190,32 @@ def test_relation_kernel_is_the_rref_of_the_pairing_nullspace(name):
         assert space.free == [k for k in range(n) if k not in set(pivots)]
         for _ in range(2):
             vec = [F(rng.randint(-3, 3)) for _ in range(n)]
-            assert space.reduce(vec) == linalg.reduce_mod_rowspace(vec, rows, pivots)
+            assert (space.representative(space.normal_form(enumerate(vec)))
+                    == linalg.reduce_mod_rowspace(vec, rows, pivots))
+
+
+def test_normal_form_keeps_every_flag_pairing():
+    # sum c e_k and the representative of its normal form differ by
+    # relations, which every flag functional kills
+    for arr in corpus():
+        lattice = intersection_lattice(arr)
+        rng = random.Random(arr.size)
+        for p in range(arr.dimension + 1):
+            space = AomotoSpace(arr, lattice, p)
+            flags = list(zip(*pairing_matrix(arr, lattice, p)))
+            for j, k in enumerate(space.free):
+                unit = [F(i == j) for i in range(space.dim)]
+                assert space.normal_form([(k, F(1))]) == unit
+            n = len(space.monomials)
+            for _ in range(3):
+                terms = [(rng.randrange(n), F(rng.randint(-4, 4), rng.randint(1, 3)))
+                         for _ in range(rng.randint(1, 5))]
+                dense = [F(0)] * n
+                for k, c in terms:
+                    dense[k] += c
+                rep = space.representative(space.normal_form(terms))
+                assert all(rep[k] == 0 for k in space.kernel_pivots)
+                assert linalg.matvec(flags, dense) == linalg.matvec(flags, rep), p
 
 
 @pytest.mark.parametrize("name", [*relation_cases(), "symbolic-2-1-1"])
@@ -203,7 +230,7 @@ def test_differential_matrix_is_the_dense_differential_in_coords(name):
         for col, k in enumerate(src.free):
             unit = [arr.zero] * len(src.monomials)
             unit[k] = arr.zero + 1
-            want = dst.coords(differential(arr, p, unit))
+            want = dst.normal_form(enumerate(differential(arr, p, unit)))
             got = [row[col] for row in matrix]
             # compared with the types: a Fraction serializes unlike a
             # RatFuncKappa of the same value
@@ -285,14 +312,16 @@ def test_shapovalov_image_two_points():
     # the functional kills eta = (e1 + e2)/7, so tau is proportional to (1, -1)
     assert tau[0] == -tau[1] != 0
     raw = [F(1, 7) * tau[0], F(1, 7) * tau[1]]
-    assert quotient.coords(raw) == quotient.coords(list(basis[0].rep))
-    assert any(c != 0 for c in quotient.coords(raw))
+    assert quotient.coords(enumerate(raw)) == quotient.coords(enumerate(basis[0]))
+    assert any(c != 0 for c in quotient.coords(enumerate(raw)))
 
 
 def image_arrangements():
-    """Rational and symbolic-kappa arrangements, each with and without chi."""
+    """Rational, symbolic-kappa and explicit colored arrangements, each
+    with and without chi."""
     symbolic = build_arrangement([2, 1, 1], [F(-1, 2), F(0), F(1)])
-    for arr in (sl2_four_point(kappa=7), symbolic):
+    explicit = colored_plane([F(1, 2), F(1, 2), F(1, 3), F(1, 5), F(1, 5)])
+    for arr in (sl2_four_point(kappa=7), symbolic, explicit):
         for use_chi in (False, True):
             yield arr, use_chi
 
@@ -331,12 +360,18 @@ def test_shapovalov_image_matches_greedy_rank_selection():
             s = [d * t for d, t in zip(diag, tau)]
             if P is not None:
                 s = [sum((a * b for a, b in zip(row, s)), F(0)) for row in P]
-            red = quotient.reduce(s)
+            red = quotient.representative(quotient.coords(enumerate(s)))
             if linalg.rank(kept + [red]) > len(kept):
                 kept.append(red)
         rank, basis = shapovalov_image(quotient, use_chi=use_chi)
         assert rank == len(kept) == len(basis)
-        assert [list(cls.rep) for cls in basis] == kept
+        assert [list(cls) for cls in basis] == kept
+
+
+def test_colored_plane_image_ranks():
+    quotient = top_quotient(colored_plane([F(1, 2), F(1, 2), F(1, 3), F(1, 5), F(1, 5)]))
+    assert shapovalov_image(quotient)[0] == 4
+    assert shapovalov_image(quotient, use_chi=True)[0] == 3
 
 
 def test_shapovalov_image_chi_rank_two_for_both_kappas():
@@ -352,14 +387,14 @@ def test_image_classes_are_chi_isotypic():
     _, basis = shapovalov_image(quotient, use_chi=True)
     P = chi_projector(arr, arr.dimension)
     for cls in basis:
-        projected = linalg.matvec(P, list(cls.rep))
-        assert quotient.coords(projected) == quotient.coords(list(cls.rep))
+        projected = linalg.matvec(P, list(cls))
+        assert quotient.coords(enumerate(projected)) == quotient.coords(enumerate(cls))
 
 
 def image_span_in_quotient(arr):
     quotient = top_quotient(arr)
     rank, basis = shapovalov_image(quotient, use_chi=True)
-    rows = [quotient.coords(list(cls.rep)) for cls in basis]
+    rows = [quotient.coords(enumerate(cls)) for cls in basis]
     rref_rows, _ = linalg.rref(rows)
     return rank, quotient.free, rref_rows
 
@@ -460,13 +495,14 @@ def test_top_quotient_matches_relations_plus_image_reference():
         assert quotient.dim == n - len(pivots)
         assert cx.top_quotient() is quotient
         below = cx.differential_matrix(arr.dimension - 1)
-        assert len(quotient.image_pivots) == linalg.rank(below)
+        assert len(quotient.nbc_pivots) == linalg.rank(below)
         # normal form, then the image in nbc coordinates, equals reduction
         # modulo the whole echelon form
         rng = random.Random(arr.size)
         for _ in range(3):
             vec = [arr.weights[0] * rng.randint(-3, 3) for _ in range(n)]
-            assert quotient.reduce(vec) == linalg.reduce_mod_rowspace(vec, rows, pivots)
+            assert (quotient.representative(quotient.coords(enumerate(vec)))
+                    == linalg.reduce_mod_rowspace(vec, rows, pivots))
 
 
 def dense_chi_reference(arrangement, p):
@@ -511,5 +547,5 @@ def test_chi_fixed_dim_matches_the_dense_projector_rank():
     for arr in (sl2_four_point(kappa=7), symbolic_three_point()):
         quotient = top_quotient(arr)
         P = dense_chi_reference(arr, arr.dimension)
-        cols = [quotient.coords([row[k] for row in P]) for k in quotient.free]
+        cols = [quotient.coords(enumerate([row[k] for row in P])) for k in quotient.free]
         assert chi_fixed_dim(quotient) == linalg.rank(cols)

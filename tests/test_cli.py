@@ -26,7 +26,7 @@ from aomoto_lab.errors import (
 )
 from aomoto_lab.liealg import MAX_ZERO_WEIGHT_DIM, zero_weight_dim
 from aomoto_lab.svmap import build_arrangement
-from arrangements import corpus
+from arrangements import colored_plane, corpus
 from aomoto_lab.exactfield import RatFuncKappa, format_rational, parse_rational
 from oracles import specialize_kappa
 
@@ -690,6 +690,28 @@ def test_coloring_that_does_not_permute_the_forms_is_a_config_error(
     assert "config field 'arrangement'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,extra", [("aomoto", {}), ("image", {"chi": True})])
+def test_coloring_that_moves_the_weights_is_a_config_error(
+        tmp_path, capsys, command, extra):
+    # swapping t1 and t2 permutes the forms, but sends t1 (weight 1/2) to
+    # t2 (weight 1/3) and t1 - 2 (1/5) to t2 - 2 (1/7), so the diagonal
+    # map and eta do not commute with the group
+    arr = colored_plane([Fraction(1, 2), Fraction(1, 3), Fraction(1, 3),
+                         Fraction(1, 5), Fraction(1, 7)])
+    config = {"schema": "1", "arrangement": arrangement_to_json(arr), **extra}
+    with pytest.raises(ConfigError) as err:
+        run(command, config)
+    assert "another weight" in str(err.value)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path)]) == 2
+    assert "config field 'arrangement'" in capsys.readouterr().err
+    # weights the swap keeps are accepted
+    arr = colored_plane([Fraction(1, 2), Fraction(1, 2), Fraction(1, 3),
+                         Fraction(1, 5), Fraction(1, 5)])
+    run(command, {**config, "arrangement": arrangement_to_json(arr)})
+
+
 PLANE_ARRANGEMENT = {
     "dimension": 2,
     "forms": [{"constant": "0/1", "gradient": ["1/1", "0/1"]},
@@ -765,12 +787,15 @@ def test_top_monomial_budget_refuses_five_weight_two_points(
 
 def _unsplit_symbolic(weights):
     """The recipe arrangement at the points -1/2, 0, 1/2, 1 with symbolic
-    weights w_i + (i mod 3), which rational_split does not split."""
+    weights w + (i mod 3) on each t_a - z_i, which rational_split does not
+    split; swapping variables still keeps every weight."""
     points = [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
     arr = build_arrangement(weights, points[:len(weights)])
+    n = len(weights)
     unsplit = WeightedArrangement(
         arr.dimension, arr.forms,
-        [w + (i % 3) for i, w in enumerate(arr.weights)],
+        [w + (k % n % 3) if k < arr.dimension * n else w
+         for k, w in enumerate(arr.weights)],
         coloring=arr.coloring)
     assert rational_split(unsplit) is None
     return unsplit
@@ -804,34 +829,19 @@ def test_symbolic_budget_admits_unsplit_four_doublets():
 
 
 def test_golden_reports():
-    cases = [
-        ("lattice", "lattice_two_points.json"),
-        ("lattice", "lattice_three_variable.json"),
-        ("invariants", "invariants_level1.json"),
-        ("egregium", "egregium_kappa3.json"),
-        ("egregium", "egregium_kappa7.json"),
-        ("egregium", "egregium_three_variable.json"),
-        ("egregium", "egregium_six_doublets.json"),
-        ("sv", "sv_kappa7.json"),
-        ("sv", "sv_two_variable.json"),
-        ("aomoto", "aomoto_symbolic.json"),
-        ("image", "image_chi_symbolic.json"),
-        ("image", "image_chi_kappa7.json"),
-        ("aomoto", "aomoto_three_variable.json"),
-        ("image", "image_chi_three_variable.json"),
-        ("image", "image_chi_symbolic_three_variable.json"),
-        ("kz", "kz_kappa3.json"),
-        ("kz", "kz_kappa_m7_3.json"),
-        ("verify-forms", "verify_forms_sl2.json"),
-        ("verify-forms", "verify_forms_three_variable.json"),
-    ]
-    for command, name in cases:
+    # every config has a golden; the command is the file-name prefix
+    configs = sorted(CONFIGS.glob("*.json"))
+    assert configs
+    for path in configs:
+        command = path.name.split("_")[0]
+        command = "verify-forms" if command == "verify" else command
+        assert (GOLDEN / path.name).is_file(), f"no golden for {path.name}"
         # kz runs twice, so the golden also pins the report whose hyp2f1
         # value comes from the per-process memo
         for _ in range(2 if command == "kz" else 1):
-            report = run(command, _load(name))
+            report = run(command, _load(path.name))
             text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-            assert text == (GOLDEN / name).read_text(), name
+            assert text == (GOLDEN / path.name).read_text(), path.name
 
 
 @pytest.mark.parametrize("first, second", [
@@ -907,8 +917,8 @@ def _assert_run_matches_general(config, arr, all_symbolic=False):
     images, aomoto = _general_reports(arr)
     for chi, (rank, basis) in images.items():
         if all_symbolic:
-            assert all(type(c) is RatFuncKappa for cls in basis for c in cls.rep)
-        expected = [[_entry_json(c) for c in cls.rep] for cls in basis]
+            assert all(type(c) is RatFuncKappa for cls in basis for c in cls)
+        expected = [[_entry_json(c) for c in cls] for cls in basis]
         report = run("image", {**config, "chi": chi})
         assert report["rank"] == rank, chi
         if all_symbolic:
@@ -963,8 +973,10 @@ def _weight_variants():
             make(cs[:1] + [c.as_fraction() for c in cs[1:]]), True),
         "Fractions, then constant RatFuncKappa": (
             make([c.as_fraction() for c in cs[:2]] + cs[2:]), True),
+        # t1 + 1/2 and t2 + 1/2, swapped by the coloring, both weigh 1/2
         "Fraction 1/2 next to 1/kappa": (
-            make([Fraction(1, 2)] + list(base.weights[1:])), False),
+            make([Fraction(1, 2) if k % 3 == 0 and k < 6 else w
+                  for k, w in enumerate(base.weights)]), False),
         "1/kappa next to 1/(kappa+1)": (
             make(list(base.weights[:-1]) + [1 / (kappa + 1)]), False),
         "all zero": (make([kappa * 0] * base.size), False),
