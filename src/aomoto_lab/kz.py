@@ -27,7 +27,10 @@ keyed on the segment and the system's own values (see transport).  A
 loop around one puncture is the way out from its base, a circle about
 the puncture and the way back, so its monodromy is the circle's
 conjugated by the transport along the way out (see
-MAX_LOOP_ERROR_GROWTH for when that is refused).  Every circle comes
+MAX_LOOP_ERROR_GROWTH for when that is refused).  The process keeps
+each loop's monodromy in a second memo, keyed on the loop and the
+system's own values (see simple_loop_monodromy), so a repeated loop is
+neither transported nor circled again.  Every circle comes
 from the Frobenius series of the solution at the puncture, whose local
 exponents are exact rationals, read off the Clebsch-Gordan channels of
 the pair (see _rational_eigenbasis), with log terms where two of them
@@ -84,12 +87,15 @@ MAX_SERIES_TERMS = 400
 # (cli.KZ_GUARD_DIGITS decades) above a bound of tol times the matrix
 # norm, so a larger growth is refused with PrecisionLoss.
 MAX_LOOP_ERROR_GROWTH = 10**4
-# Most segment transports the process keeps (see _segment_transport),
-# those used last.  An entry, key included, takes about 1.5 KB at 128
-# bits and 2.5 KB at 1024 bits for four doublets (tracemalloc over 200
-# one-segment transports, CPython 3.11); a kz-monodromy traffic of 1100
-# requests meets about 390 distinct segments.
-SEGMENT_MEMO_SIZE = 1024
+# Most entries each kz memo keeps, those used last: segment transports
+# (see _segment_transport) and loop monodromies (see _loop_monodromy).
+# For four doublets, key included, a segment entry takes about 1.5 KB at
+# 128 bits and 2.5 KB at 1024 bits (tracemalloc over 200 one-segment
+# transports, CPython 3.11), and a loop entry 2.0 KB and 3.2 KB (what
+# emptying the memo frees, over 120 loops); a kz-monodromy traffic of
+# 1100 requests meets about 390 distinct segments, and of 1000 requests
+# about 165 distinct loops.
+KZ_MEMO_SIZE = 1024
 
 
 def casimir_matrices(weights=(1, 1, 1, 1)):
@@ -140,8 +146,10 @@ class KzSystem:
     """Marked points with sl2 highest weights, kappa, and the Casimir
     matrices of the weights (see casimir_matrices), one per pair of points.
 
-    A system keeps no transport: segment transports live in the process
-    memo of _segment_transport, keyed on the values, not on the system.
+    A system keeps no transport: segment transports and loop monodromies
+    live in the process memos of _segment_transport and _loop_monodromy,
+    keyed on the values, not on the system.  Neither reads the system's
+    matrices, which are the caller's copy.
     """
 
     def __init__(self, points, kappa, weights=(1, 1, 1, 1),
@@ -358,7 +366,7 @@ def _tolerance(sys, tol):
     return tol
 
 
-@functools.lru_cache(maxsize=SEGMENT_MEMO_SIZE)
+@functools.lru_cache(maxsize=KZ_MEMO_SIZE)
 def _segment_transport(a, b, punctures, weights, kappa, quarter_tol,
                        precision_bits):
     """The kernel transport from a to b, a tuple of rows, memoized.
@@ -751,19 +759,43 @@ def simple_loop_monodromy(sys, around, base=None, tol=None):
     other punctures beyond LOOP_RADIUS, so the loop is the same up to
     homotopy.
     Raises PrecisionLoss where the conjugation can grow the transport's
-    error more than MAX_LOOP_ERROR_GROWTH times.
+    error more than MAX_LOOP_ERROR_GROWTH times.  The monodromy comes
+    from the process-wide memo of _loop_monodromy, keyed on the system's
+    own values, so a loop that an earlier call computed is neither
+    transported nor circled again; every call gets new mpc objects.
     """
+    base = complex(sys.points[0] if base is None else base)
+    rows = _loop_monodromy(tuple(sys.points), sys.weights, sys.kappa, around,
+                           base, tol, sys.precision_bits)
+    return [[mpmath.mp.make_mpc(x) for x in row] for row in rows]
+
+
+@functools.lru_cache(maxsize=KZ_MEMO_SIZE)
+def _loop_monodromy(points, weights, kappa, around, base, tol,
+                    precision_bits):
+    """The loop's monodromy as a tuple of rows of libmp mpc values, memoized.
+
+    base is complex and tol is the caller's, as _tolerance reads it, or
+    None; the rest are the system's own values.  The memo keys on these,
+    which determine everything the loop reads, so a hit returns what a
+    miss computes.  A miss builds its own system on them, whose Casimir
+    matrices are those of _casimir_matrices, never the caller's, and
+    stores the monodromy only once the growth guard has passed, so a
+    refused loop raises again on every call.
+    """
+    sys = KzSystem(points, kappa, weights=weights,
+                   precision_bits=precision_bits)
     loop = simple_loop(sys, around, base=base)
-    center = complex(sys.points[around])
+    center = complex(points[around])
     entry_radius = min([LOOP_RADIUS] + [
         STEP_RATIO * abs(complex(point) - center)
-        for k, point in enumerate(sys.points) if k not in (0, around)
+        for k, point in enumerate(points) if k not in (0, around)
     ])
     way_out = ContourPath.way_out(loop.waypoints[0], center,
                                   radius=entry_radius)
     out = transport(sys, way_out, tol=tol)
     circle = _frobenius_circle(sys, around, way_out.waypoints[-1], tol)
-    with mpmath.workprec(sys.precision_bits + 64):
+    with mpmath.workprec(precision_bits + 64):
         back = _mat_inv(out)
         monodromy = _mat_mul(back, _mat_mul(circle, out))
         growth = (_mat_norm(out) * _mat_norm(back) * _mat_norm(circle)
@@ -771,7 +803,7 @@ def simple_loop_monodromy(sys, around, base=None, tol=None):
     if growth > MAX_LOOP_ERROR_GROWTH:
         raise PrecisionLoss(f"the loop around point {around + 1} can grow the "
                             f"transport's error {mpmath.nstr(growth, 3)} times")
-    return monodromy
+    return tuple(tuple(x._mpc_ for x in row) for row in monodromy)
 
 
 def _frobenius_circle(sys, around, entry, tol):
@@ -874,7 +906,9 @@ def pochhammer_monodromy(sys, p, q, base=None, tol=None):
     transport matrix is the corresponding commutator T_q^-1 T_p^-1 T_q T_p.
     Both loops leave the base along the same leg, which the segment memo
     of transport integrates once, and each returns along the inverse of
-    its way out (see simple_loop_monodromy).
+    its way out.  Each loop comes from the loop memo of
+    simple_loop_monodromy, so a commutator that shares a loop with an
+    earlier one computes only the other loop and the products.
     """
     t_p = simple_loop_monodromy(sys, p, base=base, tol=tol)
     t_q = simple_loop_monodromy(sys, q, base=base, tol=tol)
@@ -982,8 +1016,20 @@ def flat_section_residual(sys, zs, exponent=_PHI_EXPONENT, section="phi"):
 
 
 def _mpc_omegas(sys):
-    """The Casimir matrices of sys as mpc matrices, keyed by pair (j, k), j < k."""
-    return {pair: _frac_matrix(mat) for pair, mat in sys.matrices.items()}
+    """The Casimir matrices of sys's weights as mpc matrices at the working
+    precision, keyed by pair (j, k), j < k.
+
+    The matrices are those of _casimir_matrices, converted once per
+    weights and precision; every call gets its own dict of tuple rows.
+    """
+    return dict(_mpc_casimir_matrices(sys.weights, mpmath.mp.prec))
+
+
+@functools.lru_cache(maxsize=16)
+def _mpc_casimir_matrices(weights, prec):
+    with mpmath.workprec(prec):
+        return tuple((pair, tuple(map(tuple, _frac_matrix(mat))))
+                     for pair, mat in _casimir_matrices(weights).items())
 
 
 def _connection_at(omegas, z, j, inv_kappa):

@@ -1,8 +1,8 @@
 """Fixtures that empty the process memos, and the acceptance summary.
 
-The kz segment memo and the hyp2f1 self-test memo outlive a request, so
-a test that counts the work of a fresh computation, or swaps the
-function behind a memo, empties that memo first.  Each test of
+The kz segment and loop memos and the hyp2f1 self-test memo outlive a
+request, so a test that counts the work of a fresh computation, or swaps
+the function behind a memo, empties that memo first.  Each test of
 test_acceptance.py records its line as the user property "acceptance",
 so the lines survive output capture and are printed after the run.
 """
@@ -23,10 +23,12 @@ def fresh_hyp2f1_memo():
 
 @pytest.fixture
 def fresh_kz_system():
-    """KzSystem, with the segment memo emptied first, so that the new
-    system integrates every segment it transports along."""
+    """KzSystem, with the segment and loop memos emptied first, so that
+    the new system integrates every segment it transports along and
+    circles every loop it is asked for."""
     def build(*args, **kwargs):
         kz._segment_transport.cache_clear()
+        kz._loop_monodromy.cache_clear()
         return kz.KzSystem(*args, **kwargs)
     return build
 

@@ -849,12 +849,26 @@ def test_golden_reports():
     ("kz_kappa_m7_3.json", "kz_kappa3.json"),
 ])
 def test_kz_goldens_cold_and_warm(first, second, fresh_hyp2f1_memo):
-    # with both memos empty, then after the other config, then again:
+    # with every memo empty, then after the other config, then again:
     # each report keeps its golden bytes whatever the memos hold
     kz._segment_transport.cache_clear()
+    kz._loop_monodromy.cache_clear()
     for name in (first, second, first, second):
         text = json.dumps(run("kz", _load(name)), sort_keys=True, indent=2) + "\n"
         assert text == (GOLDEN / name).read_text(), name
+
+
+def test_kz_golden_after_a_request_that_shares_its_loop(fresh_hyp2f1_memo):
+    # loop [2, 3] leaves the loop around point 2 in the memo, and the
+    # [2, 4] commutator of kz_kappa3.json takes it from there
+    kz._segment_transport.cache_clear()
+    kz._loop_monodromy.cache_clear()
+    run("kz", dict(_load("kz_kappa3.json"), loop=[2, 3]))
+    misses = kz._loop_monodromy.cache_info().misses
+    text = json.dumps(run("kz", _load("kz_kappa3.json")), sort_keys=True,
+                      indent=2) + "\n"
+    assert kz._loop_monodromy.cache_info().misses == misses + 1
+    assert text == (GOLDEN / "kz_kappa3.json").read_text()
 
 
 def _specialize_entry(entry, kappa):

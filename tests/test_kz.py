@@ -11,6 +11,7 @@ import sympy
 from aomoto_lab.errors import (
     BranchCut,
     DuplicatePoints,
+    LoopEnclosesPuncture,
     PrecisionLoss,
     StepUnderflow,
     ZeroKappa,
@@ -489,7 +490,7 @@ def test_wide_circle_is_entered_closer_to_its_puncture(monkeypatch,
         return frobenius_circle(sys, around, entry, tol)
 
     monkeypatch.setattr(kz, "_frobenius_circle", recorded)
-    sys = KzSystem(points, F(3), precision_bits=bits)
+    sys = fresh_kz_system(points, F(3), precision_bits=bits)
     got = simple_loop_monodromy(sys, 1)
     assert abs(entries[0] + 1j * kz.STEP_RATIO / 5) < 1e-15
     expected = transport(sys, kz.simple_loop(sys, 1))
@@ -1009,14 +1010,16 @@ def test_transport_meets_a_small_tolerance_at_the_largest_precision():
                    for x, y in zip(row, other)) < mpmath.mpf(2) ** -890
 
 
-def test_transport_does_not_depend_on_the_callers_precision():
+def test_transport_does_not_depend_on_the_callers_precision(fresh_kz_system):
     # 1/3 and 9/14 are not dyadic, so a puncture rounded at the caller's
     # precision would move the result; fresh systems, so no call reuses
-    # the other's segments
+    # the other's segments or loop
     points = (F(-1, 2), F(1, 3), F(9, 14), F(1))
-    plain = simple_loop_monodromy(KzSystem(points, 3, precision_bits=64), 1)
+    plain = simple_loop_monodromy(
+        fresh_kz_system(points, 3, precision_bits=64), 1)
     with mpmath.workprec(128):
-        wide = simple_loop_monodromy(KzSystem(points, 3, precision_bits=64), 1)
+        wide = simple_loop_monodromy(
+            fresh_kz_system(points, 3, precision_bits=64), 1)
     assert [[x._mpc_ for x in row] for row in plain] == \
         [[x._mpc_ for x in row] for row in wide]
 
@@ -1107,6 +1110,93 @@ def test_segment_memo_keys_on_every_input(change, fresh_kz_system):
     warm = run(changed, KzSystem)
     assert warm == run(changed, fresh_kz_system)
     assert warm != before
+
+
+@pytest.mark.parametrize("change", ["points", "weights", "kappa", "around",
+                                    "base", "tol", "precision"])
+def test_loop_memo_keys_on_every_input(change, fresh_kz_system):
+    # after a loop on the base data, one changed input misses the memo
+    # and gives exactly the loop that an empty memo gives, and not the
+    # base's; a repeat of either is a hit with the same bits
+    base = {"points": POINTS, "kappa": F(2), "weights": (1, 1, 1, 1),
+            "around": 1, "base": None, "tol": mpmath.mpf(2) ** -20,
+            "bits": 64}
+    changed = dict(base, **{
+        "points": {"points": (F(-1, 2), F(0), F(5, 8), F(1))},
+        "weights": {"weights": (2, 2, 2, 2)},
+        "kappa": {"kappa": F(-7, 3)},
+        "around": {"around": 2},
+        "base": {"base": complex(-0.5, 0.125)},
+        "tol": {"tol": mpmath.mpf(2) ** -24},
+        "precision": {"bits": 128},
+    }[change])
+    info = kz._loop_monodromy.cache_info
+
+    def run(data, build):
+        sys = build(data["points"], data["kappa"], weights=data["weights"],
+                    precision_bits=data["bits"])
+        return _bits(simple_loop_monodromy(sys, data["around"],
+                                           base=data["base"], tol=data["tol"]))
+
+    before = run(base, fresh_kz_system)
+    misses = info().misses
+    warm = run(changed, KzSystem)
+    assert info().misses == misses + 1
+    hits = info().hits
+    assert run(base, KzSystem) == before
+    assert run(changed, KzSystem) == warm
+    assert info().hits == hits + 2
+    assert warm == run(changed, fresh_kz_system)
+    assert warm != before
+
+
+@pytest.mark.parametrize("points, error", [
+    ((F(10**6), F(-10**6), F(0), F(1)), PrecisionLoss),
+    ((F(-1, 2), F(0), F(1, 10), F(1)), LoopEnclosesPuncture),
+], ids=["growth", "encloses"])
+def test_refused_loop_leaves_no_memo_entry(points, error, fresh_kz_system):
+    # the loop around point 2 is refused every time it is asked for
+    sys = fresh_kz_system(points, F(3), precision_bits=64)
+    info = kz._loop_monodromy.cache_info
+    for attempt in (1, 2):
+        with pytest.raises(error):
+            simple_loop_monodromy(sys, 1)
+        assert info().currsize == 0
+        assert info().misses == attempt
+
+
+def test_loop_memo_is_not_changed_by_its_callers(fresh_kz_system):
+    # a caller may modify the matrix it gets and its system's Casimir
+    # matrices; neither reaches a later loop, hit or miss, nor a flat
+    # section residual
+    sys = fresh_kz_system(POINTS, F(3), precision_bits=64)
+    zs = (complex(-0.5, 0.31), complex(0.17, -0.12), complex(0.55, 0.23),
+          complex(1.1, -0.4))
+    residual = flat_section_residual(sys, zs)
+    first = simple_loop_monodromy(sys, 1)
+    expected = _bits(first)
+    first[0][0] = mpmath.mpc(99)
+    first[1].append(mpmath.mpc(0))
+    for pair in sys.matrices:
+        sys.matrices[pair][0][0] = F(99)
+    assert _bits(simple_loop_monodromy(sys, 1)) == expected
+    assert flat_section_residual(sys, zs) == residual
+    mutated = _bits(simple_loop_monodromy(sys, 2))
+    assert mutated == _bits(simple_loop_monodromy(
+        fresh_kz_system(POINTS, F(3), precision_bits=64), 2))
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1, 1), (2, 1, 1, 2)])
+def test_mpc_omegas_convert_the_casimir_matrices(weights):
+    # kept per weights and precision, so the second call of each case is
+    # a hit; both are the weights' Casimir matrices, bit for bit
+    sys = KzSystem(POINTS, 3, weights=weights, precision_bits=96)
+    with mpmath.workprec(sys.precision_bits):
+        for _ in range(2):
+            got = kz._mpc_omegas(sys)
+            assert {pair: _bits(mat) for pair, mat in got.items()} == {
+                pair: _bits(kz._frac_matrix(mat))
+                for pair, mat in casimir_matrices(weights).items()}
 
 
 def test_pochhammer_near_identity_for_large_kappa():
